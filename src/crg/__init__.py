@@ -13,7 +13,6 @@ from .groups import (
     build_coxeter,
     build_from_generators,
     build_series,
-    class_graph,
     class_stats,
     k_c,
     load_generator_group,
@@ -73,7 +72,6 @@ __all__ = [
     "build_coxeter",
     "build_from_generators",
     "build_series",
-    "class_graph",
     "class_stats",
     "k_c",
     "load_generator_group",

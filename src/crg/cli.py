@@ -316,6 +316,7 @@ def _tensor_checks(
             )
         else:
             _run_check(report, name, lambda c=c, s=members[0]: ds_table_check(bundle, s, c))
+        # exact: cmd_verify rejects a non-integer --m for this suite
         start = int(sample) if sample is not None else 7
         name = f"tensor-square[{c}]"
         if len(members) > _TENSOR_CLASS_LIMIT and not force:
@@ -406,6 +407,8 @@ SUITES = ("core", "spectral", "tensor", "parabolic", "dihedral", "krammer", "all
 def cmd_verify(spec: GroupSpec, suite: str, sample: Fraction | None, force: bool) -> int:
     report = VerifyReport(spec, [])
     wanted = SUITES[:-1] if suite == "all" else (suite,)
+    if "tensor" in wanted and sample is not None and sample.denominator != 1:
+        raise ValueError(f"the tensor suite needs an integer --m, got {sample}")
     g = build_group(spec)
     for name in wanted:
         if name == "core":
@@ -536,6 +539,15 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_sample(text: str | None) -> Fraction | None:
+    if text is None:
+        return None
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"--m must be a rational number, got {text!r}") from None
+
+
 def main(argv=None) -> int:
     parser = _build_arg_parser()
     args = parser.parse_args(argv)
@@ -543,7 +555,7 @@ def main(argv=None) -> int:
         if args.command == "discriminants":
             return cmd_discriminants(parse_group(args.group), args.format)
         if args.command == "verify":
-            sample = Fraction(args.sample) if args.sample is not None else None
+            sample = _parse_sample(args.sample)
             return cmd_verify(parse_group(args.group), args.suite, sample, args.force)
         if args.command == "tables":
             return cmd_tables(args.which, args.fixture)

@@ -80,7 +80,6 @@ class CyclotomicField:
             shifted = (0,) + prev[: d - 1]
             rows.append(tuple(shifted[i] - lead * phi[i] for i in range(d)))
         self.power_rows = tuple(rows)
-        self.conj_rows = tuple(rows[(n - k) % n] for k in range(d))
 
     def reduce(self, vec: Sequence[int]) -> tuple[int, ...]:
         """Fold integer coefficients of powers zeta^k into the power basis."""
@@ -126,25 +125,6 @@ class CyclotomicField:
 @lru_cache(maxsize=None)
 def cyclotomic_field(n: int) -> CyclotomicField:
     return CyclotomicField(n)
-
-
-def _trim(p: list[Fraction]) -> list[Fraction]:
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def _frac_poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    r = list(a)
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    inv_lead = 1 / b[-1]
-    for i in range(len(r) - 1, len(b) - 2, -1):
-        c = r[i] * inv_lead
-        if c:
-            q[i - (len(b) - 1)] = c
-            for j, bj in enumerate(b):
-                r[i - (len(b) - 1) + j] -= c * bj
-    return _trim(q), _trim(r)
 
 
 class CycNum:
@@ -233,24 +213,16 @@ class CycNum:
     __rmul__ = __mul__
 
     def inverse(self) -> CycNum:
-        """Multiplicative inverse via the extended Euclid algorithm mod Phi_n."""
+        """Multiplicative inverse: the product of the other Galois conjugates
+        over the field norm, which is rational."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        f = self.field
-        phi = [Fraction(c) for c in cyclotomic_int_coeffs(f.n)]
-        r0, r1 = phi, _trim([Fraction(c, self.den) for c in self.num])
-        u0, u1 = [Fraction(0)], [Fraction(1)]
-        while len(r1) > 1:
-            q, r = _frac_poly_divmod(r0, r1)
-            nxt = list(u0)
-            nxt.extend([Fraction(0)] * (len(q) + len(u1) - 1 - len(u0)))
-            for i, qi in enumerate(q):
-                if qi:
-                    for j, uj in enumerate(u1):
-                        nxt[i + j] -= qi * uj
-            r0, r1, u0, u1 = r1, r, u1, _trim(nxt)
-        scale = 1 / r1[0]
-        return f.from_fractions([c * scale for c in u1])
+        n = self.field.n
+        others = self.field.one()
+        for k in range(2, n):
+            if gcd(k, n) == 1:
+                others = others * self.galois(k)
+        return others / (self * others).as_rational()
 
     def __truediv__(self, other: object) -> CycNum:
         o = self._coerce(other)
@@ -281,16 +253,20 @@ class CycNum:
             k >>= 1
         return out
 
-    def conj(self) -> CycNum:
-        """Complex conjugation, zeta^i to zeta^(n-i)."""
+    def galois(self, k: int) -> CycNum:
+        """The field automorphism zeta -> zeta^k, for k prime to n."""
         f = self.field
         out = [0] * f.degree
         for i, c in enumerate(self.num):
             if c:
-                row = f.conj_rows[i]
+                row = f.power_rows[i * k % f.n]
                 for j in range(f.degree):
                     out[j] += c * row[j]
         return CycNum(f, out, self.den)
+
+    def conj(self) -> CycNum:
+        """Complex conjugation, zeta^i to zeta^(n-i)."""
+        return self.galois(-1)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, CycNum):
@@ -305,6 +281,9 @@ class CycNum:
 
     def __hash__(self) -> int:
         if self.is_rational():
+            # equal to the hash of the int or Fraction this element equals
+            if self.den == 1:
+                return hash(self.num[0])
             return hash(Fraction(self.num[0], self.den))
         return hash((self.field.n, self.num, self.den))
 

@@ -1,5 +1,12 @@
 """Reflection group construction: infinite series, Coxeter root systems and
-generator data files, with conjugation tables and class statistics."""
+generator data files, with conjugation tables and class statistics.
+
+Every group is built one way.  An order-2 reflection
+s = I - 2 a (x) phi / (phi . a) is keyed by its root line and its coform
+line: a and phi scaled so that their first nonzero coordinate is 1.  The key
+of y s y is (y a, phi y), so a few generating reflections act on the keys by
+matrix-vector products, and every other row of the conjugation table follows
+from sigma_{g y g} = sigma_g sigma_y sigma_g, which is integer work."""
 
 from __future__ import annotations
 
@@ -7,179 +14,109 @@ import json
 import os
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import lcm
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from .cyclotomic import CycNum, CyclotomicField, cyclotomic_field
-from .graphs import SimpleGraph
 from .matrices import ExactMatrix
 
-# a packed matrix is (den, rows) with rows[i][j] an int coefficient tuple
-Packed = tuple[int, tuple]
+Vec = tuple[CycNum, ...]
+# (root line, coform line) of one order-2 reflection
+Key = tuple[Vec, Vec]
 
 
-def _pack_normalize(den: int, rows: tuple) -> Packed:
-    if den < 0:
-        den = -den
-        rows = tuple(
-            tuple(tuple(-c for c in ent) for ent in row) for row in rows
-        )
-    g = den
-    for row in rows:
-        for ent in row:
-            for c in ent:
-                if c:
-                    g = gcd(g, c)
-        if g == 1:
-            return den, rows
-    if g == 1:
-        return den, rows
-    return den // g, tuple(
-        tuple(tuple(c // g for c in ent) for ent in row) for row in rows
-    )
+def _line(v: Sequence[CycNum]) -> Vec:
+    """v scaled so that its first nonzero coordinate is 1."""
+    inv = 1 / next(c for c in v if c)
+    return tuple(c * inv for c in v)
 
 
-def _pack_mul(a: Packed, b: Packed, field: CyclotomicField) -> Packed:
-    da, ra = a
-    db, rb = b
-    r = len(ra)
-    d = field.degree
-    out_rows = []
-    for i in range(r):
-        arow = ra[i]
-        accs = [[0] * (2 * d - 1) for _ in range(r)]
-        for k in range(r):
-            av = arow[k]
-            if not any(av):
-                continue
-            brow = rb[k]
-            for j in range(r):
-                bv = brow[j]
-                if not any(bv):
-                    continue
-                acc = accs[j]
-                for x, ax in enumerate(av):
-                    if ax:
-                        for y, by in enumerate(bv):
-                            if by:
-                                acc[x + y] += ax * by
-        out_rows.append(tuple(field.reduce(acc) for acc in accs))
-    return _pack_normalize(da * db, tuple(out_rows))
+def _dot(u: Sequence[CycNum], v: Sequence[CycNum]) -> CycNum:
+    acc = u[0].field.zero()
+    for x, y in zip(u, v):
+        if x and y:
+            acc = acc + x * y
+    return acc
 
 
-def _pack_identity(rank: int, field: CyclotomicField) -> Packed:
-    d = field.degree
-    one = field.power_rows[0]
-    zero = (0,) * d
-    return 1, tuple(
-        tuple(one if i == j else zero for j in range(rank)) for i in range(rank)
-    )
+def _axpy(x: CycNum, a: Vec, b: Vec) -> list[CycNum]:
+    """a - x b."""
+    return [u - x * v if v else u for u, v in zip(a, b)]
 
 
-def _pack_from_cycnums(entries: Sequence[Sequence[CycNum]]) -> Packed:
-    den = 1
-    for row in entries:
-        for e in row:
-            den = den * e.den // gcd(den, e.den)
-    rows = tuple(
-        tuple(tuple(c * (den // e.den) for c in e.num) for e in row) for row in entries
-    )
-    return _pack_normalize(den, rows)
+def _conjugator(g: Key) -> Callable[[Key], Key]:
+    """The map key(s) -> key(g s g): g a for the root, phi g for the coform."""
+    a_g, phi_g = g
+    c = 2 / _dot(phi_g, a_g)
+    # a real reflection (phi = a) maps real reflections to real reflections
+    real = a_g == phi_g
+
+    def act(key: Key) -> Key:
+        a, phi = key
+        x = c * _dot(phi_g, a)
+        root = _line(_axpy(x, a, a_g)) if x else a
+        if real and a == phi:
+            return root, root
+        y = c * _dot(phi, a_g)
+        return root, _line(_axpy(y, phi, phi_g)) if y else phi
+
+    return act
 
 
-def _pack_entry(p: Packed, i: int, j: int, field: CyclotomicField) -> CycNum:
-    den, rows = p
-    return CycNum(field, rows[i][j], den)
+def _reflection_matrix(key: Key) -> ExactMatrix:
+    """I - 2 a (x) phi / (phi . a)."""
+    a, phi = key
+    r = len(a)
+    c = -2 / _dot(phi, a)
+    cphi = [c * x for x in phi]
+    one, zero = a[0].field.one(), a[0].field.zero()
+    entries = []
+    for i, ai in enumerate(a):
+        if ai:
+            row = [ai * x for x in cphi]
+            row[i] = row[i] + 1
+        else:
+            row = [zero] * r
+            row[i] = one
+        entries.extend(row)
+    return ExactMatrix(r, r, entries)
 
 
-class GroupElement:
-    """A group element as a canonically reduced matrix over one cyclotomic field."""
-
-    def __init__(self, field: CyclotomicField, packed: Packed) -> None:
-        self.field = field
-        self.packed = packed
-
-    @property
-    def matrix(self) -> ExactMatrix:
-        rank = len(self.packed[1])
-        return ExactMatrix(
-            rank,
-            rank,
-            [
-                _pack_entry(self.packed, i, j, self.field)
-                for i in range(rank)
-                for j in range(rank)
-            ],
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GroupElement):
-            return NotImplemented
-        return self.field is other.field and self.packed == other.packed
-
-    def __hash__(self) -> int:
-        return hash((self.field.n, self.packed))
-
-    def __repr__(self) -> str:
-        return f"GroupElement({self.field.n}, {self.packed})"
+def _packed(m: ExactMatrix) -> tuple:
+    """Least common denominator and integer coefficients of m; reflections
+    are indexed in the sorted order of these keys."""
+    den = lcm(*(e.den for e in m.entries))
+    return den, tuple(tuple(c * (den // e.den) for c in e.num) for e in m.entries)
 
 
 class Reflection:
     """One order-2 reflection with its root line and defining linear form."""
 
-    def __init__(
-        self,
-        index: int,
-        element: GroupElement,
-        root: tuple[CycNum, ...],
-        coform: tuple[CycNum, ...],
-    ) -> None:
+    def __init__(self, index: int, matrix: ExactMatrix, root: Vec, coform: Vec) -> None:
         self.index = index
-        self.element = element
+        self.matrix = matrix
         self.root = root
         self.coform = coform
-
-    @property
-    def matrix(self) -> ExactMatrix:
-        return self.element.matrix
 
     def __repr__(self) -> str:
         return f"Reflection({self.index})"
 
 
-def _root_and_coform(
-    packed: Packed, field: CyclotomicField
-) -> tuple[tuple[CycNum, ...], tuple[CycNum, ...]]:
-    """Root and coform of (s - I), with a full rank-1 certification."""
-    den, rows = packed
-    rank = len(rows)
-    diff = [
-        [
-            _pack_entry(packed, i, j, field) - (1 if i == j else 0)
-            for j in range(rank)
-        ]
-        for i in range(rank)
-    ]
-    pivot = None
-    for i in range(rank):
-        for j in range(rank):
-            if diff[i][j]:
-                pivot = (i, j)
-                break
-        if pivot:
-            break
+def _root_and_coform(m: ExactMatrix) -> Key:
+    """Root and coform lines of (s - I), with a full rank-1 certification."""
+    rank = m.rows
+    diff = [[m[i, j] - (1 if i == j else 0) for j in range(rank)] for i in range(rank)]
+    pivot = next(
+        ((i, j) for i in range(rank) for j in range(rank) if diff[i][j]), None
+    )
     if pivot is None:
         raise ValueError("generator fails the reflection test: equals the identity")
     i0, j0 = pivot
-    col = [diff[i][j0] for i in range(rank)]
-    first = next(c for c in col if c)
-    root = tuple(c / first for c in col)
-    row = diff[i0]
-    firstr = next(c for c in row if c)
-    coform = tuple(c / firstr for c in row)
-    # first == firstr == diff[i0][j0], the normalization pivot
-    scale = first
+    root = _line([diff[i][j0] for i in range(rank)])
+    coform = _line(diff[i0])
+    # the first nonzero entries of column j0 and of row i0 are both diff[i0][j0]
+    scale = diff[i0][j0]
     for i in range(rank):
         for j in range(rank):
             if diff[i][j] != root[i] * coform[j] * scale:
@@ -254,48 +191,57 @@ def _assemble(
     name: str,
     rank: int,
     conductor: int,
-    packed_set: set[Packed],
+    keys: set[Key],
     expected: int,
     mismatch_error: str | None = None,
 ) -> ReflectionGroupData:
-    field = cyclotomic_field(conductor)
-    if len(packed_set) != expected:
+    """Index the reflections by their sorted packed matrices and build the
+    conjugation table from the rows of a few generators."""
+    if len(keys) != expected:
         msg = mismatch_error or (
-            f"{name}: built {len(packed_set)} reflections, expected {expected}"
+            f"{name}: built {len(keys)} reflections, expected {expected}"
         )
         raise ValueError(msg)
-    ordered = sorted(packed_set)
-    index = {p: i for i, p in enumerate(ordered)}
-    ident = _pack_identity(rank, field)
-    reflections = []
-    for i, p in enumerate(ordered):
-        if _pack_mul(p, p, field) != ident:
-            raise ValueError("generator fails the reflection test: order is not 2")
-        root, coform = _root_and_coform(p, field)
-        reflections.append(Reflection(i, GroupElement(field, p), root, coform))
-    conj = []
-    for y in ordered:
-        row = []
-        for s in ordered:
-            ys = _pack_mul(y, s, field)
-            ysy = _pack_mul(ys, y, field)
-            t = index.get(ysy)
-            if t is None:
-                raise ValueError(f"{name}: reflection set is not conjugation-closed")
-            row.append(t)
-        conj.append(tuple(row))
-    return ReflectionGroupData(
-        name, rank, conductor, tuple(reflections), tuple(conj), expected
+    mats = {k: _reflection_matrix(k) for k in keys}
+    ordered = sorted(keys, key=lambda k: _packed(mats[k]))
+    index = {k: i for i, k in enumerate(ordered)}
+    n = len(ordered)
+    rows: dict[int, tuple[int, ...]] = {}
+    gens: list[int] = []
+    for cand in range(n):
+        if cand in rows:
+            continue
+        act = _conjugator(ordered[cand])
+        row = tuple(index.get(act(k), -1) for k in ordered)
+        if -1 in row:
+            raise ValueError(f"{name}: reflection set is not conjugation-closed")
+        rows[cand] = row
+        gens.append(cand)
+        frontier = list(rows)
+        while frontier:
+            fresh = []
+            for y in frontier:
+                row_y = rows[y]
+                for g in gens:
+                    row_g = rows[g]
+                    t = row_g[y]
+                    if t not in rows:
+                        rows[t] = tuple(row_g[row_y[row_g[s]]] for s in range(n))
+                        fresh.append(t)
+            frontier = fresh
+    reflections = tuple(
+        Reflection(i, mats[k], k[0], k[1]) for i, k in enumerate(ordered)
     )
+    conj = tuple(rows[y] for y in range(n))
+    return ReflectionGroupData(name, rank, conductor, reflections, conj, expected)
 
 
-def _zeta_coeff_vector(field: CyclotomicField, m_param: int, k: int) -> tuple[int, ...]:
-    """Coefficient vector of the m_param-th root of unity zeta^k in field."""
-    k %= m_param
+def _root_of_unity(field: CyclotomicField, m_param: int, k: int) -> CycNum:
+    """zeta_{m_param}^k in field."""
     if field.n == m_param:
-        return field.power_rows[k]
-    # conductor 1 hosts m_param <= 2
-    return ((-1) ** k if m_param == 2 else 1,)
+        return field.zeta(k)
+    # conductor 1 hosts m_param = 2
+    return field.from_rational(-1 if k % 2 else 1)
 
 
 @lru_cache(maxsize=None)
@@ -309,53 +255,30 @@ def build_series(m_param: int, p: int, r: int) -> ReflectionGroupData:
         raise ValueError("unsupported pseudo-reflection series")
     conductor = m_param if m_param > 2 else 1
     field = cyclotomic_field(conductor)
-    d = field.degree
-    zero = (0,) * d
-    one = field.power_rows[0]
-    packed: set[Packed] = set()
+    zero = field.zero()
+    one = field.one()
+
+    def vec(entries: dict[int, CycNum]) -> Vec:
+        return tuple(entries.get(b, zero) for b in range(r))
+
+    keys: set[Key] = set()
     for i in range(r):
         for j in range(i + 1, r):
             for k in range(m_param):
-                zk = _zeta_coeff_vector(field, m_param, k)
-                zki = _zeta_coeff_vector(field, m_param, -k)
-                rows = []
-                for a in range(r):
-                    if a == i:
-                        rows.append(tuple(zk if b == j else zero for b in range(r)))
-                    elif a == j:
-                        rows.append(tuple(zki if b == i else zero for b in range(r)))
-                    else:
-                        rows.append(tuple(one if b == a else zero for b in range(r)))
-                packed.add(_pack_normalize(1, tuple(rows)))
+                # zeta^k at (i, j) and zeta^-k at (j, i)
+                root = vec({i: one, j: -_root_of_unity(field, m_param, -k)})
+                coform = vec({i: one, j: -_root_of_unity(field, m_param, k)})
+                keys.add((root, coform))
     if m_param // p == 2:
-        neg = tuple(-c for c in one)
         for i in range(r):
-            rows = tuple(
-                tuple((neg if a == i else one) if b == a else zero for b in range(r))
-                for a in range(r)
-            )
-            packed.add(_pack_normalize(1, rows))
+            keys.add((vec({i: one}), vec({i: one})))
     expected = m_param * r * (r - 1) // 2 + (r if m_param // p == 2 else 0)
-    return _assemble(f"G({m_param},{p},{r})", r, conductor, packed, expected)
+    return _assemble(f"G({m_param},{p},{r})", r, conductor, keys, expected)
 
 
-def _reflection_from_real_root(
-    root: Sequence[CycNum], field: CyclotomicField, rank: int
-) -> Packed:
-    """x -> x - 2(x,a)/(a,a) a for the real symmetric dot product."""
-    norm = root[0] * root[0]
-    for c in root[1:]:
-        norm = norm + c * c
-    entries = []
-    for i in range(rank):
-        row = []
-        for j in range(rank):
-            val = -2 * root[i] * root[j] / norm
-            if i == j:
-                val = val + 1
-            row.append(val)
-        entries.append(row)
-    return _pack_from_cycnums(entries)
+def _real_root_keys(roots: Iterable[Vec]) -> set[Key]:
+    """Keys of the reflections x -> x - 2(x,a)/(a,a) a, one per root line."""
+    return {(line, line) for line in map(_line, roots)}
 
 
 def _h_series_roots(rank: int) -> list[tuple]:
@@ -434,12 +357,6 @@ def _e_series_roots(kind: str) -> list[tuple]:
     if kind == "E8":
         return roots
 
-    def dot(a, b):
-        acc = a[0] * b[0]
-        for x, y in zip(a[1:], b[1:]):
-            acc = acc + x * y
-        return acc
-
     e7_axis = [zero] * 8
     e7_axis[6] = one
     e7_axis[7] = one
@@ -449,7 +366,7 @@ def _e_series_roots(kind: str) -> list[tuple]:
         e6_axis[5] = one
         e6_axis[6] = one
         cut.append(tuple(e6_axis))
-    return [r for r in roots if all(dot(r, ax).is_zero() for ax in cut)]
+    return [r for r in roots if all(_dot(r, ax).is_zero() for ax in cut)]
 
 
 def _f4_roots() -> list[tuple]:
@@ -503,19 +420,14 @@ def build_coxeter(kind: str, rank: int | None = None) -> ReflectionGroupData:
         if rank is not None:
             raise ValueError(f"type {kind} takes no rank")
         n = 3 if kind == "H3" else 4
-        field = cyclotomic_field(5)
-        packed = {
-            _reflection_from_real_root(r, field, n) for r in _h_series_roots(n)
-        }
-        return _assemble(kind, n, 5, packed, _ROOT_SYSTEM_SIZES[kind])
+        keys = _real_root_keys(_h_series_roots(n))
+        return _assemble(kind, n, 5, keys, _ROOT_SYSTEM_SIZES[kind])
     elif kind in ("F4", "E6", "E7", "E8"):
         if rank is not None:
             raise ValueError(f"type {kind} takes no rank")
-        field = cyclotomic_field(1)
         roots = _f4_roots() if kind == "F4" else _e_series_roots(kind)
         n = 4 if kind == "F4" else 8
-        packed = {_reflection_from_real_root(r, field, n) for r in roots}
-        return _assemble(kind, n, 1, packed, _ROOT_SYSTEM_SIZES[kind])
+        return _assemble(kind, n, 1, _real_root_keys(roots), _ROOT_SYSTEM_SIZES[kind])
     else:
         raise ValueError(f"unsupported type {kind!r}")
     label = f"{kind}{rank}" if kind != "I2" else f"I2({rank})"
@@ -533,7 +445,10 @@ def data_dir() -> Path:
 
 
 def build_from_generators(data: dict) -> ReflectionGroupData:
-    """Closure of a generator set under reflection-conjugation."""
+    """Closure of a generator set under reflection-conjugation.
+
+    Order 2 and rank 1 are certified on the generators; every other
+    reflection is a conjugate g s g and inherits both."""
     name = data["name"]
     rank = int(data["rank"])
     conductor = int(data["conductor"])
@@ -542,7 +457,8 @@ def build_from_generators(data: dict) -> ReflectionGroupData:
         raise ValueError("unknown conductor")
     field = cyclotomic_field(conductor)
     d = field.degree
-    gens = []
+    ident = ExactMatrix.identity(rank, field.one())
+    gens: list[Key] = []
     for mat in data["generators"]:
         if len(mat) != rank * rank:
             raise ValueError(f"{name}: generator matrix is not {rank}x{rank}")
@@ -552,38 +468,26 @@ def build_from_generators(data: dict) -> ReflectionGroupData:
             if len(num) != d or ent["den"] < 1:
                 raise ValueError(f"{name}: malformed matrix entry")
             entries.append(CycNum(field, tuple(num), ent["den"]))
-        rows = [entries[i * rank : (i + 1) * rank] for i in range(rank)]
-        gens.append(_pack_from_cycnums(rows))
-    ident = _pack_identity(rank, field)
-    for g in gens:
-        if _pack_mul(g, g, field) != ident:
+        m = ExactMatrix(rank, rank, entries)
+        if m * m != ident:
             raise ValueError("generator fails the reflection test: order is not 2")
-        _root_and_coform(g, field)
-    known: set[Packed] = set(gens)
-    frontier = list(gens)
+        gens.append(_root_and_coform(m))
+    mismatch = "metadata mismatch: generator set does not reach all reflections"
+    actions = [_conjugator(g) for g in gens]
+    known = set(gens)
+    frontier = list(known)
     while frontier:
-        fresh: list[Packed] = []
-        snapshot = list(known)
-        for y in frontier:
-            for s in snapshot:
-                for a, b in ((y, s), (s, y)):
-                    ab = _pack_mul(_pack_mul(a, b, field), a, field)
-                    if ab not in known:
-                        known.add(ab)
-                        fresh.append(ab)
+        fresh = []
+        for key in frontier:
+            for act in actions:
+                img = act(key)
+                if img not in known:
+                    known.add(img)
+                    fresh.append(img)
         if len(known) > expected:
-            raise ValueError(
-                "metadata mismatch: generator set does not reach all reflections"
-            )
+            raise ValueError(mismatch)
         frontier = fresh
-    return _assemble(
-        name,
-        rank,
-        conductor,
-        known,
-        expected,
-        "metadata mismatch: generator set does not reach all reflections",
-    )
+    return _assemble(name, rank, conductor, known, expected, mismatch)
 
 
 def load_generator_group(name: str) -> ReflectionGroupData:
@@ -622,15 +526,3 @@ def k_c(g: ReflectionGroupData, c: int, s: int) -> int:
     if count % 2:
         raise AssertionError("non-commuting count is odd")
     return count // 2
-
-
-def class_graph(g: ReflectionGroupData, c: int) -> SimpleGraph:
-    """Vertices are the class members (in index order), edges where alpha > 0."""
-    members = g.classes[c]
-    pos = {s: i for i, s in enumerate(members)}
-    edges = []
-    for i, s in enumerate(members):
-        for u in members[i + 1 :]:
-            if g.alpha[s][u] > 0:
-                edges.append((i, pos[u]))
-    return SimpleGraph(len(members), edges)

@@ -188,3 +188,21 @@ def test_verify_failure_exits_1(capsys):
     code = main(["verify", "--group", "A2", "--suite", "spectral", "--m", "1"])
     assert code == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("value", ["abc", "1/0", "", "1/2/3"])
+def test_verify_rejects_unparsable_m(capsys, value):
+    assert main(["verify", "--group", "A2", "--m", value]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --m must be a rational number")
+    assert captured.out == ""
+
+
+def test_tensor_suite_rejects_fractional_m(capsys):
+    for suite in ("tensor", "all"):
+        assert main(["verify", "--group", "A2", "--suite", suite, "--m", "5/2"]) == 2
+        captured = capsys.readouterr()
+        assert "integer --m" in captured.err
+        assert captured.out == ""
+    assert main(["verify", "--group", "A2", "--suite", "tensor", "--m", "14/2"]) == 0
+    assert "0 failed" in capsys.readouterr().out

@@ -119,6 +119,8 @@ def test_ring_axioms_on_random_triples(data, n):
     assert a * b == b * a
     assert a + b == b + a
     assert (a - b) + b == a
+    if a:
+        assert a * a.inverse() == 1
 
 
 @settings(max_examples=25, deadline=None)

@@ -2,9 +2,11 @@
 
 import pytest
 
+from crg.cyclotomic import cyclotomic_field
 from crg.groups import (
     alpha,
     build_coxeter,
+    build_from_generators,
     build_series,
     class_stats,
     k_c,
@@ -152,3 +154,77 @@ def test_data_dir_env_override(tmp_path, monkeypatch):
     assert len(load_generator_group("G12").reflections) == 12
     with pytest.raises(ValueError, match="no generator data"):
         load_generator_group("G13")
+
+
+@pytest.mark.parametrize(
+    "name", ["A3", "B3", "G(4,2,3)", "G(5,5,3)", "H3", "F4", "G12", "G24"]
+)
+def test_conj_table_matches_matrix_conjugation(name):
+    from crg.cli import build_group, parse_group
+
+    g = build_group(parse_group(name))
+    mats = [refl.matrix for refl in g.reflections]
+    index = {m: i for i, m in enumerate(mats)}
+    table = g.conj_table
+    for y, my in enumerate(mats):
+        row = table[y]
+        assert row[y] == y
+        for s, ms in enumerate(mats):
+            assert row[s] == index[my * ms * my]
+            assert row[row[s]] == s
+    for y in range(g.size):
+        for s in range(g.size):
+            ysy = table[table[y][s]]
+            assert ysy == tuple(table[y][table[s][table[y][t]]] for t in range(g.size))
+
+
+def _rational_data(*generators, expected=3):
+    """Generator data over Q in rank 2; each generator is four integers."""
+    return {
+        "name": "T",
+        "rank": 2,
+        "conductor": 1,
+        "expected_reflection_count": expected,
+        "generators": [[{"num": [x], "den": 1} for x in g] for g in generators],
+    }
+
+
+# the simple reflections of A2 in the basis of simple roots
+S1 = (-1, 1, 0, 1)
+S2 = (1, 0, 1, -1)
+
+
+def test_build_from_generators_closes_a2():
+    g = build_from_generators(_rational_data(S1, S2))
+    assert g.size == 3 and len(g.classes) == 1
+
+
+@pytest.mark.parametrize(
+    "generators, message",
+    [
+        ([S1, (1, 1, 0, 1)], "order is not 2"),
+        ([S1, (-1, 0, 0, -1)], "rank exceeds 1"),
+        ([S1, (1, 0, 0, 1)], "equals the identity"),
+    ],
+)
+def test_build_from_generators_rejects_non_reflections(generators, message):
+    with pytest.raises(ValueError, match=f"generator fails the reflection test: {message}"):
+        build_from_generators(_rational_data(*generators))
+
+
+@pytest.mark.parametrize(
+    "generators, expected", [([S1], 3), ([S1, S2], 2), ([S1, S2], 4)]
+)
+def test_build_from_generators_metadata_mismatch(generators, expected):
+    data = _rational_data(*generators, expected=expected)
+    with pytest.raises(ValueError, match="metadata mismatch"):
+        build_from_generators(data)
+
+
+def test_assemble_rejects_a_set_not_closed_under_conjugation():
+    from crg.groups import _assemble, _real_root_keys
+
+    q = cyclotomic_field(1)
+    roots = [tuple(q.from_rational(x) for x in r) for r in ((1, -1, 0), (0, 1, -1))]
+    with pytest.raises(ValueError, match="not conjugation-closed"):
+        _assemble("A2 minus one", 3, 1, _real_root_keys(roots), 2)
