@@ -24,7 +24,7 @@ from .krammer import (
     cubic_specialization_check,
     sigma_inverse,
 )
-from .matrices import ExactMatrix, char_poly, evaluate, rank_and_kernel
+from .matrices import ExactMatrix, char_poly, rank_and_kernel
 from .polynomials import M, ParamPoly, cyclotomic_polynomial, integer_roots
 from .quadratic import (
     Discriminant,
@@ -61,7 +61,6 @@ __all__ = [
     "totient",
     "ExactMatrix",
     "char_poly",
-    "evaluate",
     "rank_and_kernel",
     "M",
     "ParamPoly",

@@ -44,10 +44,9 @@ def _in_rowspan(vec: Sequence[CycNum], rref_rows: Sequence[Sequence[CycNum]]) ->
 
 
 class Flat2:
-    """A codimension-2 flat: canonical root-plane key plus its reflections."""
+    """A codimension-2 flat: the reflections whose roots lie in one plane."""
 
-    def __init__(self, key: tuple, members: tuple[int, ...]) -> None:
-        self.key = key
+    def __init__(self, members: tuple[int, ...]) -> None:
         self.members = members
 
     def __repr__(self) -> str:
@@ -83,12 +82,12 @@ def codim2_flats(g: ReflectionGroupData) -> FlatTable:
             key = _rref([list(root_s), list(g.reflections[u].root)])
             by_key.setdefault(key, []).append((s, u))
     flats = []
-    for key, pairs in by_key.items():
+    for pairs in by_key.values():
         members = set()
         for s, u in pairs:
             members.add(s)
             members.add(u)
-        flats.append(Flat2(key, tuple(sorted(members))))
+        flats.append(Flat2(tuple(sorted(members))))
     flats.sort(key=lambda f: f.members)
     pair_to_flat: dict[tuple[int, int], int] = {}
     for idx, flat in enumerate(flats):
@@ -98,13 +97,6 @@ def codim2_flats(g: ReflectionGroupData) -> FlatTable:
     table = FlatTable(tuple(flats), pair_to_flat)
     g._flat_table = table
     return table
-
-
-def reflections_containing(g: ReflectionGroupData, s: int, u: int) -> tuple[int, ...]:
-    """All reflections whose hyperplane contains H_s intersect H_u."""
-    if s == u:
-        raise ValueError("need two distinct reflections")
-    return codim2_flats(g).flat_of_pair(s, u).members
 
 
 def parabolic_reflections(g: ReflectionGroupData, seed) -> tuple[int, ...]:

@@ -43,7 +43,6 @@ from .tensor import (
 
 COXETER_FIXED = ("H3", "H4", "F4", "E6", "E7", "E8")
 ALIASES = {23: "H3", 28: "F4", 30: "H4", 35: "E6", 36: "E7", 37: "E8"}
-SYMBOLIC_SIZE_LIMIT = 60
 
 
 @dataclass(frozen=True)
@@ -273,15 +272,9 @@ def _first_admissible(bundle, c: int, start: int) -> Fraction:
     return m0
 
 
-def _core_checks(report: VerifyReport, g: ReflectionGroupData, sample: Fraction | None) -> None:
+def _core_checks(report: VerifyReport, g: ReflectionGroupData) -> None:
     bundle = build_rep(g)
-    if g.size <= SYMBOLIC_SIZE_LIMIT:
-        _run_check(report, "integrability", lambda: check_integrability(bundle))
-    else:
-        m0 = sample if sample is not None else Fraction(7)
-        _run_check(
-            report, "integrability", lambda: check_integrability(bundle, m0)
-        )
+    _run_check(report, "integrability", lambda: check_integrability(bundle))
     _run_check(report, "equivariance", lambda: check_equivariance(bundle))
     for c in range(len(g.classes)):
         _run_check(report, f"T-scalar[{c}]", lambda c=c: check_T_scalar(bundle, c))
@@ -407,12 +400,18 @@ SUITES = ("core", "spectral", "tensor", "parabolic", "dihedral", "krammer", "all
 def cmd_verify(spec: GroupSpec, suite: str, sample: Fraction | None, force: bool) -> int:
     report = VerifyReport(spec, [])
     wanted = SUITES[:-1] if suite == "all" else (suite,)
+    if sample is not None and not {"spectral", "tensor"} & set(wanted):
+        raise ValueError(
+            f"--m is read only by the spectral and tensor suites, not by {suite}"
+        )
+    if "spectral" in wanted and sample == 1:
+        raise ValueError("the spectral suite needs --m other than 1: t_s is not semisimple there")
     if "tensor" in wanted and sample is not None and sample.denominator != 1:
         raise ValueError(f"the tensor suite needs an integer --m, got {sample}")
     g = build_group(spec)
     for name in wanted:
         if name == "core":
-            _core_checks(report, g, sample)
+            _core_checks(report, g)
         elif name == "spectral":
             _spectral_checks(report, g, sample)
         elif name == "tensor":

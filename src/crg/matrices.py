@@ -1,4 +1,4 @@
-"""Dense exact matrices over Fraction, CycNum or ParamPoly scalars."""
+"""Dense exact matrices over Fraction, CycNum or polynomial scalars."""
 
 from __future__ import annotations
 
@@ -17,8 +17,6 @@ def _zero_like(x):
 def _one_like(x):
     if isinstance(x, CycNum):
         return x.field.one()
-    if isinstance(x, ParamPoly):
-        return ParamPoly((1,))
     return Fraction(1)
 
 
@@ -173,28 +171,18 @@ class ExactMatrix:
         return f"ExactMatrix({self.rows}x{self.cols}: {body}{tail})"
 
 
-def evaluate(M: ExactMatrix, m0: Fraction | int) -> ExactMatrix:
-    """Evaluate a ParamPoly matrix entrywise at a rational point."""
-    m0 = Fraction(m0)
-
-    def ev(e):
-        if isinstance(e, ParamPoly):
-            return e(m0)
-        return Fraction(e)
-
-    return M.map(ev)
-
-
 def rank_and_kernel(M: ExactMatrix) -> tuple[int, list[list]]:
     """Rank and a kernel basis by exact Gauss-Jordan elimination.
 
-    Scalars must form a field (Fraction or CycNum); ParamPoly input is
-    rejected, evaluate first.
+    Scalars must form a field (Fraction or CycNum); int entries are taken
+    as Fractions, and ParamPoly input is rejected: evaluate first.
     """
     for e in M.entries:
         if isinstance(e, ParamPoly):
             raise TypeError("rank over polynomials is undefined; evaluate at a point first")
-    rows = [list(M.row(i)) for i in range(M.rows)]
+    rows = [
+        [Fraction(x) if isinstance(x, int) else x for x in M.row(i)] for i in range(M.rows)
+    ]
     ncols = M.cols
     pivots: list[int] = []
     r = 0
@@ -216,7 +204,7 @@ def rank_and_kernel(M: ExactMatrix) -> tuple[int, list[list]]:
         pivots.append(c)
         r += 1
     rank = r
-    sample = M.entries[0]
+    sample = rows[0][0]
     one = _one_like(sample)
     zero = _zero_like(sample)
     pivot_set = set(pivots)

@@ -2,25 +2,23 @@
 
 Matrices act on basis vectors v_u indexed by reflections:
 t_s.v_u = v_{sus} - alpha(s,u) v_s for u != s, and t_s.v_s = m v_s.
-Everything is exact: entries are polynomials in m, or rationals after
-evaluating at a point.
+So t_s = N_s + m E_ss with N_s an integer matrix and E_ss a matrix unit:
+every entry has degree at most 1 in m. A product of k such matrices has
+degree at most k, and a nonzero polynomial of degree d has at most d
+roots, so an identity of degree at most d in m holds for all m once it
+holds exactly at the d + 1 integer points m = 0..d.
 """
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 
 from .arrangement import codim2_flats, parabolic_reflections
 from .cyclotomic import cyclotomic_field
 from .groups import ReflectionGroupData, build_series, class_stats, k_c
 from .matrices import ExactMatrix, rank_and_kernel
-from .polynomials import M, ParamPoly
 
-_ONE = ParamPoly((1,))
-_MINUS_ONE = ParamPoly((-1,))
-
-Column = dict[int, ParamPoly]
+Column = dict[int, int]
 Sparse = dict[int, Column]
 
 
@@ -39,26 +37,27 @@ class CheckResult:
 
 
 class RepBundle:
-    """Sparse column forms of t_s, s_s, p_s for one group."""
+    """Sparse integer columns of N_s = t_s at m = 0, one dict per reflection."""
 
     def __init__(self, group: ReflectionGroupData, alpha=None) -> None:
         self.group = group
         self.alpha = group.alpha if alpha is None else alpha
         n = group.size
         conj = group.conj_table
-        t_cols: list[Sparse] = []
+        n_cols: list[Sparse] = []
         for s in range(n):
-            cols: Sparse = {s: {s: M}}
+            cols: Sparse = {}
             for u in range(n):
                 if u == s:
                     continue
-                col: Column = {conj[s][u]: _ONE}
+                # sus != s for u != s, so the two entries never share a row
+                col: Column = {conj[s][u]: 1}
                 a = self.alpha[s][u]
                 if a:
-                    col[s] = col.get(s, ParamPoly(())) - a
-                cols[u] = {row: val for row, val in col.items() if val}
-            t_cols.append(cols)
-        self.t_cols = tuple(t_cols)
+                    col[s] = -a
+                cols[u] = col
+            n_cols.append(cols)
+        self.n_cols = tuple(n_cols)
 
     @property
     def size(self) -> int:
@@ -66,50 +65,38 @@ class RepBundle:
 
     def s_cols(self, s: int) -> Sparse:
         conj = self.group.conj_table[s]
-        return {u: {conj[u]: _ONE} for u in range(self.size)}
+        return {u: {conj[u]: 1} for u in range(self.size)}
 
-    def p_cols(self, s: int) -> Sparse:
-        cols: Sparse = {s: {s: ParamPoly((1, -1))}}
-        for u in range(self.size):
-            if u != s and self.alpha[s][u]:
-                cols[u] = {s: ParamPoly((self.alpha[s][u],))}
+    def t_at(self, s: int, m0) -> Sparse:
+        """Sparse columns of t_s(m0) = N_s + m0 E_ss."""
+        if not m0:
+            return self.n_cols[s]
+        cols = dict(self.n_cols[s])
+        cols[s] = {s: m0}
         return cols
 
-    def t_mat(self, s: int) -> ExactMatrix:
-        return _dense(self.t_cols[s], self.size)
+    def t_block(self, s: int, members, m0) -> ExactMatrix:
+        """Restriction of t_s(m0) to the span of v_u, u in members.
 
-    def s_mat(self, s: int) -> ExactMatrix:
-        return _dense(self.s_cols(s), self.size)
+        Entries lie in the ring of m0: all Fractions for a Fraction m0, all
+        ints for an int m0, so later products never mix the two types.
+        """
+        return _block(self.t_at(s, m0), members, m0 * 0)
 
-    def p_mat(self, s: int) -> ExactMatrix:
-        return _dense(self.p_cols(s), self.size)
-
-    def t_cols_at(self, s: int, m0: Fraction) -> dict[int, dict[int, Fraction]]:
-        return {
-            u: {row: val(m0) for row, val in col.items()}
-            for u, col in self.t_cols[s].items()
-        }
-
-    def t_block(self, s: int, members, m0: Fraction | None = None) -> ExactMatrix:
-        """Restriction of t_s to the span of v_u, u in members."""
-        pos = {u: i for i, u in enumerate(members)}
-        zero = ParamPoly(()) if m0 is None else Fraction(0)
-        rows = [[zero] * len(members) for _ in members]
-        for u, col in self.t_cols[s].items():
-            if u not in pos:
-                continue
-            for row, val in col.items():
-                if row in pos:
-                    rows[pos[row]][pos[u]] = val if m0 is None else val(m0)
-        return ExactMatrix.from_rows(rows)
+    def s_block(self, s: int, members) -> ExactMatrix:
+        """Restriction of the permutation action of s to the span of v_u, u in members."""
+        return _block(self.s_cols(s), members, 0)
 
 
-def _dense(cols: Sparse, n: int) -> ExactMatrix:
-    zero = ParamPoly(())
-    rows = [[zero] * n for _ in range(n)]
+def _block(cols: Sparse, members, zero) -> ExactMatrix:
+    pos = {u: i for i, u in enumerate(members)}
+    rows = [[zero] * len(pos) for _ in pos]
     for u, col in cols.items():
+        if u not in pos:
+            continue
         for row, val in col.items():
-            rows[row][u] = val
+            if row in pos:
+                rows[pos[row]][pos[u]] = zero + val
     return ExactMatrix.from_rows(rows)
 
 
@@ -118,27 +105,13 @@ def build_rep(g: ReflectionGroupData, alpha=None) -> RepBundle:
     return RepBundle(g, alpha)
 
 
-def _col_sub(a: Column, b: Column) -> Column:
-    out = dict(a)
-    for row, val in b.items():
-        res = out.get(row, None)
-        res = -val if res is None else res - val
-        if res:
-            out[row] = res
-        else:
-            out.pop(row, None)
-    return out
-
-
 def _sparse_mul(a: Sparse, b: Sparse) -> Sparse:
     out: Sparse = {}
     for u, bcol in b.items():
         acc: Column = {}
         for k, bval in bcol.items():
             for row, aval in a.get(k, {}).items():
-                cur = acc.get(row)
-                term = aval * bval
-                cur = term if cur is None else cur + term
+                cur = acc.get(row, 0) + aval * bval
                 if cur:
                     acc[row] = cur
                 else:
@@ -154,8 +127,7 @@ def _sparse_sum(parts) -> Sparse:
         for u, col in cols.items():
             acc = out.setdefault(u, {})
             for row, val in col.items():
-                cur = acc.get(row)
-                cur = val if cur is None else cur + val
+                cur = acc.get(row, 0) + val
                 if cur:
                     acc[row] = cur
                 else:
@@ -163,50 +135,41 @@ def _sparse_sum(parts) -> Sparse:
     return {u: col for u, col in out.items() if col}
 
 
-def _eval_sparse(cols: Sparse, m0: Fraction) -> dict:
-    out = {}
-    for u, col in cols.items():
-        vals = {row: val(m0) for row, val in col.items()}
-        vals = {row: v for row, v in vals.items() if v}
-        if vals:
-            out[u] = vals
-    return out
-
-
 def check_integrability(bundle: RepBundle, m0: Fraction | None = None) -> CheckResult:
-    """Commutators [sum_{y in Z} t_y, t_x] vanish on every codimension-2 flat."""
-    g = bundle.group
-    table = codim2_flats(g)
+    """Commutators [sum_{y in Z} t_y, t_x] vanish on every codimension-2 flat.
+
+    With m0 given only that point is checked; None proves it for all m.
+    """
+    # [sum_{y in Z} t_y, t_x] has degree <= 2 in m: m = 0, 1, 2 prove it.
+    points = (0, 1, 2) if m0 is None else (m0,)
+    table = codim2_flats(bundle.group)
     for idx, flat in enumerate(table.flats):
-        parts = [bundle.t_cols[y] for y in flat.members]
-        if m0 is not None:
-            parts = [_eval_sparse(p, m0) for p in parts]
-        total = _sparse_sum(parts)
+        parts = [[bundle.t_at(y, m) for y in flat.members] for m in points]
+        totals = [_sparse_sum(at_m) for at_m in parts]
         for x_pos, x in enumerate(flat.members):
-            t_x = parts[x_pos]
-            left = _sparse_mul(total, t_x)
-            right = _sparse_mul(t_x, total)
-            if left != right:
-                return CheckResult(False, (idx, x))
+            for total, at_m in zip(totals, parts):
+                t_x = at_m[x_pos]
+                if _sparse_mul(total, t_x) != _sparse_mul(t_x, total):
+                    return CheckResult(False, (idx, x))
     return CheckResult(True)
 
 
-def check_equivariance(bundle: RepBundle, sample: int = 500) -> CheckResult:
-    """Conjugating t_s by the permutation action of w gives t_{wsw}."""
+def check_equivariance(bundle: RepBundle) -> CheckResult:
+    """Conjugating t_s by the permutation action of w gives t_{wsw}, on all pairs.
+
+    The m E_ss term moves to m E_{wsw,wsw} by construction, so comparing the
+    N_s alone proves it for all m.
+    """
     g = bundle.group
     n = g.size
-    if n <= 60:
-        pairs = [(w, s) for w in range(n) for s in range(n)]
-    else:
-        rng = random.Random(0)
-        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(sample)]
-    for w, s in pairs:
+    for w in range(n):
         conj = g.conj_table[w]
-        moved: Sparse = {}
-        for u, col in bundle.t_cols[s].items():
-            moved[conj[u]] = {conj[row]: val for row, val in col.items()}
-        if moved != bundle.t_cols[conj[s]]:
-            return CheckResult(False, (w, s))
+        for s in range(n):
+            moved: Sparse = {}
+            for u, col in bundle.n_cols[s].items():
+                moved[conj[u]] = {conj[row]: val for row, val in col.items()}
+            if moved != bundle.n_cols[conj[s]]:
+                return CheckResult(False, (w, s))
     return CheckResult(True)
 
 
@@ -215,12 +178,13 @@ def check_T_scalar(bundle: RepBundle, c: int) -> bool:
     g = bundle.group
     members = g.classes[c]
     _, c_val = class_stats(g, c)
-    expected = M + (c_val - 1)
-    total = _sparse_sum(bundle.t_cols[s] for s in range(g.size))
-    for u in members:
-        col = total.get(u, {})
-        if col != {u: expected}:
-            return False
+    # both sides have degree <= 1 in m: m = 0, 1 prove it.
+    for m0 in (0, 1):
+        total = _sparse_sum(bundle.t_at(s, m0) for s in range(g.size))
+        value = m0 + c_val - 1
+        for u in members:
+            if total.get(u, {}) != ({u: value} if value else {}):
+                return False
     return True
 
 
@@ -244,11 +208,11 @@ def spectrum_check(bundle: RepBundle, s: int, m0) -> bool:
     g = bundle.group
     n = g.size
     k_total = sum(k_c(g, c, s) for c in range(len(g.classes)))
-    t_at = _dense_at(bundle.t_cols[s], n, m0)
+    t_at = bundle.t_block(s, range(n), m0)
     for value, mult in _expected_multiplicities(m0, k_total, n).items():
         if _kernel_dim(t_at - ExactMatrix.identity(n, value)) != mult:
             return False
-    s_dense = _dense_at(bundle.s_cols(s), n, m0)
+    s_dense = bundle.s_block(s, range(n))
     eye = ExactMatrix.identity(n, Fraction(1))
     if m0 != -1:
         # Ker(s-1) = Ker(t-m0) (+) Ker(t-1) and Ker(s+1) = Ker(t+1):
@@ -274,31 +238,27 @@ def spectrum_check(bundle: RepBundle, s: int, m0) -> bool:
     return True
 
 
-def _dense_at(cols: Sparse, n: int, m0: Fraction) -> ExactMatrix:
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for u, col in cols.items():
-        for row, val in col.items():
-            rows[row][u] = val(m0) if isinstance(val, ParamPoly) else Fraction(val)
-    return ExactMatrix.from_rows(rows)
-
-
 def dual_check(bundle: RepBundle) -> bool:
-    """The transpose of t_s implements the dual-basis formulas."""
+    """The transpose of t_s implements the dual-basis formulas.
+
+    The m E_ss term is its own transpose, so the N_s alone prove it for all m.
+    """
     g = bundle.group
     for s in range(g.size):
         conj = g.conj_table[s]
         expected: Sparse = {}
-        col_s: Column = {s: M}
+        row_s: Column = {}
         for u in range(g.size):
             if u == s:
                 continue
-            expected[u] = {conj[u]: _ONE}
+            expected[u] = {conj[u]: 1}
             a = bundle.alpha[s][u]
             if a:
-                col_s[u] = ParamPoly((-a,))
-        expected[s] = col_s
+                row_s[u] = -a
+        if row_s:
+            expected[s] = row_s
         transposed: Sparse = {}
-        for u, col in bundle.t_cols[s].items():
+        for u, col in bundle.n_cols[s].items():
             for row, val in col.items():
                 transposed.setdefault(row, {})[u] = val
         if transposed != expected:
@@ -308,7 +268,11 @@ def dual_check(bundle: RepBundle) -> bool:
 
 def parabolic_restriction_check(bundle: RepBundle, seed) -> bool:
     """Restriction to a parabolic matches its own rebuilt action; the
-    quotient is the bare conjugation permutation."""
+    quotient is the bare conjugation permutation.
+
+    The m E_ss term, s inside, restricts to itself, so the N_s alone prove
+    it for all m.
+    """
     g = bundle.group
     inside = set(parabolic_reflections(g, seed))
     if not inside or len(inside) == g.size:
@@ -316,20 +280,19 @@ def parabolic_restriction_check(bundle: RepBundle, seed) -> bool:
     conj = g.conj_table
     for s in inside:
         for u in range(g.size):
-            col = bundle.t_cols[s].get(u, {})
+            col = bundle.n_cols[s].get(u, {})
             if u in inside:
                 if any(row not in inside for row in col):
                     return False
                 sub_alpha = sum(1 for y in inside if conj[y][s] == u)
-                expected: Column = {s: M} if u == s else {conj[s][u]: _ONE}
+                expected: Column = {} if u == s else {conj[s][u]: 1}
                 if u != s and sub_alpha:
-                    expected[s] = expected.get(s, ParamPoly(())) - sub_alpha
-                    expected = {r: v for r, v in expected.items() if v}
+                    expected[s] = -sub_alpha
                 if col != expected:
                     return False
             else:
                 residual = {row: val for row, val in col.items() if row not in inside}
-                if residual != {conj[s][u]: _ONE}:
+                if residual != {conj[s][u]: 1}:
                     return False
     return True
 
@@ -351,11 +314,12 @@ def bn_model_check(n: int) -> bool:
         mat = g.reflections[s].matrix
         axis[s] = next(i for i in range(g.rank) if mat[i, i] == -1)
     for s in diag:
-        cols = bundle.t_cols[s]
-        if cols[s] != {s: M}:
+        cols = bundle.n_cols[s]
+        # t_i.x_i = m x_i: column s of N_s is zero
+        if s in cols:
             return False
         for u in diag:
-            if u != s and cols[u] != {u: _ONE, s: ParamPoly((-2,))}:
+            if u != s and cols[u] != {u: 1, s: -2}:
                 return False
     for members in g.classes:
         if members is diag:
@@ -366,7 +330,7 @@ def bn_model_check(n: int) -> bool:
                 i = axis[u]
                 j = next(k for k in range(g.rank) if mat[k, i] != 0)
                 image = next(x for x in diag if axis[x] == j)
-                if bundle.t_cols[s][u] != {image: _ONE}:
+                if bundle.n_cols[s][u] != {image: 1}:
                     return False
     return True
 
@@ -393,8 +357,8 @@ def dihedral_m0_check(e: int) -> bool:
         return False
     # (ii) t_s at m = 0 agrees with the permutation action on that hyperplane
     for s in range(n):
-        t_at = _dense_at(bundle.t_cols[s], n, zero)
-        s_at = _dense_at(bundle.s_cols(s), n, zero)
+        t_at = bundle.t_block(s, range(n), 0)
+        s_at = bundle.s_block(s, range(n))
         diff = t_at - s_at
         for vec in kernel:
             if diff.apply(vec) != [zero] * n:

@@ -9,7 +9,6 @@ import numpy as np
 
 from .groups import ReflectionGroupData
 from .matrices import ExactMatrix
-from .polynomials import M, ParamPoly
 from .quadratic import discriminant
 from .rep import RepBundle
 
@@ -140,9 +139,9 @@ def algebra_dimension(mats) -> int:
 
 
 class TensorOps:
-    """The six commuting operators attached to one reflection on V_c (x) V_c."""
+    """The six commuting operators attached to one reflection on V_c (x) V_c, at m0."""
 
-    def __init__(self, bundle: RepBundle, c: int, s: int, force: bool = False) -> None:
+    def __init__(self, bundle: RepBundle, c: int, s: int, m0, force: bool = False) -> None:
         g = bundle.group
         members = g.classes[c]
         if s not in members:
@@ -152,22 +151,10 @@ class TensorOps:
                 f"tensor operators limited to classes of size <= {_TENSOR_CLASS_LIMIT}"
             )
         self.members = members
-        d = len(members)
-        pos = {u: i for i, u in enumerate(members)}
-        t = bundle.t_block(s, members)
-        eye = ExactMatrix.identity(d, ParamPoly((1,)))
-        zero = ParamPoly(())
-        s_rows = [[zero] * d for _ in range(d)]
-        conj = g.conj_table[s]
-        for u in members:
-            s_rows[pos[conj[u]]][pos[u]] = ParamPoly((1,))
-        s_block = ExactMatrix.from_rows(s_rows)
-        p_rows = [[zero] * d for _ in range(d)]
-        for u in members:
-            value = ParamPoly((1, -1)) if u == s else ParamPoly((bundle.alpha[s][u],))
-            if value:
-                p_rows[pos[s]][pos[u]] = value
-        p_block = ExactMatrix.from_rows(p_rows)
+        eye = ExactMatrix.identity(len(members), 1)
+        t = bundle.t_block(s, members, m0)
+        s_block = bundle.s_block(s, members)
+        p_block = s_block - t
         self.t_op = t.kron(eye) + eye.kron(t)
         self.s_op = s_block.kron(s_block)
         self.delta_op = s_block.kron(eye) + eye.kron(s_block)
@@ -179,10 +166,14 @@ class TensorOps:
 def ds_table_check(bundle: RepBundle, s: int, c: int) -> bool:
     """All fifteen products of the commutative operator table, plus the three
     cleared power identities expressing P, S + 1, Q through powers of T."""
-    ops = TensorOps(bundle, c, s)
-    d2 = len(ops.members) ** 2
-    eye = ExactMatrix.identity(d2, ParamPoly((1,)))
-    one_minus_m = ParamPoly((1, -1))
+    # every side has degree <= 7 in m: m = 0..7 prove it.
+    return all(_ds_table_at(bundle, s, c, m) for m in range(8))
+
+
+def _ds_table_at(bundle: RepBundle, s: int, c: int, m: int) -> bool:
+    ops = TensorOps(bundle, c, s, m)
+    eye = ExactMatrix.identity(len(ops.members) ** 2, 1)
+    one_minus_m = 1 - m
     delta, p, q, r, s_op = ops.delta_op, ops.p_op, ops.q_op, ops.r_op, ops.s_op
     table = [
         (delta * delta, 2 * eye + 2 * s_op),
@@ -208,7 +199,6 @@ def ds_table_check(bundle: RepBundle, s: int, c: int) -> bool:
     t3 = t2 * t
     t4 = t3 * t
     t5 = t4 * t
-    m = M
     power_identities = [
         (
             (4 * m * (m + 3) * (m - 3) * (m + 1)) * p,
@@ -216,7 +206,7 @@ def ds_table_check(bundle: RepBundle, s: int, c: int) -> bool:
             + (-120 * m) * t2
             + (45 - 25 * m * m) * t3
             + (30 * m) * t4
-            + ParamPoly((-9,)) * t5,
+            + (-9) * t5,
         ),
         (
             (4 * m * (m + 1) * (m + 1) * (m - 3)) * (s_op + eye),
@@ -232,7 +222,7 @@ def ds_table_check(bundle: RepBundle, s: int, c: int) -> bool:
             + (8 * m) * t2
             + (m * m - 5) * t3
             + (-2 * m) * t4
-            + ParamPoly((1,)) * t5,
+            + t5,
         ),
     ]
     return all(left == right for left, right in power_identities)
@@ -243,10 +233,6 @@ def _excluded(bundle: RepBundle, c: int, m0: Fraction) -> bool:
         return True
     disc = discriminant(bundle.group, c)
     return any(m0 == root for root, _ in disc.factors)
-
-
-def _block_at(bundle: RepBundle, s: int, members, m0: Fraction) -> ExactMatrix:
-    return bundle.t_block(s, members, m0)
 
 
 def _wedge_and_sym(op: ExactMatrix, d: int) -> tuple[ExactMatrix, ExactMatrix]:
@@ -292,7 +278,7 @@ def tensor_square_check(bundle: RepBundle, c: int, m0) -> dict:
     wedge_ops = []
     sym_ops = []
     for x in members:
-        t_x = _block_at(bundle, x, members, m0)
+        t_x = bundle.t_block(x, members, m0)
         big = t_x.kron(eye) + eye.kron(t_x)
         wedge, sym = _wedge_and_sym(big, d)
         wedge_ops.append(wedge)
@@ -362,7 +348,7 @@ def _tensor_algebra_span(bundle: RepBundle, c: int, m0: Fraction, p: int) -> _Sp
         eye = ExactMatrix.identity(d, Fraction(1))
         gens = []
         for x in members:
-            t_x = _block_at(bundle, x, members, m0)
+            t_x = bundle.t_block(x, members, m0)
             gens.append(_to_mod(t_x.kron(eye) + eye.kron(t_x), p))
         cache[key] = _SpanGrowth(gens, d * d, p)
     return cache[key]
@@ -383,14 +369,9 @@ def psu_membership_check(bundle: RepBundle, c: int, s: int, u: int, m0) -> bool:
     members = g.classes[c]
     if s not in members or u not in members:
         raise ValueError("reflections must belong to the class")
-    d = len(members)
-    pos = {x: i for i, x in enumerate(members)}
 
     def p_block(x: int) -> ExactMatrix:
-        rows = [[Fraction(0)] * d for _ in range(d)]
-        for y in members:
-            rows[pos[x]][pos[y]] = 1 - m0 if y == x else Fraction(bundle.alpha[x][y])
-        return ExactMatrix.from_rows(rows)
+        return bundle.s_block(x, members) - bundle.t_block(x, members, m0)
 
     ps, pu = p_block(s), p_block(u)
     target = ps.kron(pu) + pu.kron(ps)

@@ -59,7 +59,6 @@ ALL_GROUPS = (
     + ROOT_SYSTEM_GROUPS
     + DATA_GROUPS
 )
-SAMPLED_ONLY = {"G30", "G36", "G37"}
 
 
 @lru_cache(maxsize=None)
@@ -148,12 +147,7 @@ def test_integrability_and_equivariance():
     start = time.monotonic()
     for name in ALL_GROUPS:
         bundle = _bundle(name)
-        if name in SAMPLED_ONLY:
-            for m0 in (Fraction(7), Fraction(22, 7)):
-                assert check_integrability(bundle, m0).ok, (name, m0)
-        else:
-            assert len(_group(name).reflections) <= 60
-            assert check_integrability(bundle).ok, name
+        assert check_integrability(bundle).ok, name
         assert check_equivariance(bundle).ok, name
     assert time.monotonic() - start < 600
 

@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from crg.arrangement import codim2_flats, parabolic_reflections, reflections_containing
+from crg.arrangement import codim2_flats, parabolic_reflections
 from crg.groups import build_coxeter, build_series
 
 
@@ -55,13 +55,7 @@ def test_disjoint_transpositions_span_their_own_flat():
     pairs = [f.members for f in table.flats if len(f.members) == 2]
     assert len(pairs) == 3
     for s, u in pairs:
-        assert reflections_containing(g, s, u) == (s, u)
-
-
-def test_containment_rejects_equal_arguments():
-    g = build_coxeter("A", 2)
-    with pytest.raises(ValueError):
-        reflections_containing(g, 1, 1)
+        assert table.flat_of_pair(s, u).members == (s, u)
 
 
 def test_single_reflection_has_no_flats():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crg import cli, rep
 from crg.cli import (
     ALIASES,
     Coxeter,
@@ -184,10 +185,33 @@ def test_usage_errors_exit_2(capsys):
     assert "unsupported" in capsys.readouterr().err
 
 
-def test_verify_failure_exits_1(capsys):
-    code = main(["verify", "--group", "A2", "--suite", "spectral", "--m", "1"])
+def test_verify_failure_exits_1(capsys, monkeypatch):
+    def tampered(g):
+        alpha = [list(row) for row in g.alpha]
+        alpha[0][1] += 1
+        return rep.build_rep(g, alpha)
+
+    monkeypatch.setattr(cli, "build_rep", tampered)
+    code = main(["verify", "--group", "A2", "--suite", "core"])
     assert code == 1
-    assert "FAIL" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "FAIL integrability" in out and "FAIL equivariance" in out
+
+
+def test_spectral_suite_rejects_m_equal_to_one(capsys):
+    for suite in ("spectral", "all"):
+        assert main(["verify", "--group", "A2", "--suite", suite, "--m", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: the spectral suite needs --m other than 1")
+        assert captured.out == ""
+
+
+def test_m_is_rejected_where_no_suite_reads_it(capsys):
+    for suite in ("core", "parabolic"):
+        assert main(["verify", "--group", "A2", "--suite", suite, "--m", "5"]) == 2
+        captured = capsys.readouterr()
+        assert "--m is read only by the spectral and tensor suites" in captured.err
+        assert captured.out == ""
 
 
 @pytest.mark.parametrize("value", ["abc", "1/0", "", "1/2/3"])

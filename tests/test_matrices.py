@@ -8,9 +8,10 @@ from crg import (
     ExactMatrix,
     M,
     ParamPoly,
+    build_coxeter,
+    build_rep,
     char_poly,
     cyclotomic_field,
-    evaluate,
     rank_and_kernel,
 )
 
@@ -127,10 +128,23 @@ def test_rank_rejects_polynomial_entries():
 
 
 def test_evaluate():
-    d = ExactMatrix.from_rows([[M, ParamPoly()], [ParamPoly(), M]])
-    assert evaluate(d, 3) == ExactMatrix.from_rows([[F(3), F(0)], [F(0), F(3)]])
-    assert evaluate(ExactMatrix(1, 1, [1 - M]), 1)[0, 0] == 0
-    assert evaluate(ExactMatrix(1, 1, [M ** 2 - 1]), F(3, 2))[0, 0] == F(5, 4)
+    # t_0 = s_0 - p_0 of A2 as polynomial matrices, evaluated entrywise,
+    # against the integer representation N_0 + m0 E_00 at each point
+    one, zero = ParamPoly((1,)), ParamPoly()
+    t_poly = ExactMatrix.from_rows([[M, -one, -one], [zero, zero, one], [zero, one, zero]])
+    p_poly = ExactMatrix.from_rows([[1 - M, one, one], [zero] * 3, [zero] * 3])
+    b = build_rep(build_coxeter("A", 2))
+    for m0 in (F(0), F(1), F(-3), F(22, 7)):
+        t_at = t_poly.map(lambda e: e(m0))
+        assert t_at == b.t_block(0, range(3), m0)
+        assert t_at == b.s_block(0, range(3)) - p_poly.map(lambda e: e(m0))
+
+
+def test_rank_and_kernel_of_int_matrix_stays_exact():
+    rank, kernel = rank_and_kernel(ExactMatrix.from_rows([[3, 1], [6, 2]]))
+    assert rank == 1
+    assert kernel == [[F(-1, 3), F(1)]]
+    assert all(type(x) is Fraction for x in kernel[0])
 
 
 @settings(max_examples=20, deadline=None)

@@ -2,9 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from crg.arrangement import codim2_flats
 from crg.groups import build_coxeter, build_series
-from crg.matrices import ExactMatrix, evaluate
-from crg.polynomials import M, ParamPoly
+from crg.matrices import ExactMatrix
 from crg.rep import (
     DIHEDRAL_CHARACTER_NOTE,
     bn_model_check,
@@ -18,28 +18,35 @@ from crg.rep import (
     spectrum_check,
 )
 
-ZERO = ParamPoly(())
-ONE = ParamPoly((1,))
+POINTS = (Fraction(0), Fraction(1), Fraction(-3), Fraction(22, 7))
+
+
+def a2_generator(m0):
+    """t_0 of A2 at m0: t_0.v_0 = m0 v_0, t_0.v_u = v_{0u0} - v_0 otherwise."""
+    rows = [[m0, -1, -1], [0, 0, 1], [0, 1, 0]]
+    return ExactMatrix.from_rows([[Fraction(x) for x in row] for row in rows])
+
+
+def a2_projection(m0):
+    """p_0 of A2 at m0: p_0.v_u = alpha(0,u) v_0 for u != 0, p_0.v_0 = (1 - m0) v_0."""
+    rows = [[1 - m0, 1, 1], [0, 0, 0], [0, 0, 0]]
+    return ExactMatrix.from_rows([[Fraction(x) for x in row] for row in rows])
 
 
 def test_triangle_generator_matrix():
     g = build_coxeter("A", 2)
     b = build_rep(g)
-    expected = ExactMatrix.from_rows(
-        [
-            [M, -ONE, -ONE],
-            [ZERO, ZERO, ONE],
-            [ZERO, ONE, ZERO],
-        ]
-    )
-    assert b.t_mat(0) == expected
-    assert b.t_mat(0) == b.s_mat(0) - b.p_mat(0)
+    assert [b.alpha[0][u] for u in (1, 2)] == [1, 1]
+    for m0 in POINTS:
+        t = b.t_block(0, range(3), m0)
+        assert t == a2_generator(m0)
+        assert t == b.s_block(0, range(3)) - a2_projection(m0)
 
 
 def test_not_diagonalizable_at_one():
     g = build_coxeter("A", 2)
     b = build_rep(g)
-    t0 = evaluate(b.t_mat(0), Fraction(1))
+    t0 = b.t_block(0, range(3), Fraction(1))
     eye = ExactMatrix.identity(3, Fraction(1))
     split = (t0 - eye) * (t0 + eye)
     assert not split.is_zero()
@@ -81,8 +88,8 @@ def test_mutated_multiplicity_table_fails():
     b = build_rep(g, alpha)
     assert not check_integrability(b)
     assert not check_equivariance(b)
-    witness = check_integrability(b).detail
-    assert witness is not None
+    idx, x = check_integrability(b).detail
+    assert x in codim2_flats(g).flats[idx].members
 
 
 def test_spectrum_at_generic_integer():

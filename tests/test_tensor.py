@@ -4,7 +4,6 @@ import pytest
 
 from crg.groups import build_coxeter, build_series
 from crg.matrices import ExactMatrix
-from crg.polynomials import ParamPoly
 from crg.rep import build_rep
 from crg.tensor import (
     TensorOps,
@@ -58,19 +57,28 @@ def test_product_table_and_power_identities():
 def test_tensor_ops_shapes():
     g = build_coxeter("A", 2)
     b = build_rep(g)
-    ops = TensorOps(b, 0, 0)
-    d = len(g.classes[0])
-    assert ops.t_op.rows == d * d
-    eye = ExactMatrix.identity(d * d, ParamPoly((1,)))
-    assert ops.s_op * ops.s_op == eye
+    assert g.classes[0] == (0, 1, 2)
+    eye3 = ExactMatrix.identity(3, Fraction(1))
+    eye = ExactMatrix.identity(9, Fraction(1))
+    for m0 in (Fraction(0), Fraction(1), Fraction(-3), Fraction(22, 7)):
+        ops = TensorOps(b, 0, 0, m0)
+        # the A2 generator t_0 = s_0 - p_0 at m0
+        t = [[m0, -1, -1], [0, 0, 1], [0, 1, 0]]
+        p = [[1 - m0, 1, 1], [0, 0, 0], [0, 0, 0]]
+        t, p = (ExactMatrix.from_rows([[Fraction(x) for x in r] for r in m]) for m in (t, p))
+        assert ops.t_op.rows == 9
+        assert ops.t_op == t.kron(eye3) + eye3.kron(t)
+        assert ops.p_op == p.kron(eye3) + eye3.kron(p)
+        assert ops.t_op == ops.delta_op - ops.p_op
+        assert ops.s_op * ops.s_op == eye
 
 
 def test_tensor_ops_refuses_large_class():
     g = build_coxeter("H3")
     b = build_rep(g)
     with pytest.raises(ValueError):
-        TensorOps(b, 0, 0)
-    ops = TensorOps(b, 0, 0, force=True)
+        TensorOps(b, 0, 0, 0)
+    ops = TensorOps(b, 0, 0, 0, force=True)
     assert ops.t_op.rows == 15 * 15
 
 
