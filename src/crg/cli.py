@@ -281,7 +281,7 @@ def _core_checks(report: VerifyReport, g: ReflectionGroupData) -> None:
     for c in range(len(g.classes)):
         def disc_identity(c=c):
             d = discriminant(g, c)
-            return d.poly() == char_poly(gram_matrix(g, c).a_matrix)
+            return d.poly() == char_poly(gram_matrix(g, c))
 
         _run_check(report, f"discriminant[{c}]", disc_identity)
     for c in range(len(g.classes)):
@@ -562,12 +562,12 @@ def main(argv=None) -> int:
             return cmd_conjecture(args.e_max, args.r_max)
         if args.command == "list-groups":
             return cmd_list_groups()
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     raise AssertionError("unreachable")
 
 

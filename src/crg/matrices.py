@@ -6,8 +6,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .cyclotomic import CycNum
-from .polynomials import M as _M
-from .polynomials import ParamPoly, integer_roots
+from .polynomials import ParamPoly
 
 
 def _zero_like(x):
@@ -175,11 +174,12 @@ def rank_and_kernel(M: ExactMatrix) -> tuple[int, list[list]]:
     """Rank and a kernel basis by exact Gauss-Jordan elimination.
 
     Scalars must form a field (Fraction or CycNum); int entries are taken
-    as Fractions, and ParamPoly input is rejected: evaluate first.
+    as Fractions. ParamPoly entries are rejected: substitute a number for m
+    first.
     """
     for e in M.entries:
         if isinstance(e, ParamPoly):
-            raise TypeError("rank over polynomials is undefined; evaluate at a point first")
+            raise TypeError("rank over polynomials is undefined; substitute a number for m first")
     rows = [
         [Fraction(x) if isinstance(x, int) else x for x in M.row(i)] for i in range(M.rows)
     ]
@@ -220,10 +220,6 @@ def rank_and_kernel(M: ExactMatrix) -> tuple[int, list[list]]:
     return rank, kernel
 
 
-def _rank(M: ExactMatrix) -> int:
-    return rank_and_kernel(M)[0]
-
-
 def _berkowitz(rows: list[list]) -> list:
     """Coefficients of det(xI - A), monic, descending; division-free."""
     n = len(rows)
@@ -259,55 +255,6 @@ def _berkowitz(rows: list[list]) -> list:
     return poly
 
 
-def _minimal_poly_of_seed(rows: list[list[Fraction]], seed: int) -> ParamPoly:
-    """Monic minimal polynomial of the Krylov sequence from a unit seed vector."""
-    n = len(rows)
-    # basis rows are normalized residuals; coords express each one over M^i.seed
-    basis: list[tuple[list[Fraction], list[Fraction], int]] = []
-    vec = [Fraction(0)] * n
-    vec[seed] = Fraction(1)
-    power = 0
-    while True:
-        resid = list(vec)
-        lam = [Fraction(0)] * power
-        for brow, bcoords, piv in basis:
-            f = resid[piv]
-            if f:
-                for i, bi in enumerate(brow):
-                    if bi:
-                        resid[i] -= f * bi
-                for i, ci in enumerate(bcoords):
-                    lam[i] += f * ci
-        if not any(resid):
-            return ParamPoly([-x for x in lam] + [Fraction(1)])
-        piv = next(i for i in range(n) if resid[i])
-        inv = 1 / resid[piv]
-        coords = [-x * inv for x in lam] + [inv]
-        basis.append(([x * inv for x in resid], coords, piv))
-        power += 1
-        vec = [
-            sum(rows[i][j] * vec[j] for j in range(n) if rows[i][j]) for i in range(n)
-        ]
-
-
-def _poly_lcm(a: ParamPoly, b: ParamPoly) -> ParamPoly:
-    g = _poly_gcd(a, b)
-    quo, rem = divmod(a * b, g)
-    lcm = quo
-    return ParamPoly([c / lcm.leading for c in lcm.coeffs])
-
-
-def _poly_gcd(a: ParamPoly, b: ParamPoly) -> ParamPoly:
-    while not b.is_zero():
-        a, b = b, a % b
-    if a.is_zero():
-        return a
-    return ParamPoly([c / a.leading for c in a.coeffs])
-
-
-_BERKOWITZ_LIMIT = 64
-
-
 def char_poly(M: ExactMatrix) -> ParamPoly:
     """det(M - m*I) as a polynomial in m, leading coefficient (-1)^dim."""
     if M.rows != M.cols:
@@ -316,60 +263,11 @@ def char_poly(M: ExactMatrix) -> ParamPoly:
         if not isinstance(e, (int, Fraction)):
             raise TypeError("char_poly expects rational entries")
     n = M.rows
-    if n <= _BERKOWITZ_LIMIT:
-        return _char_poly_berkowitz(M)
-    out = _char_poly_krylov(M)
-    if out is None:
-        out = _char_poly_berkowitz(M)
-    return out
-
-
-def _char_poly_berkowitz(M: ExactMatrix) -> ParamPoly:
-    n = M.rows
     if all(isinstance(e, int) or e.denominator == 1 for e in M.entries):
         rows = [[int(e) for e in M.row(i)] for i in range(n)]
     else:
         rows = [[Fraction(e) for e in M.row(i)] for i in range(n)]
-    monic_desc = _berkowitz(rows)
-    asc = list(reversed(monic_desc))
+    asc = list(reversed(_berkowitz(rows)))
     if n % 2:
         asc = [-c for c in asc]
     return ParamPoly(asc)
-
-
-_KRYLOV_SEED_LIMIT = 8
-
-
-def _char_poly_krylov(M: ExactMatrix) -> ParamPoly | None:
-    """Minimal-polynomial route for large matrices with few integer eigenvalues.
-
-    Sound because geometric multiplicities are certified to sum to the
-    dimension before the factored answer is assembled; returns None when
-    that certificate cannot be reached.
-    """
-    n = M.rows
-    rows = [[Fraction(e) for e in M.row(i)] for i in range(n)]
-    mu = ParamPoly((1,))
-    known_ranks: dict[int, int] = {}
-    for seed in range(min(n, _KRYLOV_SEED_LIMIT)):
-        mu = _poly_lcm(mu, _minimal_poly_of_seed(rows, seed))
-        factors, remainder, _ = integer_roots(mu)
-        if remainder != ParamPoly((1,)):
-            return None
-        total = 0
-        mults = []
-        for root, _ in factors:
-            if root not in known_ranks:
-                shifted = M - ExactMatrix.identity(n, Fraction(root))
-                known_ranks[root] = _rank(shifted)
-            mult = n - known_ranks[root]
-            mults.append((root, mult))
-            total += mult
-        if total == n:
-            out = ParamPoly((1,))
-            for root, mult in mults:
-                out = out * (_M - root) ** mult
-            if n % 2:
-                out = -out
-            return out
-    return None

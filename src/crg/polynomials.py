@@ -105,27 +105,6 @@ class ParamPoly:
             k >>= 1
         return out
 
-    def __divmod__(self, other: ParamPoly) -> tuple[ParamPoly, ParamPoly]:
-        if not isinstance(other, ParamPoly) or other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        r = list(self.coeffs)
-        b = other.coeffs
-        q = [Fraction(0)] * max(0, len(r) - len(b) + 1)
-        inv = 1 / b[-1]
-        for i in range(len(r) - 1, len(b) - 2, -1):
-            c = r[i] * inv
-            if c:
-                q[i - (len(b) - 1)] = c
-                for j, bj in enumerate(b):
-                    r[i - (len(b) - 1) + j] -= c * bj
-        return ParamPoly(q), ParamPoly(r)
-
-    def __floordiv__(self, other: ParamPoly) -> ParamPoly:
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: ParamPoly) -> ParamPoly:
-        return divmod(self, other)[1]
-
     def __call__(self, m0):
         """Evaluate by Horner; works over any ring the coefficients embed in."""
         out = 0

@@ -9,21 +9,8 @@ from .matrices import ExactMatrix, char_poly, rank_and_kernel
 from .polynomials import M, ParamPoly, integer_roots
 
 
-class ClassForm:
-    """Integer Gram data of one reflection class: diagonal 1, off-diagonal alpha."""
-
-    def __init__(self, class_index: int, members: tuple[int, ...], a_matrix: ExactMatrix) -> None:
-        self.class_index = class_index
-        self.members = members
-        self.a_matrix = a_matrix
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-
 class Discriminant:
-    """Factored determinant of a_matrix - m*I: sign * remainder * prod (m-r)^k."""
+    """Factored det(A_c - m*I): sign * remainder * prod (m-r)^k."""
 
     def __init__(self, sign: int, factors: tuple[tuple[int, int], ...], remainder: ParamPoly) -> None:
         self.sign = sign
@@ -52,21 +39,21 @@ class Discriminant:
         return f"Discriminant(sign={self.sign}, factors={self.factors}, remainder={self.remainder!s})"
 
 
-def gram_matrix(g: ReflectionGroupData, c: int) -> ClassForm:
+def gram_matrix(g: ReflectionGroupData, c: int) -> ExactMatrix:
+    """A_c: diagonal 1, off-diagonal alpha(s, u), rows and columns in class order."""
     members = g.classes[c]
     rows = []
     for s in members:
         row_s = g.alpha[s]
         rows.append([Fraction(1) if s == u else Fraction(row_s[u]) for u in members])
-    return ClassForm(c, members, ExactMatrix.from_rows(rows))
+    return ExactMatrix.from_rows(rows)
 
 
 def discriminant(g: ReflectionGroupData, c: int) -> Discriminant:
-    form = gram_matrix(g, c)
-    factors, remainder, sign = integer_roots(char_poly(form.a_matrix))
+    factors, remainder, sign = integer_roots(char_poly(gram_matrix(g, c)))
     disc = Discriminant(sign, factors, remainder)
     total = sum(mult for _, mult in factors) + max(remainder.degree, 0)
-    assert total == form.size, "degree bookkeeping is off"
+    assert total == len(g.classes[c]), "degree bookkeeping is off"
     return disc
 
 
@@ -88,48 +75,11 @@ def check_n_c(g: ReflectionGroupData, c: int) -> bool:
 
 
 def kernel_at(g: ReflectionGroupData, c: int, m0) -> list[list[Fraction]]:
-    """Kernel basis of a_matrix - m0*I as exact rational vectors."""
-    form = gram_matrix(g, c)
-    shifted = form.a_matrix - ExactMatrix.identity(form.size, Fraction(m0))
+    """Kernel basis of A_c - m0*I as exact rational vectors."""
+    a_c = gram_matrix(g, c)
+    shifted = a_c - ExactMatrix.identity(a_c.rows, Fraction(m0))
     _, kernel = rank_and_kernel(shifted)
     return kernel
-
-
-def leading_minor_signs(g: ReflectionGroupData, c: int, m0) -> list[int]:
-    """Signs of the leading principal minors of a_matrix - m0*I."""
-    form = gram_matrix(g, c)
-    size = form.size
-    m0 = Fraction(m0)
-    # Clearing the denominator scales the k-th minor by den**k > 0.
-    rows = [
-        [int(m0.denominator * form.a_matrix[i, j]) - (m0.numerator if i == j else 0) for j in range(size)]
-        for i in range(size)
-    ]
-    minors = _leading_minors(rows)
-    return [0 if d == 0 else (1 if d > 0 else -1) for d in minors]
-
-
-def _leading_minors(rows: list[list[int]]) -> list[int]:
-    """All leading principal minors via fraction-free elimination."""
-    n = len(rows)
-    work = [row[:] for row in rows]
-    minors: list[int] = []
-    prev = 1
-    for k in range(n):
-        if work[k][k] == 0:
-            # A vanishing minor stalls the elimination; finish directly.
-            for j in range(k, n):
-                sub = ExactMatrix.from_rows(
-                    [[Fraction(rows[i][l]) for l in range(j + 1)] for i in range(j + 1)]
-                )
-                minors.append(int(char_poly(sub)(Fraction(0))))
-            return minors
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                work[i][j] = (work[i][j] * work[k][k] - work[i][k] * work[k][j]) // prev
-        prev = work[k][k]
-        minors.append(prev)
-    return minors
 
 
 _A_FORMULA = "a"

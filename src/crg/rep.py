@@ -135,16 +135,33 @@ def _sparse_sum(parts) -> Sparse:
     return {u: col for u, col in out.items() if col}
 
 
+def _scaled_t(bundle: RepBundle, s: int, a: int, b: int) -> Sparse:
+    """Sparse integer columns of b t_s(a/b) = b N_s + a E_ss."""
+    if b == 1:
+        return bundle.t_at(s, a)
+    cols = {u: {row: b * val for row, val in col.items()} for u, col in bundle.n_cols[s].items()}
+    if a:
+        cols[s] = {s: a}
+    return cols
+
+
 def check_integrability(bundle: RepBundle, m0: Fraction | None = None) -> CheckResult:
     """Commutators [sum_{y in Z} t_y, t_x] vanish on every codimension-2 flat.
 
     With m0 given only that point is checked; None proves it for all m.
     """
     # [sum_{y in Z} t_y, t_x] has degree <= 2 in m: m = 0, 1, 2 prove it.
-    points = (0, 1, 2) if m0 is None else (m0,)
+    # At m0 = a/b the integer matrices b t_y = b N_y + a E_yy scale the
+    # commutator by b^2 != 0, so they give the same verdict and witness.
+    if m0 is None:
+        points = ((0, 1), (1, 1), (2, 1))
+    else:
+        m0 = Fraction(m0)
+        points = ((m0.numerator, m0.denominator),)
+    scaled = [[_scaled_t(bundle, y, a, b) for y in range(bundle.size)] for a, b in points]
     table = codim2_flats(bundle.group)
     for idx, flat in enumerate(table.flats):
-        parts = [[bundle.t_at(y, m) for y in flat.members] for m in points]
+        parts = [[at_m[y] for y in flat.members] for at_m in scaled]
         totals = [_sparse_sum(at_m) for at_m in parts]
         for x_pos, x in enumerate(flat.members):
             for total, at_m in zip(totals, parts):

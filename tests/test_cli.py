@@ -198,6 +198,17 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
     assert "FAIL integrability" in out and "FAIL equivariance" in out
 
 
+def test_internal_error_exits_3(capsys, monkeypatch):
+    def broken(bundle):
+        raise RuntimeError("lost a column")
+
+    monkeypatch.setattr(cli, "check_integrability", broken)
+    assert main(["verify", "--group", "A2", "--suite", "core"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "internal error: RuntimeError: lost a column\n"
+    assert captured.out == ""
+
+
 def test_spectral_suite_rejects_m_equal_to_one(capsys):
     for suite in ("spectral", "all"):
         assert main(["verify", "--group", "A2", "--suite", suite, "--m", "1"]) == 2

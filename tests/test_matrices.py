@@ -64,7 +64,7 @@ def test_char_poly_leading_coefficient_sign():
         assert p.leading == (-1) ** n
 
 
-def test_char_poly_krylov_route_matches_hand_result():
+def test_char_poly_of_large_all_ones_matrix():
     # 70x70 all-ones: eigenvalues 70 and 0, so det(A - mI) = (m-70)m^69
     n = 70
     p = char_poly(ones(n))
@@ -72,7 +72,7 @@ def test_char_poly_krylov_route_matches_hand_result():
 
 
 def test_char_poly_large_fallback_with_irrational_spectrum():
-    # golden-ratio block embedded in an identity: Krylov route must hand over
+    # golden-ratio block embedded in an identity: an irreducible quadratic factor
     n = 70
     ent = [F(1) if i == j else F(0) for i in range(n) for j in range(n)]
     m = ExactMatrix(n, n, ent)

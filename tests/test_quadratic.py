@@ -13,15 +13,14 @@ from crg.quadratic import (
     discriminant,
     gram_matrix,
     kernel_at,
-    leading_minor_signs,
 )
 
 
 def test_gram_matrix_small_cases():
     a2 = gram_matrix(build_coxeter("A", 2), 0)
-    assert a2.a_matrix.to_lists() == [[1, 1, 1], [1, 1, 1], [1, 1, 1]]
+    assert a2.to_lists() == [[1, 1, 1], [1, 1, 1], [1, 1, 1]]
     i5 = gram_matrix(build_coxeter("I2", 5), 0)
-    assert i5.a_matrix.to_lists() == [[1] * 5 for _ in range(5)]
+    assert i5.to_lists() == [[1] * 5 for _ in range(5)]
     b2 = build_coxeter("B", 2)
     diag_class = next(
         c
@@ -30,7 +29,7 @@ def test_gram_matrix_small_cases():
             b2.reflections[s].matrix[0, 1] == 0 for s in members
         )
     )
-    assert gram_matrix(b2, diag_class).a_matrix.to_lists() == [[1, 2], [2, 1]]
+    assert gram_matrix(b2, diag_class).to_lists() == [[1, 2], [2, 1]]
 
 
 def test_discriminant_examples():
@@ -83,9 +82,9 @@ def test_kernel_vectors_satisfy_eigen_equation():
     g = build_coxeter("B", 3)
     for c in range(len(g.classes)):
         n_c, _ = class_stats(g, c)
-        form = gram_matrix(g, c)
+        a_c = gram_matrix(g, c)
         for v in kernel_at(g, c, n_c):
-            image = form.a_matrix.apply(v)
+            image = a_c.apply(v)
             assert image == [n_c * x for x in v]
 
 
@@ -99,9 +98,12 @@ def test_form_is_negative_definite_past_the_top_root():
         build_coxeter("H3"),
     ]:
         for c in range(len(g.classes)):
+            # A_c is symmetric, so A_c - (n_c + 1) I is negative definite exactly
+            # when every eigenvalue, every root of det(A_c - m I), is at most n_c
             n_c, _ = class_stats(g, c)
-            signs = leading_minor_signs(g, c, n_c + 1)
-            assert signs == [(-1) ** k for k in range(1, len(signs) + 1)]
+            disc = discriminant(g, c)
+            assert disc.remainder == 1
+            assert all(root <= n_c for root, _ in disc.factors)
 
 
 def test_gram_invariant_under_conjugation():

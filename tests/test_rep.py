@@ -90,6 +90,11 @@ def test_mutated_multiplicity_table_fails():
     assert not check_equivariance(b)
     idx, x = check_integrability(b).detail
     assert x in codim2_flats(g).flats[idx].members
+    # a rational point is checked on b t_s(a/b), in integers: same verdict and witness
+    for m0 in (Fraction(22, 7), Fraction(9, 2)):
+        result = check_integrability(b, m0)
+        assert not result
+        assert result.detail == (0, 0)
 
 
 def test_spectrum_at_generic_integer():
