@@ -22,7 +22,14 @@ from .groups import (
 )
 from .krammer import build_krammer, check_braid_relations, cubic_specialization_check
 from .matrices import char_poly
-from .quadratic import check_n_c, conjecture_scan, discriminant, gram_matrix
+from .quadratic import (
+    Discriminant,
+    check_n_c,
+    conjecture_scan,
+    discriminant,
+    factor_discriminant,
+    gram_matrix,
+)
 from .rep import (
     DIHEDRAL_CHARACTER_NOTE,
     build_rep,
@@ -278,14 +285,17 @@ def _core_checks(report: VerifyReport, g: ReflectionGroupData) -> None:
     _run_check(report, "equivariance", lambda: check_equivariance(bundle))
     for c in range(len(g.classes)):
         _run_check(report, f"T-scalar[{c}]", lambda c=c: check_T_scalar(bundle, c))
+    # one characteristic polynomial per class: factored here, reused by N(c)
+    discs: dict[int, Discriminant] = {}
     for c in range(len(g.classes)):
         def disc_identity(c=c):
-            d = discriminant(g, c)
-            return d.poly() == char_poly(gram_matrix(g, c))
+            poly = char_poly(gram_matrix(g, c))
+            discs[c] = factor_discriminant(poly, len(g.classes[c]))
+            return discs[c].poly() == poly
 
         _run_check(report, f"discriminant[{c}]", disc_identity)
     for c in range(len(g.classes)):
-        _run_check(report, f"N(c)[{c}]", lambda c=c: check_n_c(g, c))
+        _run_check(report, f"N(c)[{c}]", lambda c=c: check_n_c(g, c, discs.get(c)))
 
 
 def _spectral_checks(report: VerifyReport, g: ReflectionGroupData, sample: Fraction | None) -> None:

@@ -50,17 +50,26 @@ def gram_matrix(g: ReflectionGroupData, c: int) -> ExactMatrix:
 
 
 def discriminant(g: ReflectionGroupData, c: int) -> Discriminant:
-    factors, remainder, sign = integer_roots(char_poly(gram_matrix(g, c)))
+    return factor_discriminant(char_poly(gram_matrix(g, c)), len(g.classes[c]))
+
+
+def factor_discriminant(poly: ParamPoly, size: int) -> Discriminant:
+    """Factor the characteristic polynomial of A_c for a class of `size` members."""
+    factors, remainder, sign = integer_roots(poly)
     disc = Discriminant(sign, factors, remainder)
     total = sum(mult for _, mult in factors) + max(remainder.degree, 0)
-    assert total == len(g.classes[c]), "degree bookkeeping is off"
+    assert total == size, "degree bookkeeping is off"
     return disc
 
 
-def check_n_c(g: ReflectionGroupData, c: int) -> bool:
-    """True when N(c) is a simple root of the determinant dominating all others."""
+def check_n_c(g: ReflectionGroupData, c: int, disc: Discriminant | None = None) -> bool:
+    """True when N(c) is a simple root of the determinant dominating all others.
+
+    `disc` is discriminant(g, c) when the caller already has it.
+    """
     n_c, _ = class_stats(g, c)
-    disc = discriminant(g, c)
+    if disc is None:
+        disc = discriminant(g, c)
     mult = dict(disc.factors).get(n_c, 0)
     if mult != 1:
         return False

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
@@ -12,8 +12,16 @@ from .matrices import ExactMatrix
 from .quadratic import discriminant
 from .rep import RepBundle
 
-# Small enough that dot products of length up to 2**14 fit in int64.
+# Spans are kept mod a prime p < 2**24 in float64, which holds every integer
+# below 2**53 exactly.  `_mulmod` splits its left factor into 12-bit limbs, so
+# each product of a limb and an entry is below 2**12 * 2**24 = 2**36, and a dot
+# product of at most 2**17 such terms is below 2**53: every partial sum that
+# BLAS forms is an exact integer.  A span wider than 2**17 is refused.
 _PRIMES = (16777213, 16777199)
+_LIMB = 4096
+_MAX_WIDTH = 2**17
+# Candidate rows reduced against a span by one product.
+_BLOCK = 64
 
 _TENSOR_CLASS_LIMIT = 12
 _EXCLUDED_POINTS = {
@@ -25,46 +33,133 @@ _EXCLUDED_POINTS = {
 }
 
 
+def _mod(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p in place, for float64 integers with |x| + p <= 2**53."""
+    q = np.floor(x * (1.0 / p))
+    q *= p
+    x -= q
+    # the rounded quotient is off by at most one either way
+    np.add(x, p, out=x, where=x < 0)
+    np.subtract(x, p, out=x, where=x >= p)
+    return x
+
+
+def _mulmod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p for float64 integers in [0, p), with at most 2**17 terms per sum."""
+    hi = np.floor(a * (1.0 / _LIMB))
+    lo = a - hi * _LIMB
+    out = _mod(hi @ b, p)
+    out *= _LIMB
+    # below 2**36 + 2**17 * (2**12 - 1) * (2**24 - 1) < 2**53 - 2**40
+    out += lo @ b
+    return _mod(out, p)
+
+
+def _reduce_by(vecs: np.ndarray, rows: np.ndarray, pivots, p: int) -> np.ndarray:
+    """`vecs` with their entries in the pivot columns of `rows` cleared, mod p."""
+    out = _mulmod(vecs[:, pivots], rows, p)
+    np.subtract(vecs, out, out=out)
+    np.add(out, p, out=out, where=out < 0)
+    return out
+
+
+def _echelon(block: np.ndarray, p: int) -> tuple[list[int], np.ndarray, list[int]]:
+    """The rows of `block` independent of the rows before them, in order.
+
+    Returns their indices, the rows in reduced echelon form and their pivots.
+    The second half is reduced against the first by one product, so the
+    elimination runs in matrix products.
+    """
+    if len(block) == 1:
+        nonzero = np.flatnonzero(block[0])
+        if nonzero.size == 0:
+            return [], block[:0], []
+        piv = int(nonzero[0])
+        return [0], _mod(block * pow(int(block[0, piv]), -1, p), p), [piv]
+    half = len(block) // 2
+    kept, rows, pivots = _echelon(block[:half], p)
+    rest = _reduce_by(block[half:], rows, pivots, p) if kept else block[half:]
+    kept_rest, rows_rest, pivots_rest = _echelon(rest, p)
+    if kept and kept_rest:
+        rows = _reduce_by(rows, rows_rest, pivots_rest, p)
+    return (
+        kept + [half + i for i in kept_rest],
+        np.concatenate([rows, rows_rest]),
+        pivots + pivots_rest,
+    )
+
+
 class _ModSpan:
-    """Row space mod p in reduced echelon form, rows kept mutually reduced."""
+    """Row space mod p in reduced echelon form.
+
+    Rows are float64 integers in [0, p) in one buffer that doubles when full.
+    Vectors join a level at a time: `add_block` keeps each row of a block that
+    is independent of the span and of the rows kept before it, which are the
+    rows one-at-a-time insertion keeps.  Rows added during a level are reduced
+    against the older rows at once, the older rows against them at `end_level`.
+    """
 
     def __init__(self, width: int, p: int) -> None:
+        if width > _MAX_WIDTH:
+            raise ValueError(
+                f"span width {width} exceeds {_MAX_WIDTH}, the bound for exact products"
+            )
         self.p = p
-        self.rows = np.zeros((0, width), dtype=np.int64)
-        self.pivots: list[int] = []
+        self.width = width
+        self.dim = 0
+        self._settled = 0
+        self._rows = np.zeros((min(16, width), width))
+        self._pivots = np.zeros(len(self._rows), dtype=np.intp)
 
-    @property
-    def dim(self) -> int:
-        return len(self.pivots)
+    def residual(self, vecs: np.ndarray) -> np.ndarray:
+        """Residuals of the rows of `vecs`, integers in [0, p), against the span."""
+        vecs = np.asarray(vecs, dtype=np.float64).reshape(-1, self.width)
+        for start, stop in ((0, self._settled), (self._settled, self.dim)):
+            if stop > start:
+                vecs = _reduce_by(vecs, self._rows[start:stop], self._pivots[start:stop], self.p)
+        return vecs
 
-    def residual(self, vec: np.ndarray) -> np.ndarray:
-        if self.pivots:
-            coeffs = vec[self.pivots]
-            vec = (vec - coeffs @ self.rows) % self.p
-        return vec
+    def add_block(self, block: np.ndarray) -> list[int]:
+        """Add the new rows of `block`, in order; return their indices."""
+        block = self.residual(block)
+        live = np.flatnonzero(block.any(axis=1))
+        if not live.size:
+            return []
+        kept, new, pivots = _echelon(block[live], self.p)
+        if kept:
+            if self.dim > self._settled:
+                pending = self._rows[self._settled:self.dim]
+                pending[:] = _reduce_by(pending, new, pivots, self.p)
+            self._append(new, pivots)
+        return live[kept].tolist()
 
-    def add(self, vec: np.ndarray) -> bool:
-        vec = self.residual(vec % self.p)
-        nonzero = np.nonzero(vec)[0]
-        if nonzero.size == 0:
-            return False
-        piv = int(nonzero[0])
-        vec = (vec * pow(int(vec[piv]), self.p - 2, self.p)) % self.p
-        if self.pivots:
-            coeffs = self.rows[:, piv].copy()
-            self.rows = (self.rows - np.outer(coeffs, vec)) % self.p
-        self.rows = np.vstack([self.rows, vec[None, :]])
-        self.pivots.append(piv)
-        return True
+    def end_level(self) -> None:
+        """Reduce the older rows against the rows added since the last call."""
+        start, stop = self._settled, self.dim
+        if start and stop > start:
+            old = self._rows[:start]
+            old[:] = _reduce_by(old, self._rows[start:stop], self._pivots[start:stop], self.p)
+        self._settled = stop
+
+    def _append(self, rows: np.ndarray, pivots: list[int]) -> None:
+        stop = self.dim + len(rows)
+        if stop > len(self._rows):
+            size = min(max(stop, 2 * len(self._rows)), self.width)
+            grown = np.zeros((size, self.width))
+            grown[: self.dim] = self._rows[: self.dim]
+            self._rows = grown
+            self._pivots = np.resize(self._pivots, size)
+        self._rows[self.dim:stop] = rows
+        self._pivots[self.dim:stop] = pivots
+        self.dim = stop
 
 
 def _to_mod(mat: ExactMatrix, p: int) -> np.ndarray:
-    n = mat.rows
-    out = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
+    out = np.zeros((mat.rows, mat.cols))
+    for i in range(mat.rows):
+        for j in range(mat.cols):
             value = Fraction(mat[i, j])
-            out[i, j] = value.numerator * pow(value.denominator, p - 2, p) % p
+            out[i, j] = value.numerator * pow(value.denominator, -1, p) % p
     return out
 
 
@@ -74,50 +169,73 @@ def _mod_span_dimension(mats: list[ExactMatrix], p: int) -> int:
     return _grow_mod_span(gens, n, p).dim
 
 
-def _primitive(vec: list[int]) -> list[int]:
+def _integer_matrix(mat: ExactMatrix) -> np.ndarray:
+    """`mat` times the lcm of its denominators, as an array of Python ints."""
+    entries = [Fraction(x) for x in mat.entries]
+    den = lcm(*(x.denominator for x in entries))
+    ints = [x.numerator * (den // x.denominator) for x in entries]
+    return np.array(ints, dtype=object).reshape(mat.rows, mat.cols)
+
+
+def _primitive(word: np.ndarray) -> np.ndarray:
+    """`word` divided by the gcd of its entries."""
     g = 0
-    for x in vec:
+    for x in word.flat:
         g = gcd(g, x)
         if g == 1:
-            return vec
-    return [x // g for x in vec] if g else vec
+            return word
+    return word // g if g else word
+
+
+class _ExactSpan:
+    """Row space over Q of integer vectors, in fraction-free reduced echelon form.
+
+    The rows are Python ints with rows[:, pivots] = den * I.  Each entry is a
+    minor of the vectors added so far (Bareiss), so the entries grow no larger
+    than those minors, and every division below is exact.
+    """
+
+    def __init__(self, width: int) -> None:
+        self.rows = np.zeros((0, width), dtype=object)
+        self.pivots: list[int] = []
+        self.den = 1
+
+    def add(self, vec: np.ndarray) -> bool:
+        coeffs = vec[self.pivots]
+        hit = np.flatnonzero(coeffs)
+        vec = self.den * vec
+        if hit.size:
+            vec -= coeffs[hit] @ self.rows[hit]
+        nonzero = np.flatnonzero(vec)
+        if not nonzero.size:
+            return False
+        piv = int(nonzero[0])
+        den = vec[piv]
+        rows = (den * self.rows - np.outer(self.rows[:, piv], vec)) // self.den
+        self.rows = np.vstack([rows, vec])
+        self.pivots.append(piv)
+        self.den = den
+        return True
 
 
 def _exact_span_dimension(mats: list[ExactMatrix]) -> int:
     n = mats[0].rows
-    rows: dict[int, list[int]] = {}
-
-    def insert(mat: ExactMatrix) -> bool:
-        flat = [mat[i, j] for i in range(n) for j in range(n)]
-        den = 1
-        for x in flat:
-            den = den * x.denominator // gcd(den, x.denominator)
-        vec = [int(x * den) for x in flat]
-        for piv in sorted(rows):
-            if vec[piv]:
-                other = rows[piv]
-                a, b = vec[piv], other[piv]
-                g = gcd(a, b)
-                ma, mb = b // g, a // g
-                vec = [ma * x - mb * y for x, y in zip(vec, other)]
-        for idx, x in enumerate(vec):
-            if x:
-                rows[idx] = _primitive(vec)
-                return True
-        return False
-
-    eye = ExactMatrix.identity(n, Fraction(1))
-    insert(eye)
+    # A nonzero scalar on a generator scales each word by a nonzero scalar, and
+    # so does dividing a word by its content: the span of words is unchanged.
+    gens = [_integer_matrix(m) for m in mats]
+    span = _ExactSpan(n * n)
+    eye = np.eye(n, dtype=object)
+    span.add(eye.ravel())
     frontier = [eye]
     while frontier:
         nxt = []
         for word in frontier:
-            for gen in mats:
-                prod = word * gen
-                if insert(prod):
+            for gen in gens:
+                prod = _primitive(word @ gen)
+                if span.add(prod.ravel()):
                     nxt.append(prod)
         frontier = nxt
-    return len(rows)
+    return len(span.pivots)
 
 
 def algebra_dimension(mats) -> int:
@@ -299,31 +417,42 @@ def tensor_square_check(bundle: RepBundle, c: int, m0) -> dict:
 
 
 class _SpanGrowth:
-    """Resumable BFS closure of a matrix algebra span mod p."""
+    """Resumable BFS closure of a matrix algebra span mod p, one level of words at a time."""
 
     def __init__(self, gens: list[np.ndarray], n: int, p: int) -> None:
-        self.gens = gens
+        self.n = n
         self.p = p
+        self.count = len(gens)
+        # word @ [g_1 | ... | g_k] holds the products word * g_i side by side
+        self.gens = np.hstack(gens).astype(np.float64)
         self.span = _ModSpan(n * n, p)
-        eye = np.eye(n, dtype=np.int64)
-        self.span.add(eye.ravel())
-        self.frontier = [eye]
+        eye = np.eye(n)
+        self.span.add_block(eye.reshape(1, -1))
+        self.span.end_level()
+        self.frontier = eye[None]
 
     def _advance(self) -> bool:
-        if not self.frontier:
+        if not len(self.frontier):
             return False
-        nxt = []
-        for word in self.frontier:
-            for gen in self.gens:
-                prod = word @ gen % self.p
-                if self.span.add(prod.ravel().copy()):
-                    nxt.append(prod)
-        self.frontier = nxt
+        n, k = self.n, self.count
+        step = max(1, _BLOCK // k)
+        taken = [np.zeros((0, n * n))]
+        for start in range(0, len(self.frontier), step):
+            if self.span.dim == n * n:  # full: no later word can join
+                break
+            words = self.frontier[start:start + step]
+            prods = _mulmod(words.reshape(-1, n), self.gens, self.p)
+            # word-major, generator-minor: the order of one-at-a-time insertion
+            prods = prods.reshape(len(words), n, k, n).swapaxes(1, 2).reshape(-1, n * n)
+            taken.append(prods[self.span.add_block(prods)])
+        self.span.end_level()
+        self.frontier = np.concatenate(taken).reshape(-1, n, n)
         return True
 
     def contains(self, vec: np.ndarray) -> bool:
+        vec = np.asarray(vec, dtype=np.float64) % self.p
         while True:
-            if not np.any(self.span.residual(vec % self.p)):
+            if not np.any(self.span.residual(vec)):
                 return True
             if not self._advance():
                 return False
@@ -345,11 +474,11 @@ def _tensor_algebra_span(bundle: RepBundle, c: int, m0: Fraction, p: int) -> _Sp
     if key not in cache:
         members = bundle.group.classes[c]
         d = len(members)
-        eye = ExactMatrix.identity(d, Fraction(1))
+        eye = np.eye(d)
         gens = []
         for x in members:
-            t_x = bundle.t_block(x, members, m0)
-            gens.append(_to_mod(t_x.kron(eye) + eye.kron(t_x), p))
+            t_x = _to_mod(bundle.t_block(x, members, m0), p)
+            gens.append((np.kron(t_x, eye) + np.kron(eye, t_x)) % p)
         cache[key] = _SpanGrowth(gens, d * d, p)
     return cache[key]
 
@@ -374,9 +503,10 @@ def psu_membership_check(bundle: RepBundle, c: int, s: int, u: int, m0) -> bool:
         return bundle.s_block(x, members) - bundle.t_block(x, members, m0)
 
     ps, pu = p_block(s), p_block(u)
-    target = ps.kron(pu) + pu.kron(ps)
     for p in _PRIMES:
-        span = _tensor_algebra_span(bundle, c, m0, p)
-        if not span.contains(_to_mod(target, p).ravel()):
+        a, b = _to_mod(ps, p), _to_mod(pu, p)
+        # entries below 2 * p**2 < 2**49: exact
+        target = (np.kron(a, b) + np.kron(b, a)) % p
+        if not _tensor_algebra_span(bundle, c, m0, p).contains(target.ravel()):
             return False
     return True

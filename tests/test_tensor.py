@@ -1,12 +1,22 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crg.groups import build_coxeter, build_series
-from crg.matrices import ExactMatrix
+from crg.matrices import ExactMatrix, rank_and_kernel
 from crg.rep import build_rep
 from crg.tensor import (
+    _MAX_WIDTH,
+    _PRIMES,
     TensorOps,
+    _ModSpan,
+    _SpanGrowth,
+    _exact_span_dimension,
+    _mulmod,
+    _to_mod,
     algebra_dimension,
     ds_table_check,
     psu_membership_check,
@@ -32,6 +42,60 @@ def test_algebra_dimension_dihedral():
     assert algebra_dimension(at(7)) == 25
     assert algebra_dimension(at(0)) == 13
     assert algebra_dimension(at(5)) == 21
+
+
+def test_exact_route_at_degenerate_points():
+    g = build_coxeter("A", 4)
+    b = build_rep(g)
+    members = next(cl for cl in g.classes if len(cl) == 10)
+    at = lambda m0: [b.t_block(s, members, Fraction(m0)) for s in members]
+    assert algebra_dimension(at(7)) == 91
+    assert algebra_dimension(at(2)) == 76
+    g = build_coxeter("I2", 6)
+    b = build_rep(g)
+    for members in g.classes:
+        assert algebra_dimension([b.t_block(s, members, Fraction(5)) for s in members]) == 7
+
+
+def _rational_closure_dimension(gens: list[ExactMatrix]) -> int:
+    """Reference: breadth-first words over Fractions, independence by exact rank."""
+    n = gens[0].rows
+    basis: list[list[Fraction]] = []
+
+    def add(word: ExactMatrix) -> bool:
+        rows = basis + [list(word.entries)]
+        rank, _ = rank_and_kernel(ExactMatrix.from_rows(rows))
+        if rank > len(basis):
+            basis.append(list(word.entries))
+            return True
+        return False
+
+    frontier = [ExactMatrix.identity(n, Fraction(1))]
+    add(frontier[0])
+    while frontier:
+        frontier = [prod for word in frontier for gen in gens if add(prod := word * gen)]
+    return len(basis)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda n: st.lists(
+            st.tuples(
+                st.lists(st.integers(-3, 3), min_size=n * n, max_size=n * n),
+                st.sampled_from((1, 2, 3)),
+            ),
+            min_size=1,
+            max_size=3,
+        ).map(
+            lambda gens: [
+                ExactMatrix(n, n, [Fraction(x, den) for x in entries]) for entries, den in gens
+            ]
+        )
+    )
+)
+def test_exact_span_dimension_matches_rational_rank(gens):
+    assert _exact_span_dimension(gens) == _rational_closure_dimension(gens)
 
 
 def test_algebra_dimension_rejects_mismatched_shapes():
@@ -143,3 +207,126 @@ def test_membership_works_at_discriminant_root():
     b = build_rep(g)
     members = g.classes[0]
     assert psu_membership_check(b, 0, members[0], members[1], Fraction(7))
+
+
+def _insert_one_at_a_time(basis: dict[int, list[int]], vec: list[int], p: int) -> bool:
+    """Reference: reduce against a mutually reduced basis in Python ints, then insert."""
+    vec = [x % p for x in vec]
+    for piv, row in basis.items():
+        if vec[piv]:
+            c = vec[piv]
+            vec = [(x - c * y) % p for x, y in zip(vec, row)]
+    nonzero = [i for i, x in enumerate(vec) if x]
+    if not nonzero:
+        return False
+    piv = nonzero[0]
+    inv = pow(vec[piv], -1, p)
+    vec = [x * inv % p for x in vec]
+    for key, row in basis.items():
+        if row[piv]:
+            c = row[piv]
+            basis[key] = [(x - c * y) % p for x, y in zip(row, vec)]
+    basis[piv] = vec
+    return True
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 7).flatmap(
+        lambda width: st.lists(
+            st.lists(
+                st.lists(st.lists(st.integers(-2, 2), min_size=width, max_size=width), max_size=6),
+                max_size=4,
+            ),
+            max_size=4,
+        )
+    ),
+    st.sampled_from((3, _PRIMES[0])),
+)
+def test_batched_span_matches_one_at_a_time_insertion(levels, p):
+    width = next((len(v) for blocks in levels for b in blocks for v in b), 1)
+    span = _ModSpan(width, p)
+    basis: dict[int, list[int]] = {}
+    for blocks in levels:
+        for block in blocks:
+            expected = [i for i, v in enumerate(block) if _insert_one_at_a_time(basis, v, p)]
+            rows = np.array(block, dtype=np.float64).reshape(-1, width) % p
+            assert span.add_block(rows) == expected
+            assert span.dim == len(basis)
+        span.end_level()
+    for vec in basis.values():
+        assert not span.residual(np.array(vec, dtype=np.float64)).any()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.lists(
+            st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=n, max_size=n),
+            min_size=1,
+            max_size=3,
+        )
+    )
+)
+def test_span_growth_takes_the_words_of_one_at_a_time_insertion(gens):
+    p = _PRIMES[0]
+    n = len(gens[0])
+    growth = _SpanGrowth([np.array(g, dtype=np.float64) % p for g in gens], n, p)
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    basis: dict[int, list[int]] = {}
+    _insert_one_at_a_time(basis, [x for row in eye for x in row], p)
+    frontier = [eye]
+    while frontier:
+        taken = []
+        for word in frontier:
+            for gen in gens:
+                prod = [
+                    [sum(a * b for a, b in zip(row, col)) % p for col in zip(*gen)]
+                    for row in word
+                ]
+                if _insert_one_at_a_time(basis, [x for row in prod for x in row], p):
+                    taken.append(prod)
+        assert growth._advance()
+        assert growth.frontier.tolist() == taken
+        assert growth.span.dim == len(basis)
+        frontier = taken
+    assert not growth._advance()
+
+
+def test_mulmod_is_exact_at_the_width_bound():
+    p = _PRIMES[0]
+    # 2**17 terms of (p - 1)**2: the largest sum the bound allows
+    top = np.full((1, _MAX_WIDTH), p - 1.0)
+    assert _mulmod(top, top.T, p)[0, 0] == (_MAX_WIDTH * (p - 1) ** 2) % p
+    rng = np.random.default_rng(0)
+    a = rng.integers(0, p, size=(3, 50))
+    b = rng.integers(0, p, size=(50, 4))
+    expected = [[sum(int(x) * int(y) for x, y in zip(row, col)) % p for col in b.T] for row in a]
+    assert _mulmod(a.astype(np.float64), b.astype(np.float64), p).tolist() == expected
+
+
+def test_mod_span_refuses_width_past_exact_bound():
+    p = _PRIMES[0]
+    assert _MAX_WIDTH == 2**17
+    with pytest.raises(ValueError, match="exceeds"):
+        _ModSpan(_MAX_WIDTH + 1, p)
+    # 363**2 > 2**17: a 363 x 363 algebra is refused before any product
+    with pytest.raises(ValueError, match="exceeds"):
+        _SpanGrowth([np.zeros((363, 363))], 363, p)
+
+
+def test_span_growth_refutes_membership_outside_degenerate_algebra():
+    g = build_coxeter("A", 2)
+    b = build_rep(g)
+    members = g.classes[0]
+    p = _PRIMES[0]
+    gens = [_to_mod(b.t_block(s, members, Fraction(0)), p) for s in members]
+    growth = _SpanGrowth(gens, 3, p)
+    for gen in gens:
+        assert growth.contains(gen.ravel())
+    units = np.eye(9)
+    verdicts = [growth.contains(unit) for unit in units]
+    assert growth.span.dim == 7
+    # a 7-dimensional span holds at most 7 of the 9 matrix units
+    assert verdicts.count(False) >= 2
+    assert not growth.contains(units[verdicts.index(False)])
