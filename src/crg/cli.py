@@ -32,6 +32,7 @@ from .quadratic import (
 )
 from .rep import (
     DIHEDRAL_CHARACTER_NOTE,
+    RepBundle,
     build_rep,
     check_T_scalar,
     check_equivariance,
@@ -279,8 +280,8 @@ def _first_admissible(bundle, c: int, start: int) -> Fraction:
     return m0
 
 
-def _core_checks(report: VerifyReport, g: ReflectionGroupData) -> None:
-    bundle = build_rep(g)
+def _core_checks(report: VerifyReport, bundle: RepBundle) -> None:
+    g = bundle.group
     _run_check(report, "integrability", lambda: check_integrability(bundle))
     _run_check(report, "equivariance", lambda: check_equivariance(bundle))
     for c in range(len(g.classes)):
@@ -298,20 +299,17 @@ def _core_checks(report: VerifyReport, g: ReflectionGroupData) -> None:
         _run_check(report, f"N(c)[{c}]", lambda c=c: check_n_c(g, c, discs.get(c)))
 
 
-def _spectral_checks(report: VerifyReport, g: ReflectionGroupData, sample: Fraction | None) -> None:
-    bundle = build_rep(g)
-    m0 = sample if sample is not None else Fraction(5)
-    for c, members in enumerate(g.classes):
+def _spectral_checks(report: VerifyReport, bundle: RepBundle, sample: Fraction | None) -> None:
+    for c, members in enumerate(bundle.group.classes):
         _run_check(
-            report, f"spectrum[{c}]", lambda s=members[0]: spectrum_check(bundle, s, m0)
+            report, f"spectrum[{c}]", lambda s=members[0]: spectrum_check(bundle, s, sample)
         )
 
 
 def _tensor_checks(
-    report: VerifyReport, g: ReflectionGroupData, sample: Fraction | None, force: bool
+    report: VerifyReport, bundle: RepBundle, sample: Fraction | None, force: bool
 ) -> None:
-    bundle = build_rep(g)
-    for c, members in enumerate(g.classes):
+    for c, members in enumerate(bundle.group.classes):
         name = f"ds-table[{c}]"
         if len(members) > _TENSOR_CLASS_LIMIT and not force:
             report.checks.append(
@@ -349,13 +347,12 @@ def _tensor_checks(
             _run_check(report, name, membership)
 
 
-def _parabolic_checks(report: VerifyReport, g: ReflectionGroupData) -> None:
-    if g.size < 2:
+def _parabolic_checks(report: VerifyReport, bundle: RepBundle) -> None:
+    if bundle.size < 2:
         report.checks.append(
             CheckOutcome("parabolic-restriction", "skipped", "no proper seed", 0.0)
         )
         return
-    bundle = build_rep(g)
 
     def restriction():
         try:
@@ -418,16 +415,16 @@ def cmd_verify(spec: GroupSpec, suite: str, sample: Fraction | None, force: bool
         raise ValueError("the spectral suite needs --m other than 1: t_s is not semisimple there")
     if "tensor" in wanted and sample is not None and sample.denominator != 1:
         raise ValueError(f"the tensor suite needs an integer --m, got {sample}")
-    g = build_group(spec)
+    bundle = build_rep(build_group(spec))
     for name in wanted:
         if name == "core":
-            _core_checks(report, g)
+            _core_checks(report, bundle)
         elif name == "spectral":
-            _spectral_checks(report, g, sample)
+            _spectral_checks(report, bundle, sample)
         elif name == "tensor":
-            _tensor_checks(report, g, sample, force)
+            _tensor_checks(report, bundle, sample, force)
         elif name == "parabolic":
-            _parabolic_checks(report, g)
+            _parabolic_checks(report, bundle)
         elif name == "dihedral":
             _dihedral_checks(report, spec)
         elif name == "krammer":
@@ -533,7 +530,12 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run a verification suite")
     verify.add_argument("--group", required=True)
     verify.add_argument("--suite", choices=SUITES, default="core")
-    verify.add_argument("--m", dest="sample", default=None)
+    verify.add_argument(
+        "--m",
+        dest="sample",
+        help="spectral suite: -1 checks that point, 1 is refused, any other value or none"
+        " proves all m other than 1 and -1; tensor suite: integer start point (default 7)",
+    )
     verify.add_argument("--force", action="store_true")
 
     tables = sub.add_parser("tables", help="regression-check shipped table rows")

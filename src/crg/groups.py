@@ -194,9 +194,13 @@ def _assemble(
     keys: set[Key],
     expected: int,
     mismatch_error: str | None = None,
+    seeds: dict[Key, dict[Key, Key]] | None = None,
 ) -> ReflectionGroupData:
     """Index the reflections by their sorted packed matrices and build the
-    conjugation table from the rows of a few generators."""
+    conjugation table from the rows of a few generators.
+
+    `seeds` maps generator keys to their known action on every key; they are
+    tried first, and their rows are read off that action."""
     if len(keys) != expected:
         msg = mismatch_error or (
             f"{name}: built {len(keys)} reflections, expected {expected}"
@@ -208,10 +212,12 @@ def _assemble(
     n = len(ordered)
     rows: dict[int, tuple[int, ...]] = {}
     gens: list[int] = []
-    for cand in range(n):
+    seeds = seeds or {}
+    for cand in [index[k] for k in seeds] + list(range(n)):
         if cand in rows:
             continue
-        act = _conjugator(ordered[cand])
+        key = ordered[cand]
+        act = seeds[key].get if key in seeds else _conjugator(key)
         row = tuple(index.get(act(k), -1) for k in ordered)
         if -1 in row:
             raise ValueError(f"{name}: reflection set is not conjugation-closed")
@@ -473,21 +479,23 @@ def build_from_generators(data: dict) -> ReflectionGroupData:
             raise ValueError("generator fails the reflection test: order is not 2")
         gens.append(_root_and_coform(m))
     mismatch = "metadata mismatch: generator set does not reach all reflections"
-    actions = [_conjugator(g) for g in gens]
+    # the closure applies every generator to every key: keep those images
+    images: dict[Key, dict[Key, Key]] = {g: {} for g in gens}
+    actions = [(images[g], _conjugator(g)) for g in gens]
     known = set(gens)
     frontier = list(known)
     while frontier:
         fresh = []
         for key in frontier:
-            for act in actions:
-                img = act(key)
+            for image, act in actions:
+                img = image[key] = act(key)
                 if img not in known:
                     known.add(img)
                     fresh.append(img)
         if len(known) > expected:
             raise ValueError(mismatch)
         frontier = fresh
-    return _assemble(name, rank, conductor, known, expected, mismatch)
+    return _assemble(name, rank, conductor, known, expected, mismatch, images)
 
 
 def load_generator_group(name: str) -> ReflectionGroupData:

@@ -60,9 +60,6 @@ class ExactMatrix:
     def row(self, i: int) -> tuple:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def col(self, j: int) -> tuple:
-        return self.entries[j :: self.cols]
-
     def to_lists(self) -> list[list]:
         return [list(self.row(i)) for i in range(self.rows)]
 
@@ -132,20 +129,6 @@ class ExactMatrix:
                     for q in range(other.cols):
                         out[base + q] = a * other.entries[p * other.cols + q]
         return ExactMatrix(n, m, out)
-
-    def apply(self, vec: Sequence) -> list:
-        """Matrix-vector product."""
-        if len(vec) != self.cols:
-            raise ValueError("vector length mismatch")
-        out = []
-        for i in range(self.rows):
-            row = self.row(i)
-            acc = row[0] * vec[0]
-            for t in range(1, self.cols):
-                if row[t]:
-                    acc = acc + row[t] * vec[t]
-            out.append(acc)
-        return out
 
     def is_zero(self) -> bool:
         return not any(self.entries)

@@ -16,7 +16,8 @@ from fractions import Fraction
 from .arrangement import codim2_flats, parabolic_reflections
 from .cyclotomic import cyclotomic_field
 from .groups import ReflectionGroupData, build_series, class_stats, k_c
-from .matrices import ExactMatrix, rank_and_kernel
+from .matrices import ExactMatrix
+from .quadratic import kernel_at
 
 Column = dict[int, int]
 Sparse = dict[int, Column]
@@ -205,53 +206,57 @@ def check_T_scalar(bundle: RepBundle, c: int) -> bool:
     return True
 
 
-def _kernel_dim(mat: ExactMatrix) -> int:
-    rank, _ = rank_and_kernel(mat)
-    return mat.rows - rank
+def _shift(cols: Sparse, c: int, n: int) -> Sparse:
+    """Sparse columns of cols + c I on n basis vectors."""
+    return _sparse_sum((cols, {u: {u: c} for u in range(n)}))
 
 
-def _expected_multiplicities(m0: Fraction, k: int, total: int) -> dict[Fraction, int]:
-    merged: dict[Fraction, int] = {}
-    for value, mult in ((m0, 1), (Fraction(-1), k), (Fraction(1), total - 1 - k)):
-        merged[value] = merged.get(value, 0) + mult
-    return merged
+def _trace(cols: Sparse, members) -> int:
+    return sum(cols.get(u, {}).get(u, 0) for u in members)
 
 
-def spectrum_check(bundle: RepBundle, s: int, m0) -> bool:
-    """Eigenvalue multiplicities of t_s at m0 and the kernel decompositions."""
-    m0 = Fraction(m0)
+def spectrum_check(bundle: RepBundle, s: int, m0=None) -> bool:
+    """t_s has eigenvalues m, -1, 1 with multiplicities 1, k, n - 1 - k, on V
+    and on the class block of s, and Ker(t_s + 1) = Ker(s + 1).
+
+    Proven for all m != +-1 unless m0 = -1, where m and -1 collide: there the
+    multiplicities k + 1 and n - 1 - k of -1 and 1 are checked at that point.
+    m0 = 1, where t_s is not semisimple, is refused.
+    """
+    m0 = None if m0 is None else Fraction(m0)
     if m0 == 1:
         raise ValueError("not semisimple")
     g = bundle.group
     n = g.size
-    k_total = sum(k_c(g, c, s) for c in range(len(g.classes)))
-    t_at = bundle.t_block(s, range(n), m0)
-    for value, mult in _expected_multiplicities(m0, k_total, n).items():
-        if _kernel_dim(t_at - ExactMatrix.identity(n, value)) != mult:
-            return False
-    s_dense = bundle.s_block(s, range(n))
-    eye = ExactMatrix.identity(n, Fraction(1))
-    if m0 != -1:
-        # Ker(s-1) = Ker(t-m0) (+) Ker(t-1) and Ker(s+1) = Ker(t+1):
-        # dimensions plus eigenvector containment pin both identities.
-        if _kernel_dim(s_dense - eye) != n - k_total:
-            return False
-        if _kernel_dim(s_dense + eye) != k_total:
-            return False
-        for value, sign in ((m0, -1), (Fraction(1), -1), (Fraction(-1), 1)):
-            shifted = t_at - ExactMatrix.identity(n, value)
-            _, kernel = rank_and_kernel(shifted)
-            against = s_dense + ExactMatrix.identity(n, Fraction(sign))
-            for vec in kernel:
-                if any(against.apply(vec)):
-                    return False
     c = g.class_of[s]
-    members = g.classes[c]
-    block = bundle.t_block(s, members, m0)
-    kc = k_c(g, c, s)
-    for value, mult in _expected_multiplicities(m0, kc, len(members)).items():
-        if _kernel_dim(block - ExactMatrix.identity(len(members), value)) != mult:
+    k = sum(k_c(g, d, s) for d in range(len(g.classes)))
+    # s permutes the basis by u -> sus. Its 2-cycles are the non-commuting
+    # pairs that k_c counts, so dim Ker(s + 1) = k and dim Ker(s - 1) = n - k.
+    s_plus = _shift(bundle.s_cols(s), 1, n)
+    s_minus = _shift(bundle.s_cols(s), -1, n)
+    # Each identity has degree <= 3 in m, so m = 0..3 prove it. For m != +-1
+    # the cubic (t - m)(t - 1)(t + 1) = 0 makes t diagonalizable with
+    # eigenvalues in {m, 1, -1}, on V and on the t-invariant class block (sus
+    # lies in the class); tr t and tr t^2 fix the multiplicities (Vandermonde),
+    # and (s + 1)(t - m)(t - 1) = 0 and (s - 1)(t + 1) = 0 then make the kernel
+    # containments equalities by dimension. At m = -1, (t + 1)(t - 1) = 0 and
+    # tr t fix the spectrum.
+    for m in (-1,) if m0 == -1 else range(4):
+        t = bundle.t_at(s, m)
+        t_plus = _shift(t, 1, n)
+        q = _sparse_mul(_shift(t, -m, n), _shift(t, -1, n))
+        if m0 == -1:
+            zeros = (q,)
+        else:
+            zeros = (_sparse_mul(q, t_plus), _sparse_mul(s_plus, q), _sparse_mul(s_minus, t_plus))
+        if any(zeros):
             return False
+        t_sq = _sparse_mul(t, t)
+        for block, kb in ((range(n), k), (g.classes[c], k_c(g, c, s))):
+            if _trace(t, block) != m + len(block) - 1 - 2 * kb:
+                return False
+            if _trace(t_sq, block) != m * m + len(block) - 1:
+                return False
     return True
 
 
@@ -366,20 +371,17 @@ def dihedral_m0_check(e: int) -> bool:
     g = build_series(e, e, 2)
     bundle = build_rep(g)
     n = g.size
-    zero = Fraction(0)
-    # (i) the kernel of the form at m = 0 is the zero-sum hyperplane
-    ones = ExactMatrix.from_rows([[Fraction(1)] * n for _ in range(n)])
-    _, kernel = rank_and_kernel(ones)
+    # (i) the kernel of the class form at m = 0 is the zero-sum hyperplane
+    kernel = kernel_at(g, 0, 0)
     if len(kernel) != n - 1 or any(sum(v) != 0 for v in kernel):
         return False
-    # (ii) t_s at m = 0 agrees with the permutation action on that hyperplane
+    # (ii) t_s at m = 0 agrees with the permutation action on that hyperplane,
+    # which the e_u - e_0 span: columns u and 0 of N_s - s are equal
     for s in range(n):
-        t_at = bundle.t_block(s, range(n), 0)
-        s_at = bundle.s_block(s, range(n))
-        diff = t_at - s_at
-        for vec in kernel:
-            if diff.apply(vec) != [zero] * n:
-                return False
+        minus_s = {u: {v: -1} for u, v in enumerate(g.conj_table[s])}
+        diff = _sparse_sum((bundle.n_cols[s], minus_s))
+        if any(diff.get(u) != diff.get(0) for u in range(1, n)):
+            return False
     # (iii) chi_U(g) = #commuting reflections - 1 equals the character sum
     field = cyclotomic_field(g.conductor)
     elements = _closure([g.reflections[s].matrix for s in range(n)], g.rank, field)

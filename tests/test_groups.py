@@ -157,7 +157,7 @@ def test_data_dir_env_override(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "name", ["A3", "B3", "G(4,2,3)", "G(5,5,3)", "H3", "F4", "G12", "G24"]
+    "name", ["A3", "B3", "G(4,2,3)", "G(5,5,3)", "H3", "F4", "G12", "G13", "G22", "G24"]
 )
 def test_conj_table_matches_matrix_conjugation(name):
     from crg.cli import build_group, parse_group

@@ -110,7 +110,7 @@ def test_rank_and_kernel_examples():
     rank, kernel = rank_and_kernel(ones(3))
     assert rank == 1 and len(kernel) == 2
     for v in kernel:
-        assert ones(3).apply(v) == [F(0)] * 3
+        assert (ones(3) * ExactMatrix(3, 1, v)).is_zero()
 
 
 def test_rank_and_kernel_over_cyclotomic_scalars():
@@ -119,7 +119,7 @@ def test_rank_and_kernel_over_cyclotomic_scalars():
     mat = ExactMatrix.from_rows([[z, z ** 2], [z ** 3, z ** 4]])
     rank, kernel = rank_and_kernel(mat)
     assert rank == 1 and len(kernel) == 1
-    assert all(e.is_zero() for e in mat.apply(kernel[0]))
+    assert (mat * ExactMatrix(2, 1, kernel[0])).is_zero()
 
 
 def test_rank_rejects_polynomial_entries():

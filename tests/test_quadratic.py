@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from crg.groups import build_coxeter, build_series, class_stats
+from crg.matrices import ExactMatrix
 from crg.quadratic import (
     Discriminant,
     check_n_c,
@@ -84,8 +85,8 @@ def test_kernel_vectors_satisfy_eigen_equation():
         n_c, _ = class_stats(g, c)
         a_c = gram_matrix(g, c)
         for v in kernel_at(g, c, n_c):
-            image = a_c.apply(v)
-            assert image == [n_c * x for x in v]
+            image = a_c * ExactMatrix(len(v), 1, v)
+            assert image == ExactMatrix(len(v), 1, [n_c * x for x in v])
 
 
 def test_form_is_negative_definite_past_the_top_root():

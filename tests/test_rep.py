@@ -3,8 +3,10 @@ from fractions import Fraction
 import pytest
 
 from crg.arrangement import codim2_flats
-from crg.groups import build_coxeter, build_series
-from crg.matrices import ExactMatrix
+from crg import rep
+from crg.cli import build_group, parse_group
+from crg.groups import build_coxeter, build_series, k_c
+from crg.matrices import ExactMatrix, rank_and_kernel
 from crg.rep import (
     DIHEDRAL_CHARACTER_NOTE,
     bn_model_check,
@@ -100,6 +102,7 @@ def test_mutated_multiplicity_table_fails():
 def test_spectrum_at_generic_integer():
     a2 = build_rep(build_coxeter("A", 2))
     assert spectrum_check(a2, 0, Fraction(5))
+    assert spectrum_check(a2, 0) is True
     b2g = build_coxeter("B", 2)
     b2 = build_rep(b2g)
     for c in b2g.classes:
@@ -117,6 +120,80 @@ def test_spectrum_rejects_one():
     a2 = build_rep(build_coxeter("A", 2))
     with pytest.raises(ValueError):
         spectrum_check(a2, 0, Fraction(1))
+
+
+def _dense_spectrum(bundle, s, m0) -> bool:
+    """Reference for spectrum_check at one point m0 != 1: kernel dimensions of
+    t_s - value and of s -+ 1, and eigenvector containments, by dense
+    Gauss-Jordan elimination over the rationals."""
+    m0 = Fraction(m0)
+    g = bundle.group
+    n = g.size
+
+    def eye(size, value=1):
+        return ExactMatrix.identity(size, Fraction(value))
+
+    def nullity(mat):
+        return mat.rows - rank_and_kernel(mat)[0]
+
+    def multiplicities(k, total):
+        merged = {}
+        for value, mult in ((m0, 1), (Fraction(-1), k), (Fraction(1), total - 1 - k)):
+            merged[value] = merged.get(value, 0) + mult
+        return merged.items()
+
+    k = sum(k_c(g, c, s) for c in range(len(g.classes)))
+    t = bundle.t_block(s, range(n), m0)
+    if any(nullity(t - eye(n, value)) != mult for value, mult in multiplicities(k, n)):
+        return False
+    if m0 != -1:
+        s_dense = bundle.s_block(s, range(n))
+        if nullity(s_dense - eye(n)) != n - k or nullity(s_dense + eye(n)) != k:
+            return False
+        for value, sign in ((m0, -1), (1, -1), (-1, 1)):
+            _, kernel = rank_and_kernel(t - eye(n, value))
+            against = s_dense + eye(n, sign)
+            if any(not (against * ExactMatrix(n, 1, vec)).is_zero() for vec in kernel):
+                return False
+    c = g.class_of[s]
+    size = len(g.classes[c])
+    block = bundle.t_block(s, g.classes[c], m0)
+    return all(
+        nullity(block - eye(size, value)) == mult
+        for value, mult in multiplicities(k_c(g, c, s), size)
+    )
+
+
+def _tampered_tables(g):
+    """Three copies of alpha, each with class representatives' rows changed:
+    at one end of a 2-cycle of s, at both ends of one, and at a fixed point."""
+    conj = g.conj_table
+    reps = [members[0] for members in g.classes]
+    tables = []
+    for i, where in enumerate(("one end", "both ends", "fixed point")):
+        s = reps[i % len(reps)]
+        moved = where != "fixed point"
+        u = next(u for u in range(g.size) if u != s and (conj[s][u] != u) == moved)
+        alpha = [list(row) for row in g.alpha]
+        alpha[s][u] += 1
+        if where == "both ends":
+            alpha[s][conj[s][u]] += 1
+        tables.append(alpha)
+    return tables
+
+
+def test_spectrum_matches_dense_reference_on_tampered_tables():
+    verdicts = set()
+    for name in ("A3", "B3", "H3", "G(4,2,3)"):
+        g = build_group(parse_group(name))
+        for alpha in _tampered_tables(g):
+            b = build_rep(g, alpha)
+            for m0 in (5, -1):
+                for c, members in enumerate(g.classes):
+                    expected = _dense_spectrum(b, members[0], m0)
+                    assert spectrum_check(b, members[0], m0) is expected, (name, c, m0)
+                    verdicts.add(expected)
+    assert verdicts == {True, False}
 
 
 def test_parabolic_restriction():
@@ -143,3 +220,14 @@ def test_dihedral_zero_point():
     with pytest.raises(ValueError):
         dihedral_m0_check(1)
     assert "rotations" in DIHEDRAL_CHARACTER_NOTE
+
+
+def test_dihedral_zero_point_reads_the_form_kernel(monkeypatch):
+    def off_hyperplane(g, c, m0):
+        kernel = kernel_at(g, c, m0)
+        kernel[0] = [Fraction(1)] + [Fraction(0)] * (g.size - 1)
+        return kernel
+
+    kernel_at = rep.kernel_at
+    monkeypatch.setattr(rep, "kernel_at", off_hyperplane)
+    assert dihedral_m0_check(5) is False
