@@ -21,14 +21,11 @@ from .groups import (
     load_generator_group,
 )
 from .krammer import build_krammer, check_braid_relations, cubic_specialization_check
-from .matrices import char_poly
 from .quadratic import (
     Discriminant,
     check_n_c,
     conjecture_scan,
     discriminant,
-    factor_discriminant,
-    gram_matrix,
 )
 from .rep import (
     DIHEDRAL_CHARACTER_NOTE,
@@ -286,13 +283,13 @@ def _core_checks(report: VerifyReport, bundle: RepBundle) -> None:
     _run_check(report, "equivariance", lambda: check_equivariance(bundle))
     for c in range(len(g.classes)):
         _run_check(report, f"T-scalar[{c}]", lambda c=c: check_T_scalar(bundle, c))
-    # one characteristic polynomial per class: factored here, reused by N(c)
+    # one discriminant per class, reused by N(c): a certified integer
+    # spectrum, or Berkowitz, whose factors must expand back to det(A_c - m*I)
     discs: dict[int, Discriminant] = {}
     for c in range(len(g.classes)):
         def disc_identity(c=c):
-            poly = char_poly(gram_matrix(g, c))
-            discs[c] = factor_discriminant(poly, len(g.classes[c]))
-            return discs[c].poly() == poly
+            discs[c] = discriminant(g, c)
+            return True
 
         _run_check(report, f"discriminant[{c}]", disc_identity)
     for c in range(len(g.classes)):

@@ -5,6 +5,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
+import numpy as np
+
 from .cyclotomic import CycNum
 from .polynomials import ParamPoly
 
@@ -236,6 +238,73 @@ def _berkowitz(rows: list[list]) -> list:
             out.append(acc)
         poly = out
     return poly
+
+
+_INT64_LIMIT = 2**63
+
+
+def _eigenvalue_candidates(a: np.ndarray) -> list[int] | None:
+    """Distinct integers near the float64 eigenvalues of symmetric `a`, descending.
+
+    None when some eigenvalue is not within rounding error of an integer.
+    """
+    lam = np.linalg.eigvalsh(a.astype(np.float64))
+    near = np.rint(lam)
+    if np.abs(lam - near).max() > 1e-6 * max(1.0, float(np.abs(lam).max())):
+        return None
+    return sorted({int(r) for r in near}, reverse=True)
+
+
+def integer_spectrum(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, int], ...] | None:
+    """Certified ((eigenvalue, multiplicity), ...) of a square integer matrix, roots descending.
+
+    Floats propose, exact decides. Float64 eigenvalues round to candidates
+    r_0 > ... > r_{k-1}, and P_k = 0 is proven in int64, where P_j =
+    prod_{l < j} (A - r_l I). Every partial sum of these products is at most
+    prod max(||A - r_l I||_inf, 1), which is checked below 2^63 first. A
+    squarefree annihilating polynomial makes A diagonalizable, so
+    det(xI - A) = prod (x - r_i)^k_i, and the k_i solve the Vandermonde
+    system sum_i k_i q_j(r_i) = tr P_j, j < k, written in the Newton basis
+    q_j(x) = prod_{l < j} (x - r_l), exactly. Returns None when the
+    proposal, the bound or the certificate fails; `char_poly` then decides.
+    """
+    n = len(rows)
+    off = [sum(abs(x) for x in row) - abs(row[i]) for i, row in enumerate(rows)]
+
+    def norm(shift: int) -> int:  # ||A - shift*I||_inf in Python ints
+        return max(off[i] + abs(rows[i][i] - shift) for i in range(n))
+
+    if norm(0) >= _INT64_LIMIT:
+        return None
+    a = np.array(rows, dtype=np.int64)
+    roots = _eigenvalue_candidates(a)
+    if roots is None:
+        return None
+    bound = 1
+    for r in roots:
+        bound *= max(norm(r), 1)
+    if bound >= _INT64_LIMIT or max(roots[0], -roots[-1]) >= _INT64_LIMIT:
+        return None
+    eye = np.eye(n, dtype=np.int64)
+    prefix = [eye, a - roots[0] * eye]
+    for r in roots[1:]:
+        prefix.append(prefix[-1] @ (a - r * eye))
+    if prefix[-1].any():
+        return None
+    # q_j(r_i) = 0 for i < j makes the system triangular: solve from the top;
+    # its j = 0 row, q_0 = 1, is sum_i k_i = tr I = n
+    traces = [sum(int(x) for x in p.diagonal()) for p in prefix[:-1]]
+    mults = [0] * len(roots)
+    for j in reversed(range(len(roots))):
+        q = [1] * len(roots)  # q_j(r_i)
+        for i, r in enumerate(roots):
+            for s in roots[:j]:
+                q[i] *= r - s
+        mult = Fraction(traces[j] - sum(mults[i] * q[i] for i in range(j + 1, len(roots))), q[j])
+        if mult.denominator != 1 or mult < 0:
+            return None
+        mults[j] = int(mult)
+    return tuple((r, k) for r, k in zip(roots, mults) if k)
 
 
 def char_poly(M: ExactMatrix) -> ParamPoly:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .groups import ReflectionGroupData, build_series, class_stats
-from .matrices import ExactMatrix, char_poly, rank_and_kernel
+from .matrices import ExactMatrix, char_poly, integer_spectrum, rank_and_kernel
 from .polynomials import M, ParamPoly, integer_roots
 
 
@@ -39,26 +39,35 @@ class Discriminant:
         return f"Discriminant(sign={self.sign}, factors={self.factors}, remainder={self.remainder!s})"
 
 
+def _gram_rows(g: ReflectionGroupData, c: int) -> list[list[int]]:
+    members = g.classes[c]
+    return [[1 if s == u else g.alpha[s][u] for u in members] for s in members]
+
+
 def gram_matrix(g: ReflectionGroupData, c: int) -> ExactMatrix:
     """A_c: diagonal 1, off-diagonal alpha(s, u), rows and columns in class order."""
-    members = g.classes[c]
-    rows = []
-    for s in members:
-        row_s = g.alpha[s]
-        rows.append([Fraction(1) if s == u else Fraction(row_s[u]) for u in members])
-    return ExactMatrix.from_rows(rows)
+    return ExactMatrix.from_rows([[Fraction(x) for x in row] for row in _gram_rows(g, c)])
 
 
 def discriminant(g: ReflectionGroupData, c: int) -> Discriminant:
-    return factor_discriminant(char_poly(gram_matrix(g, c)), len(g.classes[c]))
+    return discriminant_of(_gram_rows(g, c))
+
+
+def discriminant_of(rows: list[list[int]]) -> Discriminant:
+    """Factored det(A - m*I) of an integer matrix: its certified integer
+    spectrum when there is one, else the Berkowitz characteristic polynomial."""
+    factors = integer_spectrum(rows)
+    if factors is not None:
+        return Discriminant((-1) ** len(rows), factors, ParamPoly((1,)))
+    return factor_discriminant(char_poly(ExactMatrix.from_rows(rows)), len(rows))
 
 
 def factor_discriminant(poly: ParamPoly, size: int) -> Discriminant:
     """Factor the characteristic polynomial of A_c for a class of `size` members."""
     factors, remainder, sign = integer_roots(poly)
     disc = Discriminant(sign, factors, remainder)
-    total = sum(mult for _, mult in factors) + max(remainder.degree, 0)
-    assert total == size, "degree bookkeeping is off"
+    if poly.degree != size or disc.poly() != poly:
+        raise ArithmeticError("factored discriminant does not expand back to its polynomial")
     return disc
 
 

@@ -349,8 +349,12 @@ def _ds_table_at(bundle: RepBundle, s: int, c: int, m: int) -> bool:
 def _excluded(bundle: RepBundle, c: int, m0: Fraction) -> bool:
     if m0 in _EXCLUDED_POINTS:
         return True
-    disc = discriminant(bundle.group, c)
-    return any(m0 == root for root, _ in disc.factors)
+    roots = getattr(bundle, "_disc_roots", None)
+    if roots is None:
+        roots = bundle._disc_roots = {}
+    if c not in roots:
+        roots[c] = frozenset(root for root, _ in discriminant(bundle.group, c).factors)
+    return m0 in roots[c]
 
 
 def _wedge_and_sym(op: ExactMatrix, d: int) -> tuple[ExactMatrix, ExactMatrix]:

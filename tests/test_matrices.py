@@ -14,6 +14,10 @@ from crg import (
     cyclotomic_field,
     rank_and_kernel,
 )
+import crg.matrices
+import crg.quadratic
+from crg.matrices import integer_spectrum
+from crg.quadratic import discriminant_of, factor_discriminant
 
 F = Fraction
 
@@ -163,3 +167,126 @@ def test_char_poly_symmetric_multiplicity_property(rows):
     for root, mult in factors:
         rank, _ = rank_and_kernel(mat - ExactMatrix.identity(4, F(root)))
         assert mult == 4 - rank
+
+
+def _all_ones_plus_scalar(k: int, a: int, b: int) -> list[list[int]]:
+    # a*J_k + b*I has spectrum a*k + b (once) and b (k - 1 times)
+    return [[a + (b if i == j else 0) for j in range(k)] for i in range(k)]
+
+
+def _kron_sum(x: list[list[int]], y: list[list[int]]) -> list[list[int]]:
+    # X (x) I + I (x) Y: every sum of an eigenvalue of X and one of Y
+    p, q = len(x), len(y)
+    return [
+        [
+            (x[i][k] if j == l else 0) + (y[j][l] if i == k else 0)
+            for k in range(p)
+            for l in range(q)
+        ]
+        for i in range(p)
+        for j in range(q)
+    ]
+
+
+blocks = st.builds(
+    _all_ones_plus_scalar, st.integers(1, 4), st.integers(-3, 3), st.integers(-3, 3)
+)
+integer_spectra = st.one_of(blocks, st.builds(_kron_sum, blocks, blocks))
+
+
+@st.composite
+def signed_conjugates(draw):
+    rows = draw(integer_spectra)
+    n = len(rows)
+    perm = draw(st.permutations(range(n)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    # P A P^T for the signed permutation matrix P with P[i][perm[i]] = signs[i]
+    return [
+        [signs[i] * signs[j] * rows[perm[i]][perm[j]] for j in range(n)] for i in range(n)
+    ]
+
+
+@st.composite
+def symmetric_integer_matrices(draw):
+    n = draw(st.integers(1, 6))
+    upper = draw(st.lists(st.integers(-5, 5), min_size=n * n, max_size=n * n))
+    return [[upper[min(i, j) * n + max(i, j)] for j in range(n)] for i in range(n)]
+
+
+def _berkowitz_discriminant(rows):
+    return factor_discriminant(char_poly(ExactMatrix.from_rows(rows)), len(rows))
+
+
+@settings(max_examples=60, deadline=None)
+@given(signed_conjugates())
+def test_integer_spectrum_is_certified_and_matches_berkowitz(rows):
+    assert integer_spectrum(rows) is not None
+    assert discriminant_of(rows) == _berkowitz_discriminant(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(symmetric_integer_matrices())
+def test_discriminant_of_random_symmetric_matrix_matches_berkowitz(rows):
+    # most of these spectra are irrational and take the Berkowitz fallback
+    assert discriminant_of(rows) == _berkowitz_discriminant(rows)
+
+
+def _count_fallbacks(monkeypatch) -> list:
+    calls = []
+
+    def counting_char_poly(mat):
+        calls.append(mat.rows)
+        return char_poly(mat)
+
+    monkeypatch.setattr(crg.quadratic, "char_poly", counting_char_poly)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "rows, shift",
+    [
+        (_kron_sum(_all_ones_plus_scalar(3, 2, -1), _all_ones_plus_scalar(2, 1, 0)), 1),
+        # J_2 has spectrum {2, 0}; the traces alone would accept {1, 0} with
+        # multiplicities (2, 0), so only the product rejects this proposal
+        ([[1, 1], [1, 1]], -1),
+    ],
+)
+def test_wrong_eigenvalue_proposal_falls_back_to_berkowitz(monkeypatch, rows, shift):
+    expected = _berkowitz_discriminant(rows)
+    assert integer_spectrum(rows) is not None
+    propose = crg.matrices._eigenvalue_candidates
+
+    def shifted(a):
+        roots = propose(a)
+        return [roots[0] + shift] + roots[1:]
+
+    monkeypatch.setattr(crg.matrices, "_eigenvalue_candidates", shifted)
+    assert integer_spectrum(rows) is None
+    fallbacks = _count_fallbacks(monkeypatch)
+    assert discriminant_of(rows) == expected
+    assert fallbacks == [len(rows)]
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        # ||A - r_i I||_inf products reach 2^82
+        [[1, 2**40], [2**40, 1]],
+        _all_ones_plus_scalar(3, 2**40, 1),
+        # entries beyond int64 itself
+        [[1, 2**64], [2**64, 1]],
+    ],
+)
+def test_int64_guard_takes_the_exact_fallback(monkeypatch, rows):
+    assert integer_spectrum(rows) is None
+    fallbacks = _count_fallbacks(monkeypatch)
+    disc = discriminant_of(rows)
+    assert fallbacks == [len(rows)]
+    assert disc == _berkowitz_discriminant(rows)
+    assert disc.remainder.degree == 0
+
+
+def test_large_scalar_shift_is_certified():
+    # A^2 would pass 2^63, but the certificate only multiplies A - r_i I
+    rows = _all_ones_plus_scalar(3, 1, 2**40)
+    assert integer_spectrum(rows) == ((2**40 + 3, 1), (2**40, 2))

@@ -1,11 +1,13 @@
 """Class Gram matrices, determinant factorizations, closed forms."""
 
+import json
 from fractions import Fraction
 
 import pytest
 
 from crg.groups import build_coxeter, build_series, class_stats
 from crg.matrices import ExactMatrix
+from crg.polynomials import ParamPoly
 from crg.quadratic import (
     Discriminant,
     check_n_c,
@@ -152,3 +154,36 @@ def test_conjecture_scan_enumerates_and_matches():
         (5, 4),
     }
     assert report["all_match"]
+
+
+def test_fixture_rows_come_from_certified_spectra(monkeypatch):
+    # every shipped row, E8 (G37) included, is decided without Berkowitz
+    import crg.quadratic
+    from crg.cli import build_group, parse_group
+    from crg.groups import data_dir
+
+    def no_char_poly(mat):
+        raise AssertionError("Berkowitz fallback taken")
+
+    monkeypatch.setattr(crg.quadratic, "char_poly", no_char_poly)
+    with open(data_dir() / "tables.json") as fh:
+        rows = json.load(fh)
+    fixture: dict[str, list] = {}
+    for row in rows:
+        key = (row["class_size"], row["sign"], tuple(tuple(f) for f in row["factors"]))
+        fixture.setdefault(row["group"], []).append(key)
+    checked = set()
+    for name, expected in fixture.items():
+        try:
+            g = build_group(parse_group(name))
+        except ValueError:  # no construction ships for this group yet
+            continue
+        computed = []
+        for c, members in enumerate(g.classes):
+            disc = discriminant(g, c)
+            assert disc.remainder == ParamPoly((1,)), (name, c)
+            computed.append((len(members), disc.sign, disc.factors))
+        assert sorted(computed) == sorted(expected), name
+        checked.add(name)
+    assert "G37" in checked
+    assert set(fixture) - checked <= {"G27", "G29", "G31", "G33", "G34"}
