@@ -41,6 +41,7 @@ from .rep import (
 from .tensor import (
     _EXCLUDED_POINTS,
     _TENSOR_CLASS_LIMIT,
+    _excluded,
     ds_table_check,
     psu_membership_check,
     tensor_square_check,
@@ -269,8 +270,6 @@ def _run_check(report: VerifyReport, name: str, fn) -> None:
 
 
 def _first_admissible(bundle, c: int, start: int) -> Fraction:
-    from .tensor import _excluded
-
     m0 = Fraction(start)
     while _excluded(bundle, c, m0):
         m0 += 1
@@ -303,45 +302,33 @@ def _spectral_checks(report: VerifyReport, bundle: RepBundle, sample: Fraction |
         )
 
 
-def _tensor_checks(
-    report: VerifyReport, bundle: RepBundle, sample: Fraction | None, force: bool
-) -> None:
+def _tensor_checks(report: VerifyReport, bundle: RepBundle, sample: Fraction | None) -> None:
+    # exact: cmd_verify rejects a non-integer --m for this suite
+    start = int(sample) if sample is not None else 7
     for c, members in enumerate(bundle.group.classes):
-        name = f"ds-table[{c}]"
-        if len(members) > _TENSOR_CLASS_LIMIT and not force:
-            report.checks.append(
-                CheckOutcome(name, "skipped", "class too large; pass --force", 0.0)
-            )
-        else:
-            _run_check(report, name, lambda c=c, s=members[0]: ds_table_check(bundle, s, c))
-        # exact: cmd_verify rejects a non-integer --m for this suite
-        start = int(sample) if sample is not None else 7
-        name = f"tensor-square[{c}]"
-        if len(members) > _TENSOR_CLASS_LIMIT and not force:
-            report.checks.append(
-                CheckOutcome(name, "skipped", "class too large; pass --force", 0.0)
-            )
-        else:
-            def squares(c=c):
-                m0 = _first_admissible(bundle, c, start)
-                return tensor_square_check(bundle, c, m0)["ok"]
+        names = [f"ds-table[{c}]", f"tensor-square[{c}]", f"psu-membership[{c}]"]
+        if len(members) > _TENSOR_CLASS_LIMIT:
+            detail = f"class of {len(members)} above the tensor limit of {_TENSOR_CLASS_LIMIT}"
+            for name in names:
+                report.checks.append(CheckOutcome(name, "skipped", detail, 0.0))
+            continue
+        _run_check(report, names[0], lambda c=c, s=members[0]: ds_table_check(bundle, s, c))
 
-            _run_check(report, name, squares)
-        name = f"psu-membership[{c}]"
+        def squares(c=c):
+            return tensor_square_check(bundle, c, _first_admissible(bundle, c, start))["ok"]
+
+        _run_check(report, names[1], squares)
         if len(members) < 2:
-            report.checks.append(CheckOutcome(name, "skipped", "singleton class", 0.0))
-        elif len(members) > _TENSOR_CLASS_LIMIT and not force:
-            report.checks.append(
-                CheckOutcome(name, "skipped", "class too large; pass --force", 0.0)
-            )
-        else:
-            def membership(c=c, members=members):
-                m0 = Fraction(start)
-                while m0 in _EXCLUDED_POINTS:
-                    m0 += 1
-                return psu_membership_check(bundle, c, members[0], members[1], m0)
+            report.checks.append(CheckOutcome(names[2], "skipped", "singleton class", 0.0))
+            continue
 
-            _run_check(report, name, membership)
+        def membership(c=c, members=members):
+            m0 = Fraction(start)
+            while m0 in _EXCLUDED_POINTS:
+                m0 += 1
+            return psu_membership_check(bundle, c, members[0], members[1], m0)
+
+        _run_check(report, names[2], membership)
 
 
 def _parabolic_checks(report: VerifyReport, bundle: RepBundle) -> None:
@@ -401,7 +388,7 @@ def _krammer_checks(report: VerifyReport, spec: GroupSpec) -> None:
 SUITES = ("core", "spectral", "tensor", "parabolic", "dihedral", "krammer", "all")
 
 
-def cmd_verify(spec: GroupSpec, suite: str, sample: Fraction | None, force: bool) -> int:
+def cmd_verify(spec: GroupSpec, suite: str, sample: Fraction | None) -> int:
     report = VerifyReport(spec, [])
     wanted = SUITES[:-1] if suite == "all" else (suite,)
     if sample is not None and not {"spectral", "tensor"} & set(wanted):
@@ -419,7 +406,7 @@ def cmd_verify(spec: GroupSpec, suite: str, sample: Fraction | None, force: bool
         elif name == "spectral":
             _spectral_checks(report, bundle, sample)
         elif name == "tensor":
-            _tensor_checks(report, bundle, sample, force)
+            _tensor_checks(report, bundle, sample)
         elif name == "parabolic":
             _parabolic_checks(report, bundle)
         elif name == "dihedral":
@@ -533,7 +520,6 @@ def _build_arg_parser() -> argparse.ArgumentParser:
         help="spectral suite: -1 checks that point, 1 is refused, any other value or none"
         " proves all m other than 1 and -1; tensor suite: integer start point (default 7)",
     )
-    verify.add_argument("--force", action="store_true")
 
     tables = sub.add_parser("tables", help="regression-check shipped table rows")
     tables.add_argument("--which", choices=("1", "2", "prop81"), required=True)
@@ -564,7 +550,7 @@ def main(argv=None) -> int:
             return cmd_discriminants(parse_group(args.group), args.format)
         if args.command == "verify":
             sample = _parse_sample(args.sample)
-            return cmd_verify(parse_group(args.group), args.suite, sample, args.force)
+            return cmd_verify(parse_group(args.group), args.suite, sample)
         if args.command == "tables":
             return cmd_tables(args.which, args.fixture)
         if args.command == "conjecture":

@@ -256,18 +256,29 @@ def algebra_dimension(mats) -> int:
     return _exact_span_dimension(mats)
 
 
+def _check_class_size(members) -> None:
+    if len(members) > _TENSOR_CLASS_LIMIT:
+        raise ValueError(
+            f"tensor operators limited to classes of size <= {_TENSOR_CLASS_LIMIT}"
+        )
+
+
+def _memo(bundle: RepBundle, key: tuple, compute):
+    """compute(), run once per bundle and key; the tensor layer's one cache."""
+    memo = bundle.__dict__.setdefault("_tensor_memo", {})
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
+
+
 class TensorOps:
     """The six commuting operators attached to one reflection on V_c (x) V_c, at m0."""
 
-    def __init__(self, bundle: RepBundle, c: int, s: int, m0, force: bool = False) -> None:
-        g = bundle.group
-        members = g.classes[c]
+    def __init__(self, bundle: RepBundle, c: int, s: int, m0) -> None:
+        members = bundle.group.classes[c]
         if s not in members:
             raise ValueError("reflection must belong to the class")
-        if len(members) > _TENSOR_CLASS_LIMIT and not force:
-            raise ValueError(
-                f"tensor operators limited to classes of size <= {_TENSOR_CLASS_LIMIT}"
-            )
+        _check_class_size(members)
         self.members = members
         eye = ExactMatrix.identity(len(members), 1)
         t = bundle.t_block(s, members, m0)
@@ -349,66 +360,57 @@ def _ds_table_at(bundle: RepBundle, s: int, c: int, m: int) -> bool:
 def _excluded(bundle: RepBundle, c: int, m0: Fraction) -> bool:
     if m0 in _EXCLUDED_POINTS:
         return True
-    roots = getattr(bundle, "_disc_roots", None)
-    if roots is None:
-        roots = bundle._disc_roots = {}
-    if c not in roots:
-        roots[c] = frozenset(root for root, _ in discriminant(bundle.group, c).factors)
-    return m0 in roots[c]
+    roots = _memo(
+        bundle,
+        ("roots", c),
+        lambda: frozenset(root for root, _ in discriminant(bundle.group, c).factors),
+    )
+    return m0 in roots
 
 
-def _wedge_and_sym(op: ExactMatrix, d: int) -> tuple[ExactMatrix, ExactMatrix]:
-    """Compress a d^2 operator to the alternating and symmetric bases."""
-    wedge_pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
-    sym_pairs = [(i, j) for i in range(d) for j in range(i, d)]
-    windex = {pair: k for k, pair in enumerate(wedge_pairs)}
-    sindex = {pair: k for k, pair in enumerate(sym_pairs)}
-    zero = Fraction(0)
-    wedge = [[zero] * len(wedge_pairs) for _ in wedge_pairs]
-    sym = [[zero] * len(sym_pairs) for _ in sym_pairs]
-    for (k, l), colw in windex.items():
-        for i in range(d):
-            for j in range(d):
-                value = op[i * d + j, k * d + l] - op[i * d + j, l * d + k]
-                if value and i < j:
-                    wedge[windex[(i, j)]][colw] += value
-    for (k, l), cols in sindex.items():
-        for i in range(d):
-            for j in range(d):
-                value = op[i * d + j, k * d + l]
-                if k != l:
-                    value = value + op[i * d + j, l * d + k]
-                if value and i <= j:
-                    sym[sindex[(i, j)]][cols] += value
-    return ExactMatrix.from_rows(wedge), ExactMatrix.from_rows(sym)
+def _square_blocks(t: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
+    """t (x) 1 + 1 (x) t on the alternating and symmetric squares.
+
+    The bases are e_k ^ e_l = e_k (x) e_l - e_l (x) e_k for k < l, and
+    e_k e_l = e_k (x) e_l + e_l (x) e_k for k < l with e_k (x) e_k for k = l.
+    A vector's coordinate on the basis vector (i, j) is its (i, j) entry.
+    """
+    d = t.rows
+    block = np.array(t.to_lists(), dtype=object)
+    eye = np.identity(d, dtype=int).astype(object)
+    big = np.kron(block, eye) + np.kron(eye, block)
+    out = []
+    for i, j, sign in ((*np.triu_indices(d, 1), -1), (*np.triu_indices(d), 1)):
+        pairs = i * d + j
+        swapped = big[np.ix_(pairs, j * d + i)]
+        swapped[:, i == j] = 0
+        out.append(ExactMatrix.from_rows((big[np.ix_(pairs, pairs)] + sign * swapped).tolist()))
+    return out[0], out[1]
 
 
 def tensor_square_check(bundle: RepBundle, c: int, m0) -> dict:
-    """Burnside closure on the alternating and symmetric squares of V_c."""
+    """Burnside closure on the alternating and symmetric squares of V_c.
+
+    The closure runs once per bundle, class and point; each call returns a
+    fresh copy of its report.
+    """
     m0 = Fraction(m0)
     if _excluded(bundle, c, m0):
         raise ValueError("excluded evaluation point")
+    return dict(_memo(bundle, ("square", c, m0), lambda: _square_report(bundle, c, m0)))
+
+
+def _square_report(bundle: RepBundle, c: int, m0: Fraction) -> dict:
     members = bundle.group.classes[c]
     d = len(members)
     if d == 1:
         return {"class_size": 1, "skipped": True, "ok": True}
-    if d > _TENSOR_CLASS_LIMIT:
-        raise ValueError(
-            f"tensor operators limited to classes of size <= {_TENSOR_CLASS_LIMIT}"
-        )
-    eye = ExactMatrix.identity(d, Fraction(1))
-    wedge_ops = []
-    sym_ops = []
-    for x in members:
-        t_x = bundle.t_block(x, members, m0)
-        big = t_x.kron(eye) + eye.kron(t_x)
-        wedge, sym = _wedge_and_sym(big, d)
-        wedge_ops.append(wedge)
-        sym_ops.append(sym)
+    _check_class_size(members)
+    blocks = [_square_blocks(bundle.t_block(x, members, m0)) for x in members]
     wedge_dim = d * (d - 1) // 2
     sym_dim = d * (d + 1) // 2
-    wedge_algebra = algebra_dimension(wedge_ops)
-    sym_algebra = algebra_dimension(sym_ops)
+    wedge_algebra = algebra_dimension(wedge for wedge, _ in blocks)
+    sym_algebra = algebra_dimension(sym for _, sym in blocks)
     return {
         "class_size": d,
         "skipped": False,
@@ -421,7 +423,7 @@ def tensor_square_check(bundle: RepBundle, c: int, m0) -> dict:
 
 
 class _SpanGrowth:
-    """Resumable BFS closure of a matrix algebra span mod p, one level of words at a time."""
+    """BFS closure of a matrix algebra span mod p, one level of words per `_advance`."""
 
     def __init__(self, gens: list[np.ndarray], n: int, p: int) -> None:
         self.n = n
@@ -453,14 +455,6 @@ class _SpanGrowth:
         self.frontier = np.concatenate(taken).reshape(-1, n, n)
         return True
 
-    def contains(self, vec: np.ndarray) -> bool:
-        vec = np.asarray(vec, dtype=np.float64) % self.p
-        while True:
-            if not np.any(self.span.residual(vec)):
-                return True
-            if not self._advance():
-                return False
-
 
 def _grow_mod_span(gens: list[np.ndarray], n: int, p: int) -> _ModSpan:
     growth = _SpanGrowth(gens, n, p)
@@ -469,48 +463,48 @@ def _grow_mod_span(gens: list[np.ndarray], n: int, p: int) -> _ModSpan:
     return growth.span
 
 
-def _tensor_algebra_span(bundle: RepBundle, c: int, m0: Fraction, p: int) -> _SpanGrowth:
-    """Mod-p span of the algebra of all T_x on V_c (x) V_c, cached on the bundle."""
-    cache = getattr(bundle, "_tensor_spans", None)
-    if cache is None:
-        cache = bundle._tensor_spans = {}
-    key = (c, m0, p)
-    if key not in cache:
-        members = bundle.group.classes[c]
-        d = len(members)
-        eye = np.eye(d)
-        gens = []
-        for x in members:
-            t_x = _to_mod(bundle.t_block(x, members, m0), p)
-            gens.append((np.kron(t_x, eye) + np.kron(eye, t_x)) % p)
-        cache[key] = _SpanGrowth(gens, d * d, p)
-    return cache[key]
-
-
 def psu_membership_check(bundle: RepBundle, c: int, s: int, u: int, m0) -> bool:
-    """Is p_s (x) p_u + p_u (x) p_s inside the algebra generated by the T_x?
+    """Is p_s (x) p_u + p_u (x) p_s inside the algebra A generated by the T_x?
 
-    Membership is certified modulo two independent 24-bit primes; a nonzero
-    residual modulo either prime refutes it.
+    Away from the roots of the class discriminant, a passing
+    `tensor_square_check` proves membership exactly.  Every T_x commutes with
+    the swap of V (x) V, so A lies in End(Λ²) ⊕ End(S²).  The square check
+    proves that A maps onto each factor: a full mod-p span bounds the rational
+    rank from below.  Λ² and S² differ in dimension, so they are not
+    isomorphic A-modules, and by the density theorem A is the whole product.
+    The target commutes with the swap, so it lies in A.
+
+    Elsewhere (a root, or squares that are not full) the target is tested
+    against the closed span of A mod two independent 24-bit primes; a nonzero
+    residual modulo either prime refutes it.  This is the one mod-p verdict.
     """
     if s == u:
         raise ValueError("need two distinct reflections")
     m0 = Fraction(m0)
     if m0 in _EXCLUDED_POINTS:
         raise ValueError("excluded evaluation point")
-    g = bundle.group
-    members = g.classes[c]
+    members = bundle.group.classes[c]
     if s not in members or u not in members:
         raise ValueError("reflections must belong to the class")
+    _check_class_size(members)
+    if not _excluded(bundle, c, m0) and tensor_square_check(bundle, c, m0)["ok"]:
+        return True
 
     def p_block(x: int) -> ExactMatrix:
         return bundle.s_block(x, members) - bundle.t_block(x, members, m0)
+
+    def closure(p: int) -> _ModSpan:
+        d = len(members)
+        eye = np.eye(d)
+        gens = [_to_mod(bundle.t_block(x, members, m0), p) for x in members]
+        return _grow_mod_span([(np.kron(t, eye) + np.kron(eye, t)) % p for t in gens], d * d, p)
 
     ps, pu = p_block(s), p_block(u)
     for p in _PRIMES:
         a, b = _to_mod(ps, p), _to_mod(pu, p)
         # entries below 2 * p**2 < 2**49: exact
         target = (np.kron(a, b) + np.kron(b, a)) % p
-        if not _tensor_algebra_span(bundle, c, m0, p).contains(target.ravel()):
+        span = _memo(bundle, ("span", c, m0, p), lambda: closure(p))
+        if span.residual(target.ravel()).any():
             return False
     return True

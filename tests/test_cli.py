@@ -131,7 +131,8 @@ def test_verify_skips_tensor_on_large_class(capsys):
     code = main(["verify", "--group", "H3", "--suite", "tensor"])
     out = capsys.readouterr().out
     assert code == 0
-    assert "SKIP" in out and "--force" in out
+    assert "SKIP ds-table[0] (0.000s)  class of 15 above the tensor limit of 12" in out
+    assert "--force" not in out
 
 
 def test_tables_prop81(capsys):

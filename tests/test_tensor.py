@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import crg.tensor as tensor
 from crg.groups import build_coxeter, build_series
 from crg.matrices import ExactMatrix, rank_and_kernel
 from crg.rep import build_rep
@@ -15,7 +17,9 @@ from crg.tensor import (
     _ModSpan,
     _SpanGrowth,
     _exact_span_dimension,
+    _grow_mod_span,
     _mulmod,
+    _square_blocks,
     _to_mod,
     algebra_dimension,
     ds_table_check,
@@ -140,10 +144,13 @@ def test_tensor_ops_shapes():
 def test_tensor_ops_refuses_large_class():
     g = build_coxeter("H3")
     b = build_rep(g)
-    with pytest.raises(ValueError):
+    assert len(g.classes[0]) == 15
+    with pytest.raises(ValueError, match="<= 12"):
         TensorOps(b, 0, 0, 0)
-    ops = TensorOps(b, 0, 0, 0, force=True)
-    assert ops.t_op.rows == 15 * 15
+    # 13 is a root of the class discriminant: the gate must hold on the root route too
+    for m0 in (Fraction(7), Fraction(13)):
+        with pytest.raises(ValueError, match="<= 12"):
+            psu_membership_check(b, 0, 0, 1, m0)
 
 
 def test_square_decomposition_dimensions():
@@ -321,12 +328,92 @@ def test_span_growth_refutes_membership_outside_degenerate_algebra():
     members = g.classes[0]
     p = _PRIMES[0]
     gens = [_to_mod(b.t_block(s, members, Fraction(0)), p) for s in members]
-    growth = _SpanGrowth(gens, 3, p)
+    span = _grow_mod_span(gens, 3, p)
     for gen in gens:
-        assert growth.contains(gen.ravel())
+        assert not span.residual(gen.ravel()).any()
     units = np.eye(9)
-    verdicts = [growth.contains(unit) for unit in units]
-    assert growth.span.dim == 7
+    verdicts = [not span.residual(unit).any() for unit in units]
+    assert span.dim == 7
     # a 7-dimensional span holds at most 7 of the 9 matrix units
     assert verdicts.count(False) >= 2
-    assert not growth.contains(units[verdicts.index(False)])
+    assert span.residual(units[verdicts.index(False)]).any()
+
+
+def _wedge_coords(x, y):
+    """x ^ y = x (x) y - y (x) x on the basis e_i ^ e_j, i < j."""
+    d = len(x)
+    return [x[i] * y[j] - x[j] * y[i] for i in range(d) for j in range(i + 1, d)]
+
+
+def _sym_coords(x, y):
+    """x y = x (x) y + y (x) x on the basis e_i e_j (i < j) and e_i (x) e_i."""
+    d = len(x)
+    return [x[i] * y[j] + x[j] * y[i] for i in range(d) for j in range(i, d)]
+
+
+@pytest.mark.parametrize(
+    "name, rank, m0",
+    [("A", 3, 7), ("A", 3, Fraction(22, 7)), ("I2", 5, -2), ("B", 3, Fraction(-5, 3))],
+)
+def test_square_blocks_act_as_derivations(name, rank, m0):
+    g = build_coxeter(name, rank)
+    b = build_rep(g)
+    for members in g.classes:
+        d = len(members)
+        for x in members:
+            t = b.t_block(x, members, m0)
+            wedge, sym = _square_blocks(t)
+            cols = t.transpose().to_lists()  # cols[k] = t e_k
+            unit = [[int(i == k) for i in range(d)] for k in range(d)]
+            pairs = [(k, l) for k in range(d) for l in range(k + 1, d)]
+            for col, (k, l) in enumerate(pairs):
+                left, right = _wedge_coords(cols[k], unit[l]), _wedge_coords(unit[k], cols[l])
+                image = [a + c for a, c in zip(left, right)]
+                assert [wedge[r, col] for r in range(len(pairs))] == image
+            pairs = [(k, l) for k in range(d) for l in range(k, d)]
+            for col, (k, l) in enumerate(pairs):
+                left, right = _sym_coords(cols[k], unit[l]), _sym_coords(unit[k], cols[l])
+                image = [a + c for a, c in zip(left, right)]
+                # e_k e_k is twice the basis vector e_k (x) e_k
+                if k == l:
+                    image = [Fraction(v, 2) for v in image]
+                assert [sym[r, col] for r in range(len(pairs))] == image
+            ring = type(m0)
+            assert all(type(v) is ring for v in wedge.entries + sym.entries)
+
+
+def test_membership_off_roots_rests_on_the_square_closure(monkeypatch):
+    widths = []
+
+    class Recording(_ModSpan):
+        def __init__(self, width, p):
+            widths.append(width)
+            super().__init__(width, p)
+
+    monkeypatch.setattr(tensor, "_ModSpan", Recording)
+    for name, rank in (("A", 3), ("I2", 5), ("B", 2)):
+        g = build_coxeter(name, rank)
+        b = build_rep(g)
+        for c, members in enumerate(g.classes):
+            d = len(members)
+            if d < 2:
+                continue
+            widths.clear()
+            report = tensor_square_check(b, c, Fraction(7))
+            assert report["ok"]
+            for s, u in list(itertools.combinations(members, 2))[:5]:
+                assert psu_membership_check(b, c, s, u, Fraction(7))
+            assert tensor_square_check(b, c, Fraction(7)) == report
+            # one closure on each square, none on V (x) V
+            assert sorted(widths) == [(d * (d - 1) // 2) ** 2, (d * (d + 1) // 2) ** 2]
+            assert d**4 not in widths
+
+
+def test_square_report_is_a_fresh_copy():
+    g = build_coxeter("I2", 5)
+    b = build_rep(g)
+    report = tensor_square_check(b, 0, Fraction(7))
+    expected = dict(report)
+    report["ok"] = False
+    report["sym_algebra"] = 0
+    assert tensor_square_check(b, 0, Fraction(7)) == expected
