@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Sequence
 
 from .cyclotomic import CycNum
@@ -58,8 +59,11 @@ class FlatTable:
         self.flats = flats
         self.pair_to_flat = pair_to_flat
 
+    def index_of_pair(self, s: int, u: int) -> int:
+        return self.pair_to_flat[(s, u) if s < u else (u, s)]
+
     def flat_of_pair(self, s: int, u: int) -> Flat2:
-        return self.flats[self.pair_to_flat[(s, u) if s < u else (u, s)]]
+        return self.flats[self.index_of_pair(s, u)]
 
     def __len__(self) -> int:
         return len(self.flats)
@@ -70,33 +74,56 @@ def codim2_flats(g: ReflectionGroupData) -> FlatTable:
     cached = getattr(g, "_flat_table", None)
     if cached is not None:
         return cached
-    if g.rank < 2:
-        table = FlatTable((), {})
-        g._flat_table = table
-        return table
-    n = g.size
-    by_key: dict[tuple, list[tuple[int, int]]] = {}
-    for s in range(n):
-        root_s = g.reflections[s].root
-        for u in range(s + 1, n):
-            key = _rref([list(root_s), list(g.reflections[u].root)])
-            by_key.setdefault(key, []).append((s, u))
-    flats = []
-    for pairs in by_key.values():
-        members = set()
-        for s, u in pairs:
-            members.add(s)
-            members.add(u)
-        flats.append(Flat2(tuple(sorted(members))))
-    flats.sort(key=lambda f: f.members)
+    flats = [Flat2(members) for members in sorted(_flat_members(g))]
     pair_to_flat: dict[tuple[int, int], int] = {}
     for idx, flat in enumerate(flats):
-        for i, s in enumerate(flat.members):
-            for u in flat.members[i + 1 :]:
-                pair_to_flat[(s, u)] = idx
+        for pair in combinations(flat.members, 2):
+            pair_to_flat[pair] = idx
     table = FlatTable(tuple(flats), pair_to_flat)
     g._flat_table = table
     return table
+
+
+def _flat_members(g: ReflectionGroupData) -> set[tuple[int, ...]]:
+    """Sorted member tuples of the flats.
+
+    Every flat holds a conjugate of some class representative s0, so it is
+    the W-image of a flat through s0. Exact row reduction finds the flats
+    through each s0 from the pairs (s0, u); the generators' conjugation rows
+    carry them to the rest. W permutes the flats, which partition the pairs,
+    so an image that meets a known flat in a pair without being it, or pairs
+    left uncovered, mean a wrong conjugation table.
+    """
+    n = g.size
+    frontier: list[tuple[int, ...]] = []
+    for members in g.classes:
+        s0 = members[0]
+        root = list(g.reflections[s0].root)
+        by_key: dict[tuple, list[int]] = {}
+        for u in range(n):
+            if u != s0:
+                key = _rref([root, list(g.reflections[u].root)])
+                by_key.setdefault(key, [s0]).append(u)
+        frontier += (tuple(sorted(flat)) for flat in by_key.values())
+    found: set[tuple[int, ...]] = set()
+    covered: set[tuple[int, int]] = set()
+    while frontier:
+        fresh = []
+        for members in frontier:
+            if members in found:
+                continue
+            pairs = set(combinations(members, 2))
+            if not covered.isdisjoint(pairs):
+                raise RuntimeError(f"{g.name}: reflections {list(members)} are not a flat")
+            covered |= pairs
+            found.add(members)
+            for w in g.generators:
+                row = g.conj_table[w]
+                fresh.append(tuple(sorted(row[x] for x in members)))
+        frontier = fresh
+    if len(covered) != n * (n - 1) // 2:
+        raise RuntimeError(f"{g.name}: the flats leave a pair of reflections uncovered")
+    return found
 
 
 def parabolic_reflections(g: ReflectionGroupData, seed) -> tuple[int, ...]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import os
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import lcm
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -182,6 +182,24 @@ class ReflectionGroupData:
 
     def commutes(self, s: int, u: int) -> bool:
         return self.conj_table[u][s] == s
+
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """Reflections that generate W, taken greedily in index order.
+
+        The closure of a set of reflections under conjugation by its own
+        members lies in the group they generate, so a set whose closure is
+        all of R generates W."""
+        gens: list[int] = []
+        reached: set[int] = set()
+        for cand in range(self.size):
+            if cand not in reached:
+                gens.append(cand)
+                new = {cand}
+                while new:
+                    reached |= new
+                    new = {self.conj_table[w][y] for y in reached for w in gens} - reached
+        return tuple(gens)
 
     def __repr__(self) -> str:
         return f"ReflectionGroupData({self.name}: {self.size} reflections)"

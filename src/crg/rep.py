@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .arrangement import codim2_flats, parabolic_reflections
+from .arrangement import FlatTable, codim2_flats, parabolic_reflections
 from .cyclotomic import cyclotomic_field
 from .groups import ReflectionGroupData, build_series, class_stats, k_c
 from .matrices import ExactMatrix
@@ -24,11 +24,13 @@ Sparse = dict[int, Column]
 
 
 class CheckResult:
-    """Boolean with an attached witness for the first failure."""
+    """Boolean with an attached witness for the first failure, and the route
+    the check took where it has more than one."""
 
-    def __init__(self, ok: bool, detail=None) -> None:
+    def __init__(self, ok: bool, detail=None, route: str | None = None) -> None:
         self.ok = ok
         self.detail = detail
+        self.route = route
 
     def __bool__(self) -> bool:
         return self.ok
@@ -150,6 +152,11 @@ def check_integrability(bundle: RepBundle, m0: Fraction | None = None) -> CheckR
     """Commutators [sum_{y in Z} t_y, t_x] vanish on every codimension-2 flat.
 
     With m0 given only that point is checked; None proves it for all m.
+    Once equivariance holds, conjugating by w sends the commutator of (Z, x)
+    to that of (wZ, wxw), so one (flat, x) pair per W-orbit is checked (route
+    "orbits"); otherwise every pair is (route "all flats"). Each orbit is
+    checked at its first pair in scan order, and the orbits are met in scan
+    order, so both routes return the same first failing (flat_index, x).
     """
     # [sum_{y in Z} t_y, t_x] has degree <= 2 in m: m = 0, 1, 2 prove it.
     # At m0 = a/b the integer matrices b t_y = b N_y + a E_yy scale the
@@ -160,35 +167,65 @@ def check_integrability(bundle: RepBundle, m0: Fraction | None = None) -> CheckR
         m0 = Fraction(m0)
         points = ((m0.numerator, m0.denominator),)
     scaled = [[_scaled_t(bundle, y, a, b) for y in range(bundle.size)] for a, b in points]
-    table = codim2_flats(bundle.group)
+    g = bundle.group
+    table = codim2_flats(g)
+    route = "orbits" if check_equivariance(bundle) else "all flats"
+    done: set[tuple[int, int]] = set()
     for idx, flat in enumerate(table.flats):
-        parts = [[at_m[y] for y in flat.members] for at_m in scaled]
-        totals = [_sparse_sum(at_m) for at_m in parts]
-        for x_pos, x in enumerate(flat.members):
-            for total, at_m in zip(totals, parts):
-                t_x = at_m[x_pos]
+        if all((idx, x) in done for x in flat.members):
+            continue
+        totals = [_sparse_sum(at_m[y] for y in flat.members) for at_m in scaled]
+        for x in flat.members:
+            if (idx, x) in done:
+                continue
+            for total, at_m in zip(totals, scaled):
+                t_x = at_m[x]
                 if _sparse_mul(total, t_x) != _sparse_mul(t_x, total):
-                    return CheckResult(False, (idx, x))
-    return CheckResult(True)
+                    return CheckResult(False, (idx, x), route)
+            if route == "orbits":
+                done |= _orbit(g, table, idx, x)
+    return CheckResult(True, route=route)
+
+
+def _orbit(g: ReflectionGroupData, table: FlatTable, idx: int, x: int) -> set[tuple[int, int]]:
+    """The W-orbit of (flat index, x) under the generators' conjugation rows."""
+    orbit = {(idx, x)}
+    frontier = [(idx, x)]
+    while frontier:
+        fresh = []
+        for f, y in frontier:
+            a, b = table.flats[f].members[:2]
+            for w in g.generators:
+                row = g.conj_table[w]
+                image = (table.index_of_pair(row[a], row[b]), row[y])
+                if image not in orbit:
+                    orbit.add(image)
+                    fresh.append(image)
+        frontier = fresh
+    return orbit
+
+
+def _moves_to(bundle: RepBundle, w: int, s: int) -> bool:
+    """The permutation action of w carries N_s to N_{wsw}."""
+    conj = bundle.group.conj_table[w]
+    cols = bundle.n_cols[s].items()
+    moved = {conj[u]: {conj[row]: val for row, val in col.items()} for u, col in cols}
+    return moved == bundle.n_cols[conj[s]]
 
 
 def check_equivariance(bundle: RepBundle) -> CheckResult:
-    """Conjugating t_s by the permutation action of w gives t_{wsw}, on all pairs.
+    """Conjugating t_s by the permutation action of w gives t_{wsw}, for all w.
 
     The m E_ss term moves to m E_{wsw,wsw} by construction, so comparing the
-    N_s alone proves it for all m.
+    N_s alone proves it for all m. Both sides respect products of w, so the
+    generators of W prove it; on a failure the scan of all pairs, which
+    contains a failing generator, returns the first witness (w, s).
     """
-    g = bundle.group
-    n = g.size
-    for w in range(n):
-        conj = g.conj_table[w]
-        for s in range(n):
-            moved: Sparse = {}
-            for u, col in bundle.n_cols[s].items():
-                moved[conj[u]] = {conj[row]: val for row, val in col.items()}
-            if moved != bundle.n_cols[conj[s]]:
-                return CheckResult(False, (w, s))
-    return CheckResult(True)
+    n = bundle.size
+    if all(_moves_to(bundle, w, s) for w in bundle.group.generators for s in range(n)):
+        return CheckResult(True)
+    failures = ((w, s) for w in range(n) for s in range(n) if not _moves_to(bundle, w, s))
+    return CheckResult(False, next(failures))
 
 
 def check_T_scalar(bundle: RepBundle, c: int) -> bool:

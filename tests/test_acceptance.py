@@ -149,7 +149,7 @@ def test_integrability_and_equivariance():
         bundle = _bundle(name)
         assert check_integrability(bundle).ok, name
         assert check_equivariance(bundle).ok, name
-    assert time.monotonic() - start < 600
+    assert time.monotonic() - start < 60
 
 
 def test_sum_of_generators_acts_as_scalar():
@@ -281,7 +281,7 @@ def test_tampered_alpha_is_detected():
     alpha = [list(row) for row in g.alpha]
     alpha[0][1] += 1
     mutated = build_rep(g, alpha)
-    broken = (
-        not check_integrability(mutated).ok or not check_equivariance(mutated).ok
-    )
+    integrability = check_integrability(mutated)
+    broken = not integrability.ok or not check_equivariance(mutated).ok
     assert broken
+    assert integrability.route == "all flats"

@@ -1,10 +1,12 @@
 """Codimension-2 flats, containment queries, and parabolic closures."""
 
+import copy
 from math import comb
 
 import pytest
 
 from crg.arrangement import codim2_flats, parabolic_reflections
+from crg.cli import build_group, parse_group
 from crg.groups import build_coxeter, build_series
 
 
@@ -114,3 +116,37 @@ def test_third_reflection_in_every_nonsplit_pair():
                 t = g.conj_table[y][u]
                 if t != u:
                     assert y in table.flat_of_pair(u, t).members
+
+
+def test_flats_match_the_parabolic_closure_of_every_pair():
+    # Independent exact route: the hyperplanes containing H_s and H_u, one
+    # row reduction of coforms per pair, against the orbit-closed roots.
+    for name in ("A3", "B3", "G(4,2,3)", "G(3,3,4)", "G24"):
+        g = build_group(parse_group(name))
+        table = codim2_flats(g)
+        for s in range(g.size):
+            for u in range(s + 1, g.size):
+                members = table.flat_of_pair(s, u).members
+                assert members == parabolic_reflections(g, [s, u]), (name, s, u)
+
+
+@pytest.mark.parametrize(
+    "name, count", [("E6", 390), ("E7", 1281), ("H4", 722), ("E8", 4900)]
+)
+def test_flat_counts_of_large_groups(name, count):
+    g = build_group(parse_group(name))
+    table = codim2_flats(g)
+    assert len(table) == count
+    assert len(table.pair_to_flat) == comb(g.size, 2)
+
+
+def test_wrong_generator_row_is_refused():
+    g = build_coxeter("A", 3)
+    w = g.generators[0]
+    bad = copy.copy(g)
+    bad.__dict__.pop("_flat_table", None)
+    row = list(g.conj_table[w])
+    row[0], row[1] = row[1], row[0]
+    bad.conj_table = tuple(tuple(row) if y == w else r for y, r in enumerate(g.conj_table))
+    with pytest.raises(RuntimeError, match="not a flat"):
+        codim2_flats(bad)

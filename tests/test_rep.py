@@ -90,13 +90,55 @@ def test_mutated_multiplicity_table_fails():
     b = build_rep(g, alpha)
     assert not check_integrability(b)
     assert not check_equivariance(b)
-    idx, x = check_integrability(b).detail
+    result = check_integrability(b)
+    assert result.route == "all flats"
+    idx, x = result.detail
     assert x in codim2_flats(g).flats[idx].members
     # a rational point is checked on b t_s(a/b), in integers: same verdict and witness
     for m0 in (Fraction(22, 7), Fraction(9, 2)):
         result = check_integrability(b, m0)
         assert not result
         assert result.detail == (0, 0)
+
+
+@pytest.mark.parametrize("c, witness", [(0, (9, 0)), (1, (13, 1))])
+def test_invariant_tampering_fails_on_the_orbit_route(c, witness):
+    # Doubling alpha(s, u) for s, u in class c whose flat has three members
+    # is W-invariant, so equivariance holds and one pair per orbit is
+    # checked. The scan of every flat gives the same witnesses.
+    g = build_coxeter("F4")
+    table = codim2_flats(g)
+    alpha = [list(row) for row in g.alpha]
+    for s in g.classes[c]:
+        for u in g.classes[c]:
+            if s != u and len(table.flat_of_pair(s, u).members) == 3:
+                alpha[s][u] *= 2
+    b = build_rep(g, alpha)
+    assert check_equivariance(b)
+    for m0 in (None, Fraction(22, 7)):
+        result = check_integrability(b, m0)
+        assert not result
+        assert result.route == "orbits"
+        assert result.detail == witness
+
+
+def test_equivariance_fails_on_a_later_generator():
+    # Tampering alpha(0, 1) and its image under reflection 0 keeps N_s
+    # equivariant under reflection 0 alone; another generator must catch it.
+    g = build_coxeter("A", 3)
+    conj = g.conj_table[0]
+    alpha = [list(row) for row in g.alpha]
+    alpha[0][1] += 1
+    alpha[conj[0]][conj[1]] += 1
+    b = build_rep(g, alpha)
+    assert check_equivariance(b).detail == (1, 0)
+    result = check_integrability(b)
+    assert (result.ok, result.detail, result.route) == (False, (0, 0), "all flats")
+
+
+def test_clean_tables_take_the_orbit_route():
+    for g in (build_coxeter("A", 3), build_series(4, 2, 3), build_coxeter("H3")):
+        assert check_integrability(build_rep(g)).route == "orbits"
 
 
 def test_spectrum_at_generic_integer():
