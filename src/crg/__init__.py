@@ -17,13 +17,7 @@ from .groups import (
     k_c,
     load_generator_group,
 )
-from .krammer import (
-    LaurentQT,
-    build_krammer,
-    check_braid_relations,
-    cubic_specialization_check,
-    sigma_inverse,
-)
+from .krammer import build_krammer, check_braid_relations, cubic_specialization_check
 from .matrices import ExactMatrix, char_poly, rank_and_kernel
 from .polynomials import M, ParamPoly, cyclotomic_polynomial, integer_roots
 from .quadratic import (
@@ -96,9 +90,7 @@ __all__ = [
     "ds_table_check",
     "psu_membership_check",
     "tensor_square_check",
-    "LaurentQT",
     "build_krammer",
     "check_braid_relations",
     "cubic_specialization_check",
-    "sigma_inverse",
 ]

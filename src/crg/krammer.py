@@ -1,254 +1,86 @@
-"""Exact type-A Krammer matrices over Laurent polynomials in q and t."""
+"""Type-A Krammer matrices, evaluated at points (q, t).
+
+sigma_k acts on the basis x_ij, 1 <= i < j <= n, by the seven displayed
+cases of `KrammerModel.sigma_at`. Every entry is a polynomial of degree at
+most n in q and at most 1 in t, so a product of up to three generators has
+degree at most 3n in q and 3 in t. A polynomial of degree at most D in q and
+E in t that vanishes on the grid q = 0..D, t = 0..E is zero: at each grid q
+it vanishes at E + 1 values of t, so each coefficient of t^e, of degree at
+most D in q, vanishes at D + 1 values of q. So the far-commutation and braid
+identities hold for all q and t once they hold on the grid q = 0..3n,
+t = 0..3, computed in Python ints.
+"""
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .cyclotomic import CycNum, cyclotomic_field
-from .matrices import ExactMatrix
-
-
-class LaurentQT:
-    """Laurent polynomial in q and t with rational coefficients."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=()) -> None:
-        data: dict[tuple[int, int], Fraction] = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for (a, b), coef in items:
-            coef = Fraction(coef)
-            if not coef:
-                continue
-            key = (int(a), int(b))
-            total = data.get(key, Fraction(0)) + coef
-            if total:
-                data[key] = total
-            else:
-                data.pop(key, None)
-        self.terms = data
-
-    @classmethod
-    def constant(cls, value) -> LaurentQT:
-        return cls({(0, 0): Fraction(value)})
-
-    @classmethod
-    def monomial(cls, a: int, b: int, coef=1) -> LaurentQT:
-        return cls({(a, b): Fraction(coef)})
-
-    def _coerce(self, other) -> LaurentQT | None:
-        if isinstance(other, LaurentQT):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return LaurentQT.constant(other)
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        out = dict(self.terms)
-        for key, coef in other.terms.items():
-            total = out.get(key, Fraction(0)) + coef
-            if total:
-                out[key] = total
-            else:
-                out.pop(key, None)
-        result = LaurentQT.__new__(LaurentQT)
-        result.terms = out
-        return result
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        result = LaurentQT.__new__(LaurentQT)
-        result.terms = {key: -coef for key, coef in self.terms.items()}
-        return result
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        out: dict[tuple[int, int], Fraction] = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                key = (a1 + a2, b1 + b2)
-                total = out.get(key, Fraction(0)) + c1 * c2
-                if total:
-                    out[key] = total
-                else:
-                    out.pop(key, None)
-        result = LaurentQT.__new__(LaurentQT)
-        result.terms = out
-        return result
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.unit_inverse() ** (-k)
-        result = LaurentQT.constant(1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-    def is_unit(self) -> bool:
-        return len(self.terms) == 1
-
-    def unit_inverse(self) -> LaurentQT:
-        if not self.is_unit():
-            raise ValueError("only monomials are invertible here")
-        ((a, b), coef), = self.terms.items()
-        return LaurentQT.monomial(-a, -b, Fraction(1) / coef)
-
-    def __eq__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def specialize(self, q_value: CycNum, t_value: CycNum) -> CycNum:
-        total = q_value - q_value  # zero of the right field
-        for (a, b), coef in self.terms.items():
-            total = total + coef * q_value**a * t_value**b
-        return total
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for (a, b), coef in sorted(self.terms.items()):
-            bits.append(f"{coef}*q^{a}*t^{b}")
-        return " + ".join(bits)
-
-
-Q = LaurentQT.monomial(1, 0)
-T = LaurentQT.monomial(0, 1)
-_ZERO = LaurentQT()
-_ONE = LaurentQT.constant(1)
+from .cyclotomic import cyclotomic_field
+from .rep import Sparse, _sparse_mul
 
 
 class KrammerModel:
-    """Braid generator matrices on the x_{ij} basis, 1 <= i < j <= n."""
+    """The braid generators sigma_1..sigma_{n-1} on the x_ij basis."""
 
-    def __init__(self, n: int, pairs, sigma: tuple[ExactMatrix, ...]) -> None:
+    def __init__(self, n: int) -> None:
         self.n = n
-        self.pairs = pairs
-        self.sigma = sigma
+        self.pairs = tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
+        self._index = {pair: col for col, pair in enumerate(self.pairs)}
 
     @property
     def dimension(self) -> int:
         return len(self.pairs)
 
+    def sigma_at(self, k: int, q, t, one=1) -> Sparse:
+        """Sparse columns of sigma_k at (q, t); one is the unit of their ring."""
+        cols: Sparse = {}
+        for col, (i, j) in enumerate(self.pairs):
+            if (i, j) == (k, k + 1):
+                entries = {(k, k + 1): t * q * q}
+            elif j == k:
+                entries = {(i, k): one - q, (i, k + 1): q}
+            elif i < k and j == k + 1:
+                entries = {(i, k): one, (k, k + 1): t * q ** (k - i + 1) * (q - one)}
+            elif i == k and j > k + 1:
+                entries = {(k, k + 1): t * q * (q - one), (k + 1, j): q}
+            elif i == k + 1:
+                entries = {(k, j): one, (k + 1, j): one - q}
+            elif i < k and j > k + 1:
+                entries = {(i, j): one, (k, k + 1): t * q ** (k - i) * (q - one) * (q - one)}
+            else:
+                entries = {(i, j): one}
+            cols[col] = {self._index[pair]: v for pair, v in entries.items() if v}
+        return cols
+
 
 def build_krammer(n: int) -> KrammerModel:
-    """Populate the seven displayed action cases for each generator."""
     if n < 2:
         raise ValueError("need at least two strands")
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    index = {pair: col for col, pair in enumerate(pairs)}
-    dim = len(pairs)
-    mats = []
-    q, t = Q, T
-    one = _ONE
-    for k in range(1, n):
-        cols: list[dict[int, LaurentQT]] = []
-        for i, j in pairs:
-            col: dict[int, LaurentQT] = {}
-            if (i, j) == (k, k + 1):
-                col[index[(k, k + 1)]] = t * q * q
-            elif j == k:
-                col[index[(i, k)]] = one - q
-                col[index[(i, k + 1)]] = q
-            elif i < k and j == k + 1:
-                col[index[(i, k)]] = one
-                col[index[(k, k + 1)]] = t * q ** (k - i + 1) * (q - one)
-            elif i == k and j > k + 1:
-                col[index[(k, k + 1)]] = t * q * (q - one)
-                col[index[(k + 1, j)]] = q
-            elif i == k + 1:
-                col[index[(k, j)]] = one
-                col[index[(k + 1, j)]] = one - q
-            elif i < k and j > k + 1:
-                col[index[(i, j)]] = one
-                col[index[(k, k + 1)]] = t * q ** (k - i) * (q - one) * (q - one)
-            else:
-                col[index[(i, j)]] = one
-            cols.append(col)
-        rows = [[_ZERO] * dim for _ in range(dim)]
-        for colidx, col in enumerate(cols):
-            for rowidx, value in col.items():
-                rows[rowidx][colidx] = value
-        mats.append(ExactMatrix.from_rows(rows))
-    return KrammerModel(n, tuple(pairs), tuple(mats))
-
-
-def sigma_inverse(model: KrammerModel, k: int) -> ExactMatrix:
-    """Inverse from the cubic (X - tq^2)(X - 1)(X + q) annihilating sigma_k."""
-    sigma = model.sigma[k - 1]
-    dim = model.dimension
-    eye = ExactMatrix.identity(dim, _ONE)
-    q, t = Q, T
-    e1 = t * q * q + _ONE - q
-    e2 = t * q * q - t * q * q * q - q
-    scale = (-(t * q * q * q)).unit_inverse()
-    combo = sigma * sigma - sigma * e1 + eye * e2
-    return combo * scale
+    return KrammerModel(n)
 
 
 def check_braid_relations(model: KrammerModel) -> bool:
-    """Exact far-commutation and braid identities among the generators."""
-    sigma = model.sigma
-    count = len(sigma)
-    for i in range(count):
-        for j in range(i + 2, count):
-            if sigma[i] * sigma[j] != sigma[j] * sigma[i]:
-                return False
-    for i in range(count - 1):
-        a, b = sigma[i], sigma[i + 1]
-        if a * b * a != b * a * b:
-            return False
+    """Far-commutation and braid identities among the generators, for all q and t."""
+    n = model.n
+    for q in range(3 * n + 1):
+        for t in range(4):
+            sigma = [model.sigma_at(k, q, t) for k in range(1, n)]
+            for i, a in enumerate(sigma):
+                for b in sigma[i + 2:]:
+                    if _sparse_mul(a, b) != _sparse_mul(b, a):
+                        return False
+            for a, b in zip(sigma, sigma[1:]):
+                ab = _sparse_mul(a, b)
+                if _sparse_mul(ab, a) != _sparse_mul(b, ab):
+                    return False
     return True
-
-
-def specialize_matrix(mat: ExactMatrix, q_value: CycNum, t_value: CycNum) -> ExactMatrix:
-    rows = [
-        [mat[r, c].specialize(q_value, t_value) for c in range(mat.cols)]
-        for r in range(mat.rows)
-    ]
-    return ExactMatrix.from_rows(rows)
 
 
 def cubic_specialization_check(model: KrammerModel) -> bool:
     """At q = -zeta_3, t = 1 each generator satisfies sigma^3 = 1."""
     field = cyclotomic_field(3)
-    q_value = -field.zeta(1)
-    t_value = field.one()
-    eye = ExactMatrix.identity(model.dimension, field.one())
-    for sigma in model.sigma:
-        mat = specialize_matrix(sigma, q_value, t_value)
-        if mat * mat * mat != eye:
+    one = field.one()
+    eye = {u: {u: one} for u in range(model.dimension)}
+    for k in range(1, model.n):
+        sigma = model.sigma_at(k, -field.zeta(1), one, one)
+        if _sparse_mul(sigma, _sparse_mul(sigma, sigma)) != eye:
             return False
     return True

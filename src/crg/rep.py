@@ -61,6 +61,13 @@ class RepBundle:
                 cols[u] = col
             n_cols.append(cols)
         self.n_cols = tuple(n_cols)
+        self._memo: dict = {}
+
+    def memo(self, key: tuple, compute):
+        """compute(), run once per bundle and key; the bundle's one cache."""
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
 
     @property
     def size(self) -> int:
@@ -219,8 +226,13 @@ def check_equivariance(bundle: RepBundle) -> CheckResult:
     The m E_ss term moves to m E_{wsw,wsw} by construction, so comparing the
     N_s alone proves it for all m. Both sides respect products of w, so the
     generators of W prove it; on a failure the scan of all pairs, which
-    contains a failing generator, returns the first witness (w, s).
+    contains a failing generator, returns the first witness (w, s). The
+    result is kept on the bundle, which integrability consults too.
     """
+    return bundle.memo(("equivariance",), lambda: _equivariance(bundle))
+
+
+def _equivariance(bundle: RepBundle) -> CheckResult:
     n = bundle.size
     if all(_moves_to(bundle, w, s) for w in bundle.group.generators for s in range(n)):
         return CheckResult(True)

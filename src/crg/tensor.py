@@ -263,14 +263,6 @@ def _check_class_size(members) -> None:
         )
 
 
-def _memo(bundle: RepBundle, key: tuple, compute):
-    """compute(), run once per bundle and key; the tensor layer's one cache."""
-    memo = bundle.__dict__.setdefault("_tensor_memo", {})
-    if key not in memo:
-        memo[key] = compute()
-    return memo[key]
-
-
 class TensorOps:
     """The six commuting operators attached to one reflection on V_c (x) V_c, at m0."""
 
@@ -360,8 +352,7 @@ def _ds_table_at(bundle: RepBundle, s: int, c: int, m: int) -> bool:
 def _excluded(bundle: RepBundle, c: int, m0: Fraction) -> bool:
     if m0 in _EXCLUDED_POINTS:
         return True
-    roots = _memo(
-        bundle,
+    roots = bundle.memo(
         ("roots", c),
         lambda: frozenset(root for root, _ in discriminant(bundle.group, c).factors),
     )
@@ -397,7 +388,7 @@ def tensor_square_check(bundle: RepBundle, c: int, m0) -> dict:
     m0 = Fraction(m0)
     if _excluded(bundle, c, m0):
         raise ValueError("excluded evaluation point")
-    return dict(_memo(bundle, ("square", c, m0), lambda: _square_report(bundle, c, m0)))
+    return dict(bundle.memo(("square", c, m0), lambda: _square_report(bundle, c, m0)))
 
 
 def _square_report(bundle: RepBundle, c: int, m0: Fraction) -> dict:
@@ -504,7 +495,7 @@ def psu_membership_check(bundle: RepBundle, c: int, s: int, u: int, m0) -> bool:
         a, b = _to_mod(ps, p), _to_mod(pu, p)
         # entries below 2 * p**2 < 2**49: exact
         target = (np.kron(a, b) + np.kron(b, a)) % p
-        span = _memo(bundle, ("span", c, m0, p), lambda: closure(p))
+        span = bundle.memo(("span", c, m0, p), lambda: closure(p))
         if span.residual(target.ravel()).any():
             return False
     return True

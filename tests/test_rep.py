@@ -136,6 +136,24 @@ def test_equivariance_fails_on_a_later_generator():
     assert (result.ok, result.detail, result.route) == (False, (0, 0), "all flats")
 
 
+def test_equivariance_is_proven_once_per_bundle(monkeypatch):
+    calls = []
+
+    def counted(bundle, w, s):
+        calls.append((w, s))
+        return moves_to(bundle, w, s)
+
+    moves_to = rep._moves_to
+    monkeypatch.setattr(rep, "_moves_to", counted)
+    g = build_coxeter("B", 3)
+    b = build_rep(g)
+    assert check_integrability(b).route == "orbits"
+    assert check_equivariance(b)
+    assert len(calls) == len(g.generators) * g.size
+    assert check_equivariance(build_rep(g))
+    assert len(calls) == 2 * len(g.generators) * g.size
+
+
 def test_clean_tables_take_the_orbit_route():
     for g in (build_coxeter("A", 3), build_series(4, 2, 3), build_coxeter("H3")):
         assert check_integrability(build_rep(g)).route == "orbits"
