@@ -40,7 +40,6 @@ from .rep import (
     spectrum_check,
 )
 from .tensor import (
-    TensorOps,
     algebra_dimension,
     ds_table_check,
     psu_membership_check,
@@ -85,7 +84,6 @@ __all__ = [
     "dihedral_m0_check",
     "parabolic_restriction_check",
     "spectrum_check",
-    "TensorOps",
     "algebra_dimension",
     "ds_table_check",
     "psu_membership_check",

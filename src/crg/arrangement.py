@@ -7,31 +7,7 @@ from typing import Sequence
 
 from .cyclotomic import CycNum
 from .groups import ReflectionGroupData
-
-
-def _rref(rows: list[list[CycNum]]) -> tuple[tuple[CycNum, ...], ...]:
-    """Reduced row echelon form over a cyclotomic field; zero rows dropped."""
-    work = [list(r) for r in rows]
-    ncols = len(work[0])
-    out: list[list[CycNum]] = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(work)):
-            if work[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        inv = 1 / work[r][c]
-        work[r] = [inv * x for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        r += 1
-    return tuple(tuple(row) for row in work[:r])
+from .matrices import _rref
 
 
 def _in_rowspan(vec: Sequence[CycNum], rref_rows: Sequence[Sequence[CycNum]]) -> bool:

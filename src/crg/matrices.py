@@ -118,20 +118,6 @@ class ExactMatrix:
     def __rmul__(self, other):
         return ExactMatrix(self.rows, self.cols, [other * e for e in self.entries])
 
-    def kron(self, other: ExactMatrix) -> ExactMatrix:
-        """Kronecker product, row-major block layout."""
-        n = self.rows * other.rows
-        m = self.cols * other.cols
-        out = [None] * (n * m)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                a = self.entries[i * self.cols + j]
-                for p in range(other.rows):
-                    base = (i * other.rows + p) * m + j * other.cols
-                    for q in range(other.cols):
-                        out[base + q] = a * other.entries[p * other.cols + q]
-        return ExactMatrix(n, m, out)
-
     def is_zero(self) -> bool:
         return not any(self.entries)
 
@@ -155,6 +141,30 @@ class ExactMatrix:
         return f"ExactMatrix({self.rows}x{self.cols}: {body}{tail})"
 
 
+def _rref(rows: list[list]) -> tuple[tuple, ...]:
+    """Gauss-Jordan reduced row echelon form over a field; zero rows dropped."""
+    work = [list(r) for r in rows]
+    ncols = len(work[0])
+    r = 0
+    for c in range(ncols):
+        pivot = None
+        for i in range(r, len(work)):
+            if work[i][c]:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        inv = 1 / work[r][c]
+        work[r] = [inv * x for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c]:
+                f = work[i][c]
+                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        r += 1
+    return tuple(tuple(row) for row in work[:r])
+
+
 def rank_and_kernel(M: ExactMatrix) -> tuple[int, list[list]]:
     """Rank and a kernel basis by exact Gauss-Jordan elimination.
 
@@ -168,41 +178,20 @@ def rank_and_kernel(M: ExactMatrix) -> tuple[int, list[list]]:
     rows = [
         [Fraction(x) if isinstance(x, int) else x for x in M.row(i)] for i in range(M.rows)
     ]
-    ncols = M.cols
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [inv * x for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    rank = r
-    sample = rows[0][0]
-    one = _one_like(sample)
-    zero = _zero_like(sample)
-    pivot_set = set(pivots)
+    reduced = _rref(rows)
+    pivots = [next(c for c, x in enumerate(row) if x) for row in reduced]
+    one = _one_like(rows[0][0])
+    zero = _zero_like(rows[0][0])
     kernel = []
-    for free in range(ncols):
-        if free in pivot_set:
+    for free in range(M.cols):
+        if free in pivots:
             continue
-        v = [zero] * ncols
+        v = [zero] * M.cols
         v[free] = one
-        for i, p in enumerate(pivots):
-            v[p] = -rows[i][free]
+        for row, p in zip(reduced, pivots):
+            v[p] = -row[free]
         kernel.append(v)
-    return rank, kernel
+    return len(reduced), kernel
 
 
 def _berkowitz(rows: list[list]) -> list:

@@ -91,14 +91,14 @@ class RepBundle:
         Entries lie in the ring of m0: all Fractions for a Fraction m0, all
         ints for an int m0, so later products never mix the two types.
         """
-        return _block(self.t_at(s, m0), members, m0 * 0)
+        return ExactMatrix.from_rows(_block(self.t_at(s, m0), members, m0 * 0))
 
     def s_block(self, s: int, members) -> ExactMatrix:
         """Restriction of the permutation action of s to the span of v_u, u in members."""
-        return _block(self.s_cols(s), members, 0)
+        return ExactMatrix.from_rows(_block(self.s_cols(s), members, 0))
 
 
-def _block(cols: Sparse, members, zero) -> ExactMatrix:
+def _block(cols: Sparse, members, zero) -> list[list]:
     pos = {u: i for i, u in enumerate(members)}
     rows = [[zero] * len(pos) for _ in pos]
     for u, col in cols.items():
@@ -107,7 +107,7 @@ def _block(cols: Sparse, members, zero) -> ExactMatrix:
         for row, val in col.items():
             if row in pos:
                 rows[pos[row]][pos[u]] = zero + val
-    return ExactMatrix.from_rows(rows)
+    return rows
 
 
 def build_rep(g: ReflectionGroupData, alpha=None) -> RepBundle:

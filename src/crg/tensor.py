@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 
 import numpy as np
 
-from .groups import ReflectionGroupData
 from .matrices import ExactMatrix
 from .quadratic import discriminant
-from .rep import RepBundle
+from .rep import RepBundle, Sparse, _block, _scaled_t, _sparse_mul, _sparse_sum
 
 # Spans are kept mod a prime p < 2**24 in float64, which holds every integer
 # below 2**53 exactly.  `_mulmod` splits its left factor into 12-bit limbs, so
@@ -154,21 +154,6 @@ class _ModSpan:
         self.dim = stop
 
 
-def _to_mod(mat: ExactMatrix, p: int) -> np.ndarray:
-    out = np.zeros((mat.rows, mat.cols))
-    for i in range(mat.rows):
-        for j in range(mat.cols):
-            value = Fraction(mat[i, j])
-            out[i, j] = value.numerator * pow(value.denominator, -1, p) % p
-    return out
-
-
-def _mod_span_dimension(mats: list[ExactMatrix], p: int) -> int:
-    n = mats[0].rows
-    gens = [_to_mod(m, p) for m in mats]
-    return _grow_mod_span(gens, n, p).dim
-
-
 def _integer_matrix(mat: ExactMatrix) -> np.ndarray:
     """`mat` times the lcm of its denominators, as an array of Python ints."""
     entries = [Fraction(x) for x in mat.entries]
@@ -218,11 +203,9 @@ class _ExactSpan:
         return True
 
 
-def _exact_span_dimension(mats: list[ExactMatrix]) -> int:
-    n = mats[0].rows
-    # A nonzero scalar on a generator scales each word by a nonzero scalar, and
-    # so does dividing a word by its content: the span of words is unchanged.
-    gens = [_integer_matrix(m) for m in mats]
+def _exact_span_dimension(gens: list[np.ndarray]) -> int:
+    n = len(gens[0])
+    # dividing a word by its content leaves the span of words unchanged
     span = _ExactSpan(n * n)
     eye = np.eye(n, dtype=object)
     span.add(eye.ravel())
@@ -239,11 +222,11 @@ def _exact_span_dimension(mats: list[ExactMatrix]) -> int:
 
 
 def algebra_dimension(mats) -> int:
-    """Dimension of the unital matrix algebra generated by exact matrices.
+    """Dimension of the unital matrix algebra generated by rational matrices.
 
-    A full mod-p span is a certificate for dimension n^2 (the mod-p rank
-    never exceeds the rational rank); anything less falls back to exact
-    integer elimination.
+    Each generator is scaled to an integer matrix once. A nonzero scalar on a
+    generator scales each of its words by a nonzero scalar, so the algebra is
+    unchanged.
     """
     mats = list(mats)
     if not mats:
@@ -251,9 +234,22 @@ def algebra_dimension(mats) -> int:
     n = mats[0].rows
     if any(m.rows != n or m.cols != n for m in mats):
         raise ValueError("generators must be square of equal size")
-    if _mod_span_dimension(mats, _PRIMES[0]) == n * n:
+    return _span_dimension([_integer_matrix(m) for m in mats])
+
+
+def _span_dimension(gens: list[np.ndarray]) -> int:
+    """Dimension of the unital algebra generated by square Python-int matrices.
+
+    The words mod p are the integer words mod p, and their mod-p rank never
+    exceeds the rational rank, so a full mod-p span certifies dimension n^2
+    with no inverse taken mod p; anything less falls back to exact integer
+    elimination.
+    """
+    n = len(gens[0])
+    p = _PRIMES[0]
+    if _grow_mod_span([g % p for g in gens], n, p).dim == n * n:
         return n * n
-    return _exact_span_dimension(mats)
+    return _exact_span_dimension(gens)
 
 
 def _check_class_size(members) -> None:
@@ -263,63 +259,92 @@ def _check_class_size(members) -> None:
         )
 
 
-class TensorOps:
-    """The six commuting operators attached to one reflection on V_c (x) V_c, at m0."""
-
-    def __init__(self, bundle: RepBundle, c: int, s: int, m0) -> None:
-        members = bundle.group.classes[c]
-        if s not in members:
-            raise ValueError("reflection must belong to the class")
-        _check_class_size(members)
-        self.members = members
-        eye = ExactMatrix.identity(len(members), 1)
-        t = bundle.t_block(s, members, m0)
-        s_block = bundle.s_block(s, members)
-        p_block = s_block - t
-        self.t_op = t.kron(eye) + eye.kron(t)
-        self.s_op = s_block.kron(s_block)
-        self.delta_op = s_block.kron(eye) + eye.kron(s_block)
-        self.p_op = p_block.kron(eye) + eye.kron(p_block)
-        self.q_op = p_block.kron(p_block)
-        self.r_op = p_block.kron(s_block) + s_block.kron(p_block)
-
-
 def ds_table_check(bundle: RepBundle, s: int, c: int) -> bool:
-    """All fifteen products of the commutative operator table, plus the three
-    cleared power identities expressing P, S + 1, Q through powers of T."""
-    # every side has degree <= 7 in m: m = 0..7 prove it.
-    return all(_ds_table_at(bundle, s, c, m) for m in range(8))
+    """All fifteen products of the commutative operator table on V_c (x) V_c,
+    plus the three cleared power identities expressing P, S + 1, Q through
+    powers of T.
+
+    The operators are built from s and p = s - t_s on the class block V_c, so
+    the table is an identity in A (x) A, where A = span{1, s, p}:
+
+    - s^2 = 1, s p = p s = p and p^2 = (1 - m) p on the class block make
+      1 -> I, s -> s_b, p -> p_b a homomorphism A -> End(V_c). Each relation
+      has degree <= 2 in m, so m = 0, 1, 2 prove it, in sparse integers.
+    - A is spanned by 1, s and p, and I, L_s and L_p are independent, so the
+      regular representation L of A on that basis is faithful, and so is
+      L (x) L on A (x) A.
+    - So every identity that holds on L (x) L holds on V_c (x) V_c.
+    - Every entry of the table on L (x) L has degree <= 7 in m, so m = 0..7
+      prove it for all m.
+    """
+    members = bundle.group.classes[c]
+    if s not in members:
+        raise ValueError("reflection must belong to the class")
+    return all(_block_relations(bundle, s, members, m) for m in range(3)) and all(
+        _ds_table_at(m) for m in range(8)
+    )
 
 
-def _ds_table_at(bundle: RepBundle, s: int, c: int, m: int) -> bool:
-    ops = TensorOps(bundle, c, s, m)
-    eye = ExactMatrix.identity(len(ops.members) ** 2, 1)
+def _block_relations(bundle: RepBundle, s: int, members, m: int) -> bool:
+    """s^2 = 1, s p = p s = p and p^2 = (1 - m) p on the class block at m."""
+    # column u of s or t_s has its rows among sus and s, both in the class
+    s_b = {u: col for u, col in bundle.s_cols(s).items() if u in members}
+    t_b = {u: col for u, col in bundle.t_at(s, m).items() if u in members}
+    p_b = _sparse_sum((s_b, _times(t_b, -1)))
+    return (
+        _sparse_mul(s_b, s_b) == {u: {u: 1} for u in members}
+        and _sparse_mul(s_b, p_b) == p_b
+        and _sparse_mul(p_b, s_b) == p_b
+        and _sparse_mul(p_b, p_b) == _times(p_b, 1 - m)
+    )
+
+
+def _times(cols: Sparse, c: int) -> Sparse:
+    return {u: {row: c * val for row, val in col.items()} for u, col in cols.items()} if c else {}
+
+
+def _regular_rep(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """L_s and L_p: A acting on itself in the basis 1, s, p, at m."""
+    l_s = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=object)
+    l_p = np.array([[0, 0, 0], [0, 0, 0], [1, 1, 1 - m]], dtype=object)
+    return l_s, l_p
+
+
+@cache
+def _ds_table_at(m: int) -> bool:
+    one = np.identity(3, dtype=object)
+    eye = np.identity(9, dtype=object)
+    l_s, l_p = _regular_rep(m)
+    delta = np.kron(l_s, one) + np.kron(one, l_s)
+    p = np.kron(l_p, one) + np.kron(one, l_p)
+    q = np.kron(l_p, l_p)
+    r = np.kron(l_p, l_s) + np.kron(l_s, l_p)
+    s_op = np.kron(l_s, l_s)
     one_minus_m = 1 - m
-    delta, p, q, r, s_op = ops.delta_op, ops.p_op, ops.q_op, ops.r_op, ops.s_op
     table = [
-        (delta * delta, 2 * eye + 2 * s_op),
-        (delta * p, p + r),
-        (delta * q, 2 * q),
-        (delta * r, r + p),
-        (delta * s_op, delta),
-        (p * p, one_minus_m * p + 2 * q),
-        (p * q, (2 * one_minus_m) * q),
-        (p * r, one_minus_m * r + 2 * q),
-        (p * s_op, r),
-        (q * q, (one_minus_m * one_minus_m) * q),
-        (q * r, (2 * one_minus_m) * q),
-        (q * s_op, q),
-        (r * r, one_minus_m * p + 2 * q),
-        (r * s_op, p),
-        (s_op * s_op, eye),
+        (delta @ delta, 2 * eye + 2 * s_op),
+        (delta @ p, p + r),
+        (delta @ q, 2 * q),
+        (delta @ r, r + p),
+        (delta @ s_op, delta),
+        (p @ p, one_minus_m * p + 2 * q),
+        (p @ q, (2 * one_minus_m) * q),
+        (p @ r, one_minus_m * r + 2 * q),
+        (p @ s_op, r),
+        (q @ q, (one_minus_m * one_minus_m) * q),
+        (q @ r, (2 * one_minus_m) * q),
+        (q @ s_op, q),
+        (r @ r, one_minus_m * p + 2 * q),
+        (r @ s_op, p),
+        (s_op @ s_op, eye),
     ]
-    if any(left != right for left, right in table):
+    if not all(np.array_equal(left, right) for left, right in table):
         return False
-    t = ops.t_op
-    t2 = t * t
-    t3 = t2 * t
-    t4 = t3 * t
-    t5 = t4 * t
+    t = delta - p
+    t2 = t @ t
+    t3 = t2 @ t
+    t4 = t3 @ t
+    t5 = t4 @ t
     power_identities = [
         (
             (4 * m * (m + 3) * (m - 3) * (m + 1)) * p,
@@ -346,7 +371,7 @@ def _ds_table_at(bundle: RepBundle, s: int, c: int, m: int) -> bool:
             + t5,
         ),
     ]
-    return all(left == right for left, right in power_identities)
+    return all(np.array_equal(left, right) for left, right in power_identities)
 
 
 def _excluded(bundle: RepBundle, c: int, m0: Fraction) -> bool:
@@ -359,23 +384,28 @@ def _excluded(bundle: RepBundle, c: int, m0: Fraction) -> bool:
     return m0 in roots
 
 
-def _square_blocks(t: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
-    """t (x) 1 + 1 (x) t on the alternating and symmetric squares.
+def _int_blocks(bundle: RepBundle, members, m0: Fraction) -> list[np.ndarray]:
+    """Python ints b t_x(m0) = b N_x + a E_xx on the class block, m0 = a/b."""
+    a, b = m0.numerator, m0.denominator
+    return [np.array(_block(_scaled_t(bundle, x, a, b), members, 0), dtype=object) for x in members]
+
+
+def _square_blocks(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """t (x) 1 + 1 (x) t on the alternating and symmetric squares of integer t.
 
     The bases are e_k ^ e_l = e_k (x) e_l - e_l (x) e_k for k < l, and
     e_k e_l = e_k (x) e_l + e_l (x) e_k for k < l with e_k (x) e_k for k = l.
     A vector's coordinate on the basis vector (i, j) is its (i, j) entry.
     """
-    d = t.rows
-    block = np.array(t.to_lists(), dtype=object)
-    eye = np.identity(d, dtype=int).astype(object)
-    big = np.kron(block, eye) + np.kron(eye, block)
+    d = len(t)
+    eye = np.identity(d, dtype=object)
+    big = np.kron(t, eye) + np.kron(eye, t)
     out = []
     for i, j, sign in ((*np.triu_indices(d, 1), -1), (*np.triu_indices(d), 1)):
         pairs = i * d + j
         swapped = big[np.ix_(pairs, j * d + i)]
         swapped[:, i == j] = 0
-        out.append(ExactMatrix.from_rows((big[np.ix_(pairs, pairs)] + sign * swapped).tolist()))
+        out.append(big[np.ix_(pairs, pairs)] + sign * swapped)
     return out[0], out[1]
 
 
@@ -397,11 +427,11 @@ def _square_report(bundle: RepBundle, c: int, m0: Fraction) -> dict:
     if d == 1:
         return {"class_size": 1, "skipped": True, "ok": True}
     _check_class_size(members)
-    blocks = [_square_blocks(bundle.t_block(x, members, m0)) for x in members]
+    blocks = [_square_blocks(t) for t in _int_blocks(bundle, members, m0)]
     wedge_dim = d * (d - 1) // 2
     sym_dim = d * (d + 1) // 2
-    wedge_algebra = algebra_dimension(wedge for wedge, _ in blocks)
-    sym_algebra = algebra_dimension(sym for _, sym in blocks)
+    wedge_algebra = _span_dimension([wedge for wedge, _ in blocks])
+    sym_algebra = _span_dimension([sym for _, sym in blocks])
     return {
         "class_size": d,
         "skipped": False,
@@ -481,21 +511,25 @@ def psu_membership_check(bundle: RepBundle, c: int, s: int, u: int, m0) -> bool:
     if not _excluded(bundle, c, m0) and tensor_square_check(bundle, c, m0)["ok"]:
         return True
 
-    def p_block(x: int) -> ExactMatrix:
-        return bundle.s_block(x, members) - bundle.t_block(x, members, m0)
+    # The generators are b t_x(m0) for m0 = a/b, so a word of length k is
+    # scaled by b^k and the target by b^2: units mod p unless p divides b.
+    d, den = len(members), m0.denominator
+    blocks = _int_blocks(bundle, members, m0)
+
+    def scaled_p(x: int) -> np.ndarray:  # b p_x = b s_x - b t_x(m0)
+        s_x = np.array(_block(bundle.s_cols(x), members, 0), dtype=object)
+        return den * s_x - blocks[members.index(x)]
 
     def closure(p: int) -> _ModSpan:
-        d = len(members)
-        eye = np.eye(d)
-        gens = [_to_mod(bundle.t_block(x, members, m0), p) for x in members]
-        return _grow_mod_span([(np.kron(t, eye) + np.kron(eye, t)) % p for t in gens], d * d, p)
+        eye = np.identity(d, dtype=object)
+        return _grow_mod_span([(np.kron(t, eye) + np.kron(eye, t)) % p for t in blocks], d * d, p)
 
-    ps, pu = p_block(s), p_block(u)
+    ps, pu = scaled_p(s), scaled_p(u)
+    target = np.kron(ps, pu) + np.kron(pu, ps)
     for p in _PRIMES:
-        a, b = _to_mod(ps, p), _to_mod(pu, p)
-        # entries below 2 * p**2 < 2**49: exact
-        target = (np.kron(a, b) + np.kron(b, a)) % p
+        if den % p == 0:
+            raise ValueError(f"m0 = {m0} has a denominator divisible by the prime {p}")
         span = bundle.memo(("span", c, m0, p), lambda: closure(p))
-        if span.residual(target.ravel()).any():
+        if span.residual(target.ravel() % p).any():
             return False
     return True

@@ -44,14 +44,6 @@ def test_matrix_algebra():
         a * ExactMatrix(3, 3, [F(0)] * 9)
 
 
-def test_kron_shape_and_values():
-    a = ExactMatrix.from_rows([[F(1), F(2)]])
-    b = ExactMatrix.from_rows([[F(0)], [F(3)]])
-    k = a.kron(b)
-    assert (k.rows, k.cols) == (2, 2)
-    assert k.to_lists() == [[F(0), F(0)], [F(3), F(6)]]
-
-
 def test_char_poly_examples():
     assert char_poly(ExactMatrix(1, 1, [F(5)])) == -(M - 5)
     assert char_poly(ones(3)) == -(M ** 2) * (M - 3)

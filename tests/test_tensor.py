@@ -13,14 +13,17 @@ from crg.rep import build_rep
 from crg.tensor import (
     _MAX_WIDTH,
     _PRIMES,
-    TensorOps,
     _ModSpan,
     _SpanGrowth,
+    _block_relations,
+    _ds_table_at,
     _exact_span_dimension,
     _grow_mod_span,
+    _int_blocks,
+    _integer_matrix,
     _mulmod,
+    _regular_rep,
     _square_blocks,
-    _to_mod,
     algebra_dimension,
     ds_table_check,
     psu_membership_check,
@@ -99,7 +102,16 @@ def _rational_closure_dimension(gens: list[ExactMatrix]) -> int:
     )
 )
 def test_exact_span_dimension_matches_rational_rank(gens):
-    assert _exact_span_dimension(gens) == _rational_closure_dimension(gens)
+    assert _exact_span_dimension([_integer_matrix(g) for g in gens]) == (
+        _rational_closure_dimension(gens)
+    )
+
+
+def test_algebra_dimension_takes_no_inverse_mod_p():
+    swap = ExactMatrix.from_rows([[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]])
+    for den in (3, _PRIMES[0]):
+        gen = ExactMatrix.from_rows([[Fraction(1, den), Fraction(1)], [Fraction(0), Fraction(2)]])
+        assert algebra_dimension([gen, swap]) == 4
 
 
 def test_algebra_dimension_rejects_mismatched_shapes():
@@ -125,28 +137,62 @@ def test_product_table_and_power_identities():
 def test_tensor_ops_shapes():
     g = build_coxeter("A", 2)
     b = build_rep(g)
-    assert g.classes[0] == (0, 1, 2)
-    eye3 = ExactMatrix.identity(3, Fraction(1))
-    eye = ExactMatrix.identity(9, Fraction(1))
+    members = g.classes[0]
+    assert members == (0, 1, 2)
+    eye = ExactMatrix.identity(3, Fraction(1))
     for m0 in (Fraction(0), Fraction(1), Fraction(-3), Fraction(22, 7)):
-        ops = TensorOps(b, 0, 0, m0)
         # the A2 generator t_0 = s_0 - p_0 at m0
         t = [[m0, -1, -1], [0, 0, 1], [0, 1, 0]]
         p = [[1 - m0, 1, 1], [0, 0, 0], [0, 0, 0]]
         t, p = (ExactMatrix.from_rows([[Fraction(x) for x in r] for r in m]) for m in (t, p))
-        assert ops.t_op.rows == 9
-        assert ops.t_op == t.kron(eye3) + eye3.kron(t)
-        assert ops.p_op == p.kron(eye3) + eye3.kron(p)
-        assert ops.t_op == ops.delta_op - ops.p_op
-        assert ops.s_op * ops.s_op == eye
+        s = b.s_block(0, members)
+        assert b.t_block(0, members, m0) == t
+        assert s - t == p
+        assert s * s == eye
+        assert s * p == p and p * s == p
+        assert p * p == (1 - m0) * p
+        assert _block_relations(b, 0, members, m0)
+
+
+def test_regular_representation_models_the_block_relations():
+    eye = np.identity(3, dtype=object)
+    for m in range(8):
+        l_s, l_p = _regular_rep(m)
+        assert np.array_equal(l_s @ l_s, eye)
+        assert np.array_equal(l_s @ l_p, l_p) and np.array_equal(l_p @ l_s, l_p)
+        assert np.array_equal(l_p @ l_p, (1 - m) * l_p)
+        # I, L_s, L_p independent: the representation of span{1, s, p} is faithful
+        stacked = ExactMatrix.from_rows([x.ravel().tolist() for x in (eye, l_s, l_p)])
+        assert rank_and_kernel(stacked)[0] == 3
+        assert _ds_table_at(m)
+
+
+@pytest.mark.parametrize(
+    "g", [build_coxeter("A", 3), build_coxeter("B", 3), build_series(3, 3, 3)], ids=lambda g: g.name
+)
+def test_tampered_alpha_inside_a_class_fails_the_ds_table(g):
+    tampered = 0
+    for c, members in enumerate(g.classes):
+        s = members[0]
+        u = next((u for u in members if g.conj_table[s][u] != u), None)
+        if u is None:  # every member commutes with s: p s = p survives the change
+            continue
+        alpha = [list(row) for row in g.alpha]
+        alpha[s][u] += 1
+        assert ds_table_check(build_rep(g), s, c)
+        assert not ds_table_check(build_rep(g, alpha), s, c), c
+        tampered += 1
+    assert tampered
 
 
 def test_tensor_ops_refuses_large_class():
     g = build_coxeter("H3")
     b = build_rep(g)
     assert len(g.classes[0]) == 15
+    # the operator table has no size limit; the closures keep theirs
+    assert ds_table_check(b, 0, 0)
     with pytest.raises(ValueError, match="<= 12"):
-        TensorOps(b, 0, 0, 0)
+        tensor_square_check(b, 0, Fraction(7))
     # 13 is a root of the class discriminant: the gate must hold on the root route too
     for m0 in (Fraction(7), Fraction(13)):
         with pytest.raises(ValueError, match="<= 12"):
@@ -214,6 +260,15 @@ def test_membership_works_at_discriminant_root():
     b = build_rep(g)
     members = g.classes[0]
     assert psu_membership_check(b, 0, members[0], members[1], Fraction(7))
+
+
+def test_membership_refuses_a_denominator_divisible_by_its_prime(monkeypatch):
+    g = build_coxeter("A", 2)
+    b = build_rep(g)
+    # squares that are not full send membership to the mod-p route
+    monkeypatch.setattr(tensor, "tensor_square_check", lambda *args: {"ok": False})
+    with pytest.raises(ValueError, match=f"divisible by the prime {_PRIMES[0]}"):
+        psu_membership_check(b, 0, 0, 1, Fraction(1, _PRIMES[0]))
 
 
 def _insert_one_at_a_time(basis: dict[int, list[int]], vec: list[int], p: int) -> bool:
@@ -327,7 +382,7 @@ def test_span_growth_refutes_membership_outside_degenerate_algebra():
     b = build_rep(g)
     members = g.classes[0]
     p = _PRIMES[0]
-    gens = [_to_mod(b.t_block(s, members, Fraction(0)), p) for s in members]
+    gens = [t % p for t in _int_blocks(b, members, Fraction(0))]
     span = _grow_mod_span(gens, 3, p)
     for gen in gens:
         assert not span.residual(gen.ravel()).any()
@@ -358,28 +413,28 @@ def _sym_coords(x, y):
 def test_square_blocks_act_as_derivations(name, rank, m0):
     g = build_coxeter(name, rank)
     b = build_rep(g)
+    den = Fraction(m0).denominator
     for members in g.classes:
         d = len(members)
-        for x in members:
-            t = b.t_block(x, members, m0)
+        for x, t in zip(members, _int_blocks(b, members, Fraction(m0))):
+            assert t.tolist() == (den * b.t_block(x, members, m0)).to_lists()
             wedge, sym = _square_blocks(t)
-            cols = t.transpose().to_lists()  # cols[k] = t e_k
+            cols = t.T.tolist()  # cols[k] = b t e_k
             unit = [[int(i == k) for i in range(d)] for k in range(d)]
             pairs = [(k, l) for k in range(d) for l in range(k + 1, d)]
             for col, (k, l) in enumerate(pairs):
                 left, right = _wedge_coords(cols[k], unit[l]), _wedge_coords(unit[k], cols[l])
                 image = [a + c for a, c in zip(left, right)]
-                assert [wedge[r, col] for r in range(len(pairs))] == image
+                assert wedge[:, col].tolist() == image
             pairs = [(k, l) for k in range(d) for l in range(k, d)]
             for col, (k, l) in enumerate(pairs):
                 left, right = _sym_coords(cols[k], unit[l]), _sym_coords(unit[k], cols[l])
                 image = [a + c for a, c in zip(left, right)]
                 # e_k e_k is twice the basis vector e_k (x) e_k
                 if k == l:
-                    image = [Fraction(v, 2) for v in image]
-                assert [sym[r, col] for r in range(len(pairs))] == image
-            ring = type(m0)
-            assert all(type(v) is ring for v in wedge.entries + sym.entries)
+                    image = [v // 2 for v in image]
+                assert sym[:, col].tolist() == image
+            assert all(type(v) is int for v in [*wedge.flat, *sym.flat])
 
 
 def test_membership_off_roots_rests_on_the_square_closure(monkeypatch):
