@@ -11,11 +11,10 @@ from .groups import (
     ReflectionGroupData,
     alpha,
     build_coxeter,
-    build_from_generators,
+    build_exceptional,
     build_series,
     class_stats,
     k_c,
-    load_generator_group,
 )
 from .krammer import build_krammer, check_braid_relations, cubic_specialization_check
 from .matrices import ExactMatrix, char_poly, rank_and_kernel
@@ -62,11 +61,10 @@ __all__ = [
     "ReflectionGroupData",
     "alpha",
     "build_coxeter",
-    "build_from_generators",
+    "build_exceptional",
     "build_series",
     "class_stats",
     "k_c",
-    "load_generator_group",
     "codim2_flats",
     "parabolic_reflections",
     "Discriminant",

@@ -13,12 +13,12 @@ from pathlib import Path
 from typing import Union
 
 from .groups import (
+    EXCEPTIONAL,
     ReflectionGroupData,
     build_coxeter,
+    build_exceptional,
     build_series,
-    class_stats,
     data_dir,
-    load_generator_group,
 )
 from .krammer import build_krammer, check_braid_relations, cubic_specialization_check
 from .quadratic import (
@@ -135,7 +135,7 @@ def parse_group(text: str) -> GroupSpec:
         p.done()
         if k in ALIASES:
             return Coxeter(ALIASES[k])
-        if not (data_dir() / f"G{k}.json").exists():
+        if f"G{k}" not in EXCEPTIONAL:
             raise ValueError(f"no generator data for G{k}")
         return Exceptional(k)
     if head in ("A", "B", "D"):
@@ -165,7 +165,7 @@ def build_group(spec: GroupSpec) -> ReflectionGroupData:
     if isinstance(spec, Series):
         return build_series(spec.m, spec.p, spec.r)
     if isinstance(spec, Exceptional):
-        return load_generator_group(spec.render())
+        return build_exceptional(spec.render())
     if spec.kind in COXETER_FIXED:
         return build_coxeter(spec.kind)
     return build_coxeter(spec.kind, spec.rank)
@@ -347,15 +347,26 @@ def _parabolic_checks(report: VerifyReport, bundle: RepBundle) -> None:
     _run_check(report, "parabolic-restriction", restriction)
 
 
+def _dihedral_and_krammer(spec: GroupSpec) -> tuple[int | None, int | None]:
+    """(e, n) with the group I2(e) for an odd e and A_{n-1}, or None for each
+    it is not, whatever the spelling: A2 = I2(3) = G(3,3,2) = G(1,1,3) and
+    A3 = D3 = G(2,2,3) = G(1,1,4)."""
+    kind, rank = (spec.kind, spec.rank) if isinstance(spec, Coxeter) else (None, None)
+    if isinstance(spec, Series):
+        if (spec.m, spec.p) == (1, 1):
+            kind, rank = "A", spec.r - 1
+        elif spec.m == spec.p and spec.r == 2:
+            kind, rank = "I2", spec.m
+        elif (spec.m, spec.p) == (2, 2):
+            kind, rank = "D", spec.r
+    kind, rank = {("I2", 3): ("A", 2), ("D", 3): ("A", 3)}.get((kind, rank), (kind, rank))
+    e = 3 if (kind, rank) == ("A", 2) else rank if kind == "I2" and rank % 2 else None
+    return e, rank + 1 if kind == "A" else None
+
+
 def _dihedral_checks(report: VerifyReport, spec: GroupSpec) -> None:
-    e = None
-    if isinstance(spec, Coxeter) and spec.kind == "I2" and spec.rank % 2 == 1:
-        e = spec.rank
-    if isinstance(spec, Coxeter) and spec.kind == "A" and spec.rank == 2:
-        e = 3
-    if isinstance(spec, Series) and spec.m == spec.p and spec.r == 2 and spec.m % 2:
-        e = spec.m
-    if e is None or e < 3:
+    e, _ = _dihedral_and_krammer(spec)
+    if e is None:
         report.checks.append(
             CheckOutcome("dihedral-zero-point", "skipped", "not an odd dihedral group", 0.0)
         )
@@ -367,11 +378,7 @@ def _dihedral_checks(report: VerifyReport, spec: GroupSpec) -> None:
 
 
 def _krammer_checks(report: VerifyReport, spec: GroupSpec) -> None:
-    n = None
-    if isinstance(spec, Coxeter) and spec.kind == "A":
-        n = spec.rank + 1
-    if isinstance(spec, Series) and (spec.m, spec.p) == (1, 1):
-        n = spec.r
+    _, n = _dihedral_and_krammer(spec)
     if n is None or n < 2:
         report.checks.append(
             CheckOutcome("krammer-braid", "skipped", "not a type-A group", 0.0)
@@ -491,11 +498,7 @@ def cmd_conjecture(e_max: int, r_max: int) -> int:
 def cmd_list_groups() -> int:
     print("series: G(e,e,r) and G(2e,e,r)")
     print("coxeter: A<n> B<n> D<n> I2(e) " + " ".join(COXETER_FIXED))
-    shipped = sorted(
-        (p.stem for p in data_dir().glob("G*.json")),
-        key=lambda s: int(s[1:]),
-    )
-    print("exceptional data: " + " ".join(shipped))
+    print("exceptional data: " + " ".join(EXCEPTIONAL))
     print(
         "aliases: "
         + " ".join(f"G{k}={v}" for k, v in sorted(ALIASES.items()))

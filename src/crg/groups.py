@@ -1,5 +1,6 @@
 """Reflection group construction: infinite series, Coxeter root systems and
-generator data files, with conjugation tables and class statistics.
+the exceptional groups G12, G13, G22 and G24, with conjugation tables and
+class statistics.
 
 Every group is built one way.  An order-2 reflection
 s = I - 2 a (x) phi / (phi . a) is keyed by its root line and its coform
@@ -10,8 +11,6 @@ from sigma_{g y g} = sigma_g sigma_y sigma_g, which is integer work."""
 
 from __future__ import annotations
 
-import json
-import os
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
@@ -103,27 +102,6 @@ class Reflection:
         return f"Reflection({self.index})"
 
 
-def _root_and_coform(m: ExactMatrix) -> Key:
-    """Root and coform lines of (s - I), with a full rank-1 certification."""
-    rank = m.rows
-    diff = [[m[i, j] - (1 if i == j else 0) for j in range(rank)] for i in range(rank)]
-    pivot = next(
-        ((i, j) for i in range(rank) for j in range(rank) if diff[i][j]), None
-    )
-    if pivot is None:
-        raise ValueError("generator fails the reflection test: equals the identity")
-    i0, j0 = pivot
-    root = _line([diff[i][j0] for i in range(rank)])
-    coform = _line(diff[i0])
-    # the first nonzero entries of column j0 and of row i0 are both diff[i0][j0]
-    scale = diff[i0][j0]
-    for i in range(rank):
-        for j in range(rank):
-            if diff[i][j] != root[i] * coform[j] * scale:
-                raise ValueError("generator fails the reflection test: rank exceeds 1")
-    return root, coform
-
-
 class ReflectionGroupData:
     """Immutable bundle of reflections, conjugation table and class data."""
 
@@ -134,7 +112,6 @@ class ReflectionGroupData:
         conductor: int,
         reflections: tuple[Reflection, ...],
         conj_table: tuple[tuple[int, ...], ...],
-        expected_reflection_count: int,
     ) -> None:
         self.name = name
         self.rank = rank
@@ -142,7 +119,6 @@ class ReflectionGroupData:
         self.field = cyclotomic_field(conductor)
         self.reflections = reflections
         self.conj_table = conj_table
-        self.expected_reflection_count = expected_reflection_count
 
         n = len(reflections)
         alpha = [[0] * n for _ in range(n)]
@@ -206,36 +182,22 @@ class ReflectionGroupData:
 
 
 def _assemble(
-    name: str,
-    rank: int,
-    conductor: int,
-    keys: set[Key],
-    expected: int,
-    mismatch_error: str | None = None,
-    seeds: dict[Key, dict[Key, Key]] | None = None,
+    name: str, rank: int, conductor: int, keys: set[Key], expected: int
 ) -> ReflectionGroupData:
     """Index the reflections by their sorted packed matrices and build the
-    conjugation table from the rows of a few generators.
-
-    `seeds` maps generator keys to their known action on every key; they are
-    tried first, and their rows are read off that action."""
+    conjugation table from the rows of a few generators."""
     if len(keys) != expected:
-        msg = mismatch_error or (
-            f"{name}: built {len(keys)} reflections, expected {expected}"
-        )
-        raise ValueError(msg)
+        raise ValueError(f"{name}: built {len(keys)} reflections, expected {expected}")
     mats = {k: _reflection_matrix(k) for k in keys}
     ordered = sorted(keys, key=lambda k: _packed(mats[k]))
     index = {k: i for i, k in enumerate(ordered)}
     n = len(ordered)
     rows: dict[int, tuple[int, ...]] = {}
     gens: list[int] = []
-    seeds = seeds or {}
-    for cand in [index[k] for k in seeds] + list(range(n)):
+    for cand in range(n):
         if cand in rows:
             continue
-        key = ordered[cand]
-        act = seeds[key].get if key in seeds else _conjugator(key)
+        act = _conjugator(ordered[cand])
         row = tuple(index.get(act(k), -1) for k in ordered)
         if -1 in row:
             raise ValueError(f"{name}: reflection set is not conjugation-closed")
@@ -257,7 +219,7 @@ def _assemble(
         Reflection(i, mats[k], k[0], k[1]) for i, k in enumerate(ordered)
     )
     conj = tuple(rows[y] for y in range(n))
-    return ReflectionGroupData(name, rank, conductor, reflections, conj, expected)
+    return ReflectionGroupData(name, rank, conductor, reflections, conj)
 
 
 def _root_of_unity(field: CyclotomicField, m_param: int, k: int) -> CycNum:
@@ -300,9 +262,11 @@ def build_series(m_param: int, p: int, r: int) -> ReflectionGroupData:
     return _assemble(f"G({m_param},{p},{r})", r, conductor, keys, expected)
 
 
-def _real_root_keys(roots: Iterable[Vec]) -> set[Key]:
-    """Keys of the reflections x -> x - 2(x,a)/(a,a) a, one per root line."""
-    return {(line, line) for line in map(_line, roots)}
+def _root_keys(roots: Iterable[Vec]) -> set[Key]:
+    """Keys of the reflections I - 2 a a* / (a* a), one per root line: the
+    coform line is the complex conjugate of the root line, and equals it for
+    a real root."""
+    return {(line, tuple(x.conj() for x in line)) for line in map(_line, roots)}
 
 
 def _h_series_roots(rank: int) -> list[tuple]:
@@ -444,90 +408,100 @@ def build_coxeter(kind: str, rank: int | None = None) -> ReflectionGroupData:
         if rank is not None:
             raise ValueError(f"type {kind} takes no rank")
         n = 3 if kind == "H3" else 4
-        keys = _real_root_keys(_h_series_roots(n))
+        keys = _root_keys(_h_series_roots(n))
         return _assemble(kind, n, 5, keys, _ROOT_SYSTEM_SIZES[kind])
     elif kind in ("F4", "E6", "E7", "E8"):
         if rank is not None:
             raise ValueError(f"type {kind} takes no rank")
         roots = _f4_roots() if kind == "F4" else _e_series_roots(kind)
         n = 4 if kind == "F4" else 8
-        return _assemble(kind, n, 1, _real_root_keys(roots), _ROOT_SYSTEM_SIZES[kind])
+        return _assemble(kind, n, 1, _root_keys(roots), _ROOT_SYSTEM_SIZES[kind])
     else:
         raise ValueError(f"unsupported type {kind!r}")
     label = f"{kind}{rank}" if kind != "I2" else f"I2({rank})"
-    return ReflectionGroupData(
-        label, g.rank, g.conductor, g.reflections, g.conj_table,
-        g.expected_reflection_count,
-    )
+    return ReflectionGroupData(label, g.rank, g.conductor, g.reflections, g.conj_table)
 
 
-def data_dir() -> Path:
-    override = os.environ.get("CRG_DATA_DIR")
-    if override:
-        return Path(override)
-    return Path(__file__).parent / "data"
+def _lift(x: CycNum, field: CyclotomicField) -> CycNum:
+    """x in Q(zeta_k) as an element of Q(zeta_n), k | n, zeta_k = zeta_n^(n/k)."""
+    step = field.n // x.field.n
+    coeffs = [0] * ((x.field.degree - 1) * step + 1)
+    coeffs[::step] = x.coeffs
+    return field.from_fractions(coeffs)
 
 
-def build_from_generators(data: dict) -> ReflectionGroupData:
-    """Closure of a generator set under reflection-conjugation.
-
-    Order 2 and rank 1 are certified on the generators; every other
-    reflection is a conjugate g s g and inherits both."""
-    name = data["name"]
-    rank = int(data["rank"])
-    conductor = int(data["conductor"])
-    expected = int(data["expected_reflection_count"])
-    if conductor < 1:
-        raise ValueError("unknown conductor")
-    field = cyclotomic_field(conductor)
-    d = field.degree
-    ident = ExactMatrix.identity(rank, field.one())
-    gens: list[Key] = []
-    for mat in data["generators"]:
-        if len(mat) != rank * rank:
-            raise ValueError(f"{name}: generator matrix is not {rank}x{rank}")
-        entries = []
-        for ent in mat:
-            num = ent["num"]
-            if len(num) != d or ent["den"] < 1:
-                raise ValueError(f"{name}: malformed matrix entry")
-            entries.append(CycNum(field, tuple(num), ent["den"]))
-        m = ExactMatrix(rank, rank, entries)
-        if m * m != ident:
-            raise ValueError("generator fails the reflection test: order is not 2")
-        gens.append(_root_and_coform(m))
-    mismatch = "metadata mismatch: generator set does not reach all reflections"
-    # the closure applies every generator to every key: keep those images
-    images: dict[Key, dict[Key, Key]] = {g: {} for g in gens}
-    actions = [(images[g], _conjugator(g)) for g in gens]
-    known = set(gens)
-    frontier = list(known)
-    while frontier:
-        fresh = []
-        for key in frontier:
-            for image, act in actions:
-                img = image[key] = act(key)
-                if img not in known:
-                    known.add(img)
-                    fresh.append(img)
-        if len(known) > expected:
-            raise ValueError(mismatch)
-        frontier = fresh
-    return _assemble(name, rank, conductor, known, expected, mismatch, images)
+def _quaternion_roots(field: CyclotomicField, pure: Iterable[Vec]) -> list[Vec]:
+    """Root lines of i M(q) for the pure unit quaternions q = b i + c j + d k,
+    given as (b, c, d), where M(q) = [[b i, c + d i], [-c + d i, -b i]]."""
+    i = field.zeta(field.n // 4)
+    zero, one = field.zero(), field.one()
+    return [(1 + b, i * c + d) if b != -1 else (zero, one) for b, c, d in pure]
 
 
-def load_generator_group(name: str) -> ReflectionGroupData:
-    """Build a shipped exceptional group from its JSON data file."""
-    return _load_generator_group(name, str(data_dir()))
+def _pure_octahedral(field: CyclotomicField, with_2t: bool) -> list[Vec]:
+    """The pure elements of 2O minus 2T, the long F4 roots over sqrt 2; with
+    the short roots, 2T, those of 2O."""
+    inv_sqrt2 = 1 / (field.zeta(1) - field.zeta(3))
+    out = []
+    for a, *q in _f4_roots():
+        if a:
+            continue
+        q = [_lift(x, field) for x in q]
+        if sum(1 for x in q if x) == 2:
+            out.append(tuple(inv_sqrt2 * x for x in q))
+        elif with_2t:
+            out.append(tuple(q))
+    return out
+
+
+def _pure_icosians(field: CyclotomicField) -> list[Vec]:
+    """The pure elements of 2I: the H4 roots with second coordinate 0, in
+    Q(zeta_20).  Reading that coordinate as the real part swaps two
+    coordinates, which undoes the mirror image `_h_series_roots` builds."""
+    return [
+        tuple(_lift(x, field) for x in (a, c, d))
+        for a, b, c, d in _h_series_roots(4)
+        if not b
+    ]
+
+
+def _klein_roots(field: CyclotomicField) -> list[Vec]:
+    """The 21 root lines of G24: the orbit of the root of Klein's involution
+    s = (1/sqrt(-7)) [[a, b, c], [b, c, a], [c, a, b]] under
+    (x, y, z) -> (zeta^4 x, zeta^2 y, zeta z) and the cyclic shift."""
+    z = field.zeta
+    a, b, c = z(1) - z(6), z(2) - z(5), z(4) - z(3)
+    # the matrix has trace a + b + c = sqrt(-7), so s has trace 1, and the
+    # first column of sqrt(-7) (s - I) is (a - (a + b + c), b, c)
+    root = (-b - c, b, c)
+    roots = []
+    for k in range(7):
+        v = (z(4 * k) * root[0], z(2 * k) * root[1], z(k) * root[2])
+        roots.extend(v[j:] + v[:j] for j in range(3))
+    return roots
+
+
+# name: rank, conductor, reflection count and root lines
+EXCEPTIONAL: dict[str, tuple[int, int, int, Callable[[CyclotomicField], list[Vec]]]] = {
+    "G12": (2, 8, 12, lambda f: _quaternion_roots(f, _pure_octahedral(f, False))),
+    "G13": (2, 8, 18, lambda f: _quaternion_roots(f, _pure_octahedral(f, True))),
+    "G22": (2, 20, 30, lambda f: _quaternion_roots(f, _pure_icosians(f))),
+    "G24": (3, 7, 21, _klein_roots),
+}
 
 
 @lru_cache(maxsize=None)
-def _load_generator_group(name: str, directory: str) -> ReflectionGroupData:
-    path = Path(directory) / f"{name}.json"
-    if not path.exists():
+def build_exceptional(name: str) -> ReflectionGroupData:
+    """An exceptional unitary group of EXCEPTIONAL from its root lines."""
+    if name not in EXCEPTIONAL:
         raise ValueError(f"no generator data for {name}")
-    with open(path) as fh:
-        return build_from_generators(json.load(fh))
+    rank, conductor, count, roots = EXCEPTIONAL[name]
+    keys = _root_keys(roots(cyclotomic_field(conductor)))
+    return _assemble(name, rank, conductor, keys, count)
+
+
+def data_dir() -> Path:
+    return Path(__file__).parent / "data"
 
 
 def alpha(g: ReflectionGroupData, s: int, u: int) -> int:

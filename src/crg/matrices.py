@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -62,19 +62,6 @@ class ExactMatrix:
     def row(self, i: int) -> tuple:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def to_lists(self) -> list[list]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    def transpose(self) -> ExactMatrix:
-        return ExactMatrix(
-            self.cols,
-            self.rows,
-            [self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)],
-        )
-
-    def map(self, fn: Callable) -> ExactMatrix:
-        return ExactMatrix(self.rows, self.cols, [fn(e) for e in self.entries])
-
     def __add__(self, other: ExactMatrix) -> ExactMatrix:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
@@ -117,9 +104,6 @@ class ExactMatrix:
 
     def __rmul__(self, other):
         return ExactMatrix(self.rows, self.cols, [other * e for e in self.entries])
-
-    def is_zero(self) -> bool:
-        return not any(self.entries)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExactMatrix):

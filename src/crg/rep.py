@@ -93,10 +93,6 @@ class RepBundle:
         """
         return ExactMatrix.from_rows(_block(self.t_at(s, m0), members, m0 * 0))
 
-    def s_block(self, s: int, members) -> ExactMatrix:
-        """Restriction of the permutation action of s to the span of v_u, u in members."""
-        return ExactMatrix.from_rows(_block(self.s_cols(s), members, 0))
-
 
 def _block(cols: Sparse, members, zero) -> list[list]:
     pos = {u: i for i, u in enumerate(members)}

@@ -1,6 +1,7 @@
 """Group-spec parsing, output formats, and exit codes of the command line."""
 
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -127,6 +128,23 @@ def test_verify_all_suites_on_a2(capsys):
     assert "krammer-braid" in out
 
 
+def _check_lines(capsys, group, suite):
+    """The check lines of one suite, without elapsed times or the summary,
+    which names the spelling."""
+    assert main(["verify", "--group", group, "--suite", suite]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    return [re.sub(r" \(\d+\.\d{3}s\)", "", line) for line in lines[:-1]]
+
+
+@pytest.mark.parametrize(
+    "spelling, same_as",
+    [("G(1,1,3)", "A2"), ("I2(3)", "A2"), ("G(3,3,2)", "A2"), ("D3", "A3"), ("G(2,2,3)", "A3")],
+)
+def test_dihedral_and_krammer_checks_follow_the_group(capsys, spelling, same_as):
+    for suite in ("dihedral", "krammer"):
+        assert _check_lines(capsys, spelling, suite) == _check_lines(capsys, same_as, suite)
+
+
 def test_verify_skips_tensor_on_large_class(capsys):
     code = main(["verify", "--group", "H3", "--suite", "tensor"])
     out = capsys.readouterr().out
@@ -179,6 +197,19 @@ def test_list_groups(capsys):
     out = capsys.readouterr().out
     assert "G12" in out and "G24" in out
     assert "G23=H3" in out
+
+
+def test_listed_exceptional_groups_parse_and_build(capsys):
+    assert main(["list-groups"]) == 0
+    line = next(
+        line for line in capsys.readouterr().out.splitlines() if line.startswith("exceptional")
+    )
+    names = line.split(": ")[1].split()
+    assert names == ["G12", "G13", "G22", "G24"]
+    for name in names:
+        assert build_group(parse_group(name)).name == name
+    with pytest.raises(ValueError, match="no generator data for G25"):
+        parse_group("G25")
 
 
 def test_usage_errors_exit_2(capsys):

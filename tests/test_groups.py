@@ -1,16 +1,17 @@
 """Reflection group construction, conjugation tables, and class data."""
 
+import hashlib
+
 import pytest
 
 from crg.cyclotomic import cyclotomic_field
 from crg.groups import (
     alpha,
     build_coxeter,
-    build_from_generators,
+    build_exceptional,
     build_series,
     class_stats,
     k_c,
-    load_generator_group,
 )
 
 
@@ -117,7 +118,7 @@ def test_noncommuting_count_is_even():
 
 def test_missing_generator_data():
     with pytest.raises(ValueError, match="no generator data"):
-        load_generator_group("G99")
+        build_exceptional("G99")
 
 
 def test_loaded_generator_groups():
@@ -128,7 +129,7 @@ def test_loaded_generator_groups():
         "G24": (21, [21], [17]),
     }
     for name, (count, sizes, n_values) in expected.items():
-        g = load_generator_group(name)
+        g = build_exceptional(name)
         assert g.name == name
         assert len(g.reflections) == count
         assert sorted(len(m) for m in g.classes) == sizes
@@ -137,23 +138,36 @@ def test_loaded_generator_groups():
 
 
 def test_loaded_groups_closed_under_conjugation():
-    g = load_generator_group("G13")
+    g = build_exceptional("G13")
     for y in range(g.size):
         for s in range(g.size):
             assert g.class_of[g.conj_table[y][s]] == g.class_of[s]
 
 
-def test_data_dir_env_override(tmp_path, monkeypatch):
-    import shutil
+# sha256 of the groups as the generator-matrix route built them: the
+# reflection matrices in index order, the conjugation table and the classes
+EXCEPTIONAL_SHA256 = {
+    "G12": "45bc97fed5940baeff55bf11854b929ab990501907bae24823069bebf83d9acb",
+    "G13": "fd85fd56de13a483757a263e05f6c28da637dc49680cb39e27c00d09f9d7a2c0",
+    "G22": "75e958caa376bd56f7dcfa631ff7bb0cb31137b05efde3dce32db839e5ce6cf3",
+    "G24": "539b77a0c916e3e52c14cef43b63ef82e7f8b32f59d39d860e47567d9f413f8e",
+}
 
-    from crg.groups import data_dir
 
-    shutil.copy(data_dir() / "G12.json", tmp_path / "G12.json")
-    monkeypatch.setenv("CRG_DATA_DIR", str(tmp_path))
-    assert data_dir() == tmp_path
-    assert len(load_generator_group("G12").reflections) == 12
-    with pytest.raises(ValueError, match="no generator data"):
-        load_generator_group("G13")
+@pytest.mark.parametrize("name", sorted(EXCEPTIONAL_SHA256))
+def test_exceptional_groups_match_their_generator_matrices(name):
+    g = build_exceptional(name)
+    blob = repr(
+        (
+            g.name,
+            g.rank,
+            g.conductor,
+            [r.matrix.entries for r in g.reflections],
+            g.conj_table,
+            g.classes,
+        )
+    )
+    assert hashlib.sha256(blob.encode()).hexdigest() == EXCEPTIONAL_SHA256[name]
 
 
 @pytest.mark.parametrize(
@@ -178,53 +192,21 @@ def test_conj_table_matches_matrix_conjugation(name):
             assert ysy == tuple(table[y][table[s][table[y][t]]] for t in range(g.size))
 
 
-def _rational_data(*generators, expected=3):
-    """Generator data over Q in rank 2; each generator is four integers."""
-    return {
-        "name": "T",
-        "rank": 2,
-        "conductor": 1,
-        "expected_reflection_count": expected,
-        "generators": [[{"num": [x], "den": 1} for x in g] for g in generators],
-    }
-
-
-# the simple reflections of A2 in the basis of simple roots
-S1 = (-1, 1, 0, 1)
-S2 = (1, 0, 1, -1)
-
-
-def test_build_from_generators_closes_a2():
-    g = build_from_generators(_rational_data(S1, S2))
-    assert g.size == 3 and len(g.classes) == 1
-
-
-@pytest.mark.parametrize(
-    "generators, message",
-    [
-        ([S1, (1, 1, 0, 1)], "order is not 2"),
-        ([S1, (-1, 0, 0, -1)], "rank exceeds 1"),
-        ([S1, (1, 0, 0, 1)], "equals the identity"),
-    ],
-)
-def test_build_from_generators_rejects_non_reflections(generators, message):
-    with pytest.raises(ValueError, match=f"generator fails the reflection test: {message}"):
-        build_from_generators(_rational_data(*generators))
-
-
-@pytest.mark.parametrize(
-    "generators, expected", [([S1], 3), ([S1, S2], 2), ([S1, S2], 4)]
-)
-def test_build_from_generators_metadata_mismatch(generators, expected):
-    data = _rational_data(*generators, expected=expected)
-    with pytest.raises(ValueError, match="metadata mismatch"):
-        build_from_generators(data)
-
-
 def test_assemble_rejects_a_set_not_closed_under_conjugation():
-    from crg.groups import _assemble, _real_root_keys
+    from crg.groups import _assemble, _root_keys
 
     q = cyclotomic_field(1)
     roots = [tuple(q.from_rational(x) for x in r) for r in ((1, -1, 0), (0, 1, -1))]
     with pytest.raises(ValueError, match="not conjugation-closed"):
-        _assemble("A2 minus one", 3, 1, _real_root_keys(roots), 2)
+        _assemble("A2 minus one", 3, 1, _root_keys(roots), 2)
+
+
+def test_assemble_refuses_a_wrong_reflection_count():
+    from crg.groups import _assemble, _root_keys
+
+    q = cyclotomic_field(1)
+    roots = [
+        tuple(q.from_rational(x) for x in r) for r in ((1, -1, 0), (0, 1, -1), (1, 0, -1))
+    ]
+    with pytest.raises(ValueError, match="A2: built 3 reflections, expected 4"):
+        _assemble("A2", 3, 1, _root_keys(roots), 4)

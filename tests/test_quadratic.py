@@ -21,9 +21,9 @@ from crg.quadratic import (
 
 def test_gram_matrix_small_cases():
     a2 = gram_matrix(build_coxeter("A", 2), 0)
-    assert a2.to_lists() == [[1, 1, 1], [1, 1, 1], [1, 1, 1]]
+    assert a2 == ExactMatrix.from_rows([[1, 1, 1], [1, 1, 1], [1, 1, 1]])
     i5 = gram_matrix(build_coxeter("I2", 5), 0)
-    assert i5.to_lists() == [[1] * 5 for _ in range(5)]
+    assert i5 == ExactMatrix.from_rows([[1] * 5 for _ in range(5)])
     b2 = build_coxeter("B", 2)
     diag_class = next(
         c
@@ -32,7 +32,7 @@ def test_gram_matrix_small_cases():
             b2.reflections[s].matrix[0, 1] == 0 for s in members
         )
     )
-    assert gram_matrix(b2, diag_class).to_lists() == [[1, 2], [2, 1]]
+    assert gram_matrix(b2, diag_class) == ExactMatrix.from_rows([[1, 2], [2, 1]])
 
 
 def test_discriminant_examples():
