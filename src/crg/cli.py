@@ -136,7 +136,7 @@ def parse_group(text: str) -> GroupSpec:
         if k in ALIASES:
             return Coxeter(ALIASES[k])
         if f"G{k}" not in EXCEPTIONAL:
-            raise ValueError(f"no generator data for G{k}")
+            raise ValueError(f"no construction for G{k}")
         return Exceptional(k)
     if head in ("A", "B", "D"):
         p.pos += 1

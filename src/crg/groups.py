@@ -494,7 +494,7 @@ EXCEPTIONAL: dict[str, tuple[int, int, int, Callable[[CyclotomicField], list[Vec
 def build_exceptional(name: str) -> ReflectionGroupData:
     """An exceptional unitary group of EXCEPTIONAL from its root lines."""
     if name not in EXCEPTIONAL:
-        raise ValueError(f"no generator data for {name}")
+        raise ValueError(f"no construction for {name}")
     rank, conductor, count, roots = EXCEPTIONAL[name]
     keys = _root_keys(roots(cyclotomic_field(conductor)))
     return _assemble(name, rank, conductor, keys, count)

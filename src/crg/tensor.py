@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 import numpy as np
 
@@ -238,18 +238,118 @@ def algebra_dimension(mats) -> int:
 
 
 def _span_dimension(gens: list[np.ndarray]) -> int:
-    """Dimension of the unital algebra generated by square Python-int matrices.
+    """Dimension of the unital algebra A generated by square Python-int matrices.
 
-    The words mod p are the integer words mod p, and their mod-p rank never
-    exceeds the rational rank, so a full mod-p span certifies dimension n^2
-    with no inverse taken mod p; anything less falls back to exact integer
-    elimination.
+    The span grows mod p from the integer words, with no inverse taken mod p.
+    Its k words are integer matrices that are independent mod p, so they are
+    independent over Q: dim A >= k.  If k = n^2, A is full.
+
+    Below full, `_certified_dimension` proves dim A <= k.  It reads the
+    annihilator off the span's reduced echelon rows R, with pivots piv: for
+    each non-pivot column f, y_f = e_f - sum_i R[i, f] e_{piv_i} mod p.  It
+    lifts each entry to Q by rational reconstruction and scales each row by
+    its denominators, giving an integer matrix Y.  On the non-pivot columns
+    Y is a scaled identity, so its n^2 - k rows are independent and
+    K = ker Y = {X : <X, y_f> = 0 for all f} has dimension exactly k, where
+    <X, Y> = tr(X^T Y).  It then checks, in exact integer arithmetic:
+
+    (a) tr(y_f) = 0 for every f, so I lies in K;
+    (b) y_f g^T lies in the row span of Y for every generator g and row f.
+
+    Since <X g, y_f> = <X, y_f g^T>, (b) makes K closed under X -> X g: for
+    X in K, X g is orthogonal to every y_f g^T, so to every y_f.  A subspace
+    that holds I and is closed under right multiplication by every generator
+    holds every word, so it holds A, and dim A <= dim K = k.  Both bounds
+    together give dim A = k exactly.  The lift only proposes Y: the checks
+    decide, so a wrong lift can only make the certificate fail.
+
+    If a lift or a check fails, the dimension comes from exact fraction-free
+    elimination.  That case includes a bad prime, where the words mod p have
+    a lower rank than over Q.
     """
     n = len(gens[0])
     p = _PRIMES[0]
-    if _grow_mod_span([g % p for g in gens], n, p).dim == n * n:
+    span = _grow_mod_span([g % p for g in gens], n, p)
+    if span.dim == n * n:
         return n * n
-    return _exact_span_dimension(gens)
+    dim = _certified_dimension(gens, span)
+    return _exact_span_dimension(gens) if dim is None else dim
+
+
+def _certified_dimension(gens: list[np.ndarray], span: _ModSpan) -> int | None:
+    """span.dim if the annihilator certificate of `_span_dimension` holds, else None."""
+    y = _lifted_annihilator(span)
+    if y is None:
+        return None
+    return span.dim if _annihilates_algebra(gens, y, span._pivots[: span.dim]) else None
+
+
+def _lifted_annihilator(span: _ModSpan) -> np.ndarray | None:
+    """Integer rows y_f = den_f (e_f - sum_i R[i, f] e_{piv_i}) lifted from mod p.
+
+    Row j belongs to the j-th non-pivot column f, and each row is scaled by
+    the lcm den_f of its denominators.  None if an entry has no lift.
+    """
+    p, k = span.p, span.dim
+    pivots = span._pivots[:k]
+    free = np.setdiff1d(np.arange(span.width), pivots)
+    y = np.zeros((len(free), span.width), dtype=object)
+    for row, (f, col) in enumerate(zip(free, span._rows[:k, free].T)):
+        lifts = [_rational_lift(-int(x) % p, p) for x in col]
+        if None in lifts:
+            return None
+        den = lcm(*(b for _, b in lifts))
+        y[row, f] = den
+        y[row, pivots] = [a * (den // b) for a, b in lifts]
+    return y
+
+
+def _rational_lift(u: int, p: int) -> tuple[int, int] | None:
+    """(a, b) with a = b u mod p, |a| <= B and 0 < b <= B for B = isqrt(p // 2).
+
+    Rational reconstruction: the extended Euclidean algorithm on (p, u),
+    stopped at the first remainder <= B.  Since 2 B^2 < p, at most one such
+    fraction exists.  None if the cofactor passes B.
+    """
+    bound = isqrt(p // 2)
+    r0, r1, t0, t1 = p, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if abs(t1) > bound:
+        return None
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
+
+
+def _annihilates_algebra(gens: list[np.ndarray], y: np.ndarray, pivots) -> bool:
+    """Checks (a) and (b) of `_span_dimension` on integer annihilator rows `y`.
+
+    Row j of y is den_j times e_{f_j} on the non-pivot columns.  Scaled to a
+    common denominator L, row j becomes z_j = (L / den_j) y_j, and a vector v
+    lies in the row span of y exactly when L v = sum_j v[f_j] z_j, which needs
+    comparing only on the pivot columns.
+
+    With every |y| <= M and every |g| <= G, every product and partial sum
+    below is at most len(free) * n * M^2 * G * L, so the checks run in int64
+    when that bound is below 2^63 and in Python ints otherwise.
+    """
+    n = len(gens[0])
+    if y[:, :: n + 1].sum(axis=1).any():  # (a): the trace of each y_f
+        return False
+    free = np.setdiff1d(np.arange(n * n), pivots)
+    dens = y[np.arange(len(free)), free]
+    common = lcm(*dens)
+    most = max(int(abs(g).max()) for g in gens)
+    if len(free) * n * int(abs(y).max(initial=0)) ** 2 * most * common < 2**63:
+        y, dens, gens = y.astype(np.int64), dens.astype(np.int64), [g.astype(np.int64) for g in gens]
+    z = y[:, pivots] * (common // dens)[:, None]
+    cubes = y.reshape(-1, n, n)
+    for gen in gens:
+        prods = (cubes @ gen.T).reshape(len(y), n * n)
+        if not np.array_equal(common * prods[:, pivots], prods[:, free] @ z):
+            return False
+    return True
 
 
 def _check_class_size(members) -> None:

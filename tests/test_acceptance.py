@@ -12,6 +12,7 @@ from itertools import combinations
 
 import pytest
 
+import crg.tensor as tensor
 from crg.cli import build_group, parse_group
 from crg.groups import build_coxeter, data_dir
 from crg.krammer import build_krammer, check_braid_relations, cubic_specialization_check
@@ -170,7 +171,12 @@ def test_spectrum_for_all_m_other_than_one_and_at_minus_one():
         spectrum_check(_bundle("A2"), 0, 1)
 
 
-def test_generated_algebra_dimensions():
+def test_generated_algebra_dimensions(monkeypatch):
+    def refuse(gens):
+        raise AssertionError("Bareiss fallback reached")
+
+    # every root dimension rests on the annihilator certificate
+    monkeypatch.setattr(tensor, "_exact_span_dimension", refuse)
     start = time.monotonic()
     names = ["A2", "A3", "A4", "B2", "B3", "D4", "H3"] + [
         f"I2({e})" for e in range(3, 10)
@@ -194,7 +200,7 @@ def test_generated_algebra_dimensions():
                     [bundle.t_block(s, members, Fraction(root)) for s in members]
                 )
                 assert degenerate < size * size, (name, c, root)
-    assert time.monotonic() - start < 300
+    assert time.monotonic() - start < 60
 
 
 def _square_point(bundle, c: int) -> Fraction:

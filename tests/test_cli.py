@@ -66,9 +66,9 @@ def test_parse_rejects_unsupported_series():
 
 
 def test_parse_rejects_missing_data():
-    with pytest.raises(ValueError, match="no generator data for G27"):
+    with pytest.raises(ValueError, match="no construction for G27"):
         parse_group("G27")
-    with pytest.raises(ValueError, match="no generator data for G99"):
+    with pytest.raises(ValueError, match="no construction for G99"):
         parse_group("G99")
 
 
@@ -208,7 +208,7 @@ def test_listed_exceptional_groups_parse_and_build(capsys):
     assert names == ["G12", "G13", "G22", "G24"]
     for name in names:
         assert build_group(parse_group(name)).name == name
-    with pytest.raises(ValueError, match="no generator data for G25"):
+    with pytest.raises(ValueError, match="no construction for G25"):
         parse_group("G25")
 
 

@@ -117,7 +117,7 @@ def test_noncommuting_count_is_even():
 
 
 def test_missing_generator_data():
-    with pytest.raises(ValueError, match="no generator data"):
+    with pytest.raises(ValueError, match="no construction"):
         build_exceptional("G99")
 
 

@@ -15,12 +15,15 @@ from crg.tensor import (
     _PRIMES,
     _ModSpan,
     _SpanGrowth,
+    _annihilates_algebra,
     _block_relations,
+    _certified_dimension,
     _ds_table_at,
     _exact_span_dimension,
     _grow_mod_span,
     _int_blocks,
     _integer_matrix,
+    _lifted_annihilator,
     _mulmod,
     _regular_rep,
     _square_blocks,
@@ -84,27 +87,101 @@ def _rational_closure_dimension(gens: list[ExactMatrix]) -> int:
     return len(basis)
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    st.integers(1, 3).flatmap(
-        lambda n: st.lists(
-            st.tuples(
-                st.lists(st.integers(-3, 3), min_size=n * n, max_size=n * n),
-                st.sampled_from((1, 2, 3)),
-            ),
-            min_size=1,
-            max_size=3,
-        ).map(
-            lambda gens: [
-                ExactMatrix(n, n, [Fraction(x, den) for x in entries]) for entries, den in gens
-            ]
-        )
+_random_generators = st.integers(1, 3).flatmap(
+    lambda n: st.lists(
+        st.tuples(
+            st.lists(st.integers(-3, 3), min_size=n * n, max_size=n * n),
+            st.sampled_from((1, 2, 3)),
+        ),
+        min_size=1,
+        max_size=3,
+    ).map(
+        lambda gens: [
+            ExactMatrix(n, n, [Fraction(x, den) for x in entries]) for entries, den in gens
+        ]
     )
 )
+
+
+@settings(max_examples=30, deadline=None)
+@given(_random_generators)
 def test_exact_span_dimension_matches_rational_rank(gens):
     assert _exact_span_dimension([_integer_matrix(g) for g in gens]) == (
         _rational_closure_dimension(gens)
     )
+
+
+def _certificate(gens: list[np.ndarray]) -> int | None:
+    p = _PRIMES[0]
+    return _certified_dimension(gens, _grow_mod_span([g % p for g in gens], len(gens[0]), p))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_random_generators)
+def test_certified_dimension_is_the_rational_dimension_or_refuses(gens):
+    expected = _rational_closure_dimension(gens)
+    assert algebra_dimension(gens) == expected
+    assert _certificate([_integer_matrix(g) for g in gens]) in (None, expected)
+
+
+def test_certificate_refuses_a_bad_prime():
+    p = _PRIMES[0]
+    # congruent to I mod p: one word mod p, two over Q
+    gen = ExactMatrix.from_rows([[Fraction(1), Fraction(p)], [Fraction(0), Fraction(1)]])
+    assert _certificate([_integer_matrix(gen)]) is None
+    assert algebra_dimension([gen]) == 2
+
+
+def _root_generators(name, rank, m0):
+    g = build_coxeter(name, rank)
+    b = build_rep(g)
+    members = max(g.classes, key=len)
+    return [_integer_matrix(b.t_block(s, members, Fraction(m0))) for s in members]
+
+
+# scaled by 2**62, the generators push the certificate's checks onto Python ints
+_CHECK_ROUTES = pytest.mark.parametrize("scale", [1, 2**62], ids=["int64", "python-int"])
+
+
+@_CHECK_ROUTES
+def test_tampered_annihilator_row_fails_closure(scale):
+    p = _PRIMES[0]
+    for name, rank, m0 in (("A", 2, 0), ("I2", 5, 0), ("A", 4, 2)):
+        gens = [scale * g for g in _root_generators(name, rank, m0)]
+        n = len(gens[0])
+        span = _grow_mod_span([g % p for g in gens], n, p)
+        pivots = span._pivots[: span.dim]
+        y = _lifted_annihilator(span)
+        assert _annihilates_algebra(gens, y, pivots)
+        off_diagonal = [col for col in pivots if col % (n + 1)]
+        for row in range(len(y)):
+            tampered = y.copy()
+            tampered[row, off_diagonal[row % len(off_diagonal)]] += 1
+            # the trace is unchanged, so check (a) still holds and (b) must fail
+            assert not tampered[:, :: n + 1].sum(axis=1).any()
+            assert not _annihilates_algebra(gens, tampered, pivots), (name, row)
+
+
+def test_invariant_subspace_without_identity_fails_the_trace_check():
+    e11 = np.array([[1, 0], [0, 0]], dtype=object)
+    # the algebra is the diagonal, annihilated by E12 and E21
+    assert _annihilates_algebra([e11], np.array([[0, 1, 0, 0], [0, 0, 1, 0]], dtype=object), [0, 3])
+    # span{E11, E21} is closed under X -> X E11 but misses I: annihilated by E12 and E22
+    assert not _annihilates_algebra(
+        [e11], np.array([[0, 1, 0, 0], [0, 0, 0, 1]], dtype=object), [0, 2]
+    )
+
+
+@_CHECK_ROUTES
+def test_root_dimensions_are_certified(monkeypatch, scale):
+    def refuse(gens):
+        raise AssertionError("Bareiss fallback reached")
+
+    monkeypatch.setattr(tensor, "_exact_span_dimension", refuse)
+    for name, rank, m0, dim in (("A", 4, 7, 91), ("A", 4, 2, 76), ("I2", 5, 0, 13)):
+        gens = [scale * g for g in _root_generators(name, rank, m0)]
+        assert _certificate(gens) == dim
+        assert tensor._span_dimension(gens) == dim
 
 
 def test_algebra_dimension_takes_no_inverse_mod_p():
