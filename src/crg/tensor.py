@@ -17,10 +17,10 @@ from .rep import RepBundle, Sparse, _block, _scaled_t, _sparse_mul, _sparse_sum
 # each product of a limb and an entry is below 2**12 * 2**24 = 2**36, and a dot
 # product of at most 2**17 such terms is below 2**53: every partial sum that
 # BLAS forms is an exact integer.  A span wider than 2**17 is refused.
-_PRIMES = (16777213, 16777199)
+_P = 16777213
 _LIMB = 4096
 _MAX_WIDTH = 2**17
-# Candidate rows reduced against a span by one product.
+# Rows reduced against a span, or checked against an annihilator, by one product.
 _BLOCK = 64
 
 _TENSOR_CLASS_LIMIT = 12
@@ -203,7 +203,9 @@ class _ExactSpan:
         return True
 
 
-def _exact_span_dimension(gens: list[np.ndarray]) -> int:
+def _exact_annihilator(gens: list[np.ndarray]) -> np.ndarray:
+    """Y of `_annihilator` by fraction-free elimination: the span rows have
+    rows[:, pivots] = den * I, so y_f = den e_f - sum_i rows[i, f] e_{piv_i}."""
     n = len(gens[0])
     # dividing a word by its content leaves the span of words unchanged
     span = _ExactSpan(n * n)
@@ -218,7 +220,11 @@ def _exact_span_dimension(gens: list[np.ndarray]) -> int:
                 if span.add(prod.ravel()):
                     nxt.append(prod)
         frontier = nxt
-    return len(span.pivots)
+    free = np.setdiff1d(np.arange(n * n), span.pivots)
+    y = np.zeros((len(free), n * n), dtype=object)
+    y[np.arange(len(free)), free] = span.den
+    y[:, span.pivots] = -span.rows[:, free].T
+    return y
 
 
 def algebra_dimension(mats) -> int:
@@ -234,24 +240,24 @@ def algebra_dimension(mats) -> int:
     n = mats[0].rows
     if any(m.rows != n or m.cols != n for m in mats):
         raise ValueError("generators must be square of equal size")
-    return _span_dimension([_integer_matrix(m) for m in mats])
+    return n * n - len(_annihilator([_integer_matrix(m) for m in mats]))
 
 
-def _span_dimension(gens: list[np.ndarray]) -> int:
-    """Dimension of the unital algebra A generated by square Python-int matrices.
+def _annihilator(gens: list[np.ndarray]) -> np.ndarray:
+    """Integer rows Y, one per non-pivot column, with ker Y exactly the unital
+    algebra A generated by square Python-int matrices; no rows if A is full.
 
     The span grows mod p from the integer words, with no inverse taken mod p.
     Its k words are integer matrices that are independent mod p, so they are
     independent over Q: dim A >= k.  If k = n^2, A is full.
 
-    Below full, `_certified_dimension` proves dim A <= k.  It reads the
-    annihilator off the span's reduced echelon rows R, with pivots piv: for
-    each non-pivot column f, y_f = e_f - sum_i R[i, f] e_{piv_i} mod p.  It
-    lifts each entry to Q by rational reconstruction and scales each row by
-    its denominators, giving an integer matrix Y.  On the non-pivot columns
-    Y is a scaled identity, so its n^2 - k rows are independent and
+    Below full, Y is read off the span's reduced echelon rows R, with pivots
+    piv: for each non-pivot column f, y_f = e_f - sum_i R[i, f] e_{piv_i} mod
+    p.  Each entry is lifted to Q by rational reconstruction and each row is
+    scaled by its denominators.  On the non-pivot columns Y is a scaled
+    identity, so its n^2 - k rows are independent and
     K = ker Y = {X : <X, y_f> = 0 for all f} has dimension exactly k, where
-    <X, Y> = tr(X^T Y).  It then checks, in exact integer arithmetic:
+    <X, Y> = tr(X^T Y).  Exact integer checks then show:
 
     (a) tr(y_f) = 0 for every f, so I lies in K;
     (b) y_f g^T lies in the row span of Y for every generator g and row f.
@@ -259,29 +265,24 @@ def _span_dimension(gens: list[np.ndarray]) -> int:
     Since <X g, y_f> = <X, y_f g^T>, (b) makes K closed under X -> X g: for
     X in K, X g is orthogonal to every y_f g^T, so to every y_f.  A subspace
     that holds I and is closed under right multiplication by every generator
-    holds every word, so it holds A, and dim A <= dim K = k.  Both bounds
-    together give dim A = k exactly.  The lift only proposes Y: the checks
-    decide, so a wrong lift can only make the certificate fail.
+    holds every word, so it holds A, and dim A <= dim K = k.  So A = K.  The
+    lift only proposes Y: the checks decide, so a wrong lift can only make
+    the certificate fail.
 
-    If a lift or a check fails, the dimension comes from exact fraction-free
-    elimination.  That case includes a bad prime, where the words mod p have
-    a lower rank than over Q.
+    If a lift or a check fails, Y comes from exact fraction-free elimination
+    (`_exact_annihilator`).  That case includes a bad prime, where the words
+    mod p have a lower rank than over Q.
     """
     n = len(gens[0])
-    p = _PRIMES[0]
-    span = _grow_mod_span([g % p for g in gens], n, p)
+    span = _grow_mod_span([g % _P for g in gens], n, _P)
     if span.dim == n * n:
-        return n * n
-    dim = _certified_dimension(gens, span)
-    return _exact_span_dimension(gens) if dim is None else dim
-
-
-def _certified_dimension(gens: list[np.ndarray], span: _ModSpan) -> int | None:
-    """span.dim if the annihilator certificate of `_span_dimension` holds, else None."""
+        return np.zeros((0, n * n), dtype=object)
+    pivots = span._pivots[: span.dim]
     y = _lifted_annihilator(span)
-    if y is None:
-        return None
-    return span.dim if _annihilates_algebra(gens, y, span._pivots[: span.dim]) else None
+    del span  # the checks need only Y: release the mod-p rows first
+    if y is not None and _annihilates_algebra(gens, y, pivots):
+        return y
+    return _exact_annihilator(gens)
 
 
 def _lifted_annihilator(span: _ModSpan) -> np.ndarray | None:
@@ -293,14 +294,18 @@ def _lifted_annihilator(span: _ModSpan) -> np.ndarray | None:
     p, k = span.p, span.dim
     pivots = span._pivots[:k]
     free = np.setdiff1d(np.arange(span.width), pivots)
+    block = span._rows[:k, free].T
+    rows, cols = np.nonzero(block)
+    values, inverse = np.unique(block[rows, cols], return_inverse=True)
+    lifts = [_rational_lift(-int(x) % p, p) for x in values]
+    if None in lifts:
+        return None
+    nums, dens = np.array(lifts, dtype=object).reshape(-1, 2)[inverse].T
+    row_dens = np.ones(len(free), dtype=object)
+    np.lcm.at(row_dens, rows, dens)
     y = np.zeros((len(free), span.width), dtype=object)
-    for row, (f, col) in enumerate(zip(free, span._rows[:k, free].T)):
-        lifts = [_rational_lift(-int(x) % p, p) for x in col]
-        if None in lifts:
-            return None
-        den = lcm(*(b for _, b in lifts))
-        y[row, f] = den
-        y[row, pivots] = [a * (den // b) for a, b in lifts]
+    y[np.arange(len(free)), free] = row_dens
+    y[rows, pivots[cols]] = nums * (row_dens[rows] // dens)
     return y
 
 
@@ -323,7 +328,7 @@ def _rational_lift(u: int, p: int) -> tuple[int, int] | None:
 
 
 def _annihilates_algebra(gens: list[np.ndarray], y: np.ndarray, pivots) -> bool:
-    """Checks (a) and (b) of `_span_dimension` on integer annihilator rows `y`.
+    """Checks (a) and (b) of `_annihilator` on integer annihilator rows `y`.
 
     Row j of y is den_j times e_{f_j} on the non-pivot columns.  Scaled to a
     common denominator L, row j becomes z_j = (L / den_j) y_j, and a vector v
@@ -331,8 +336,8 @@ def _annihilates_algebra(gens: list[np.ndarray], y: np.ndarray, pivots) -> bool:
     comparing only on the pivot columns.
 
     With every |y| <= M and every |g| <= G, every product and partial sum
-    below is at most len(free) * n * M^2 * G * L, so the checks run in int64
-    when that bound is below 2^63 and in Python ints otherwise.
+    below is at most len(free) * n * M^2 * G * L: below 2^53 the checks run
+    in float64, which BLAS computes exactly, and in Python ints otherwise.
     """
     n = len(gens[0])
     if y[:, :: n + 1].sum(axis=1).any():  # (a): the trace of each y_f
@@ -341,14 +346,16 @@ def _annihilates_algebra(gens: list[np.ndarray], y: np.ndarray, pivots) -> bool:
     dens = y[np.arange(len(free)), free]
     common = lcm(*dens)
     most = max(int(abs(g).max()) for g in gens)
-    if len(free) * n * int(abs(y).max(initial=0)) ** 2 * most * common < 2**63:
-        y, dens, gens = y.astype(np.int64), dens.astype(np.int64), [g.astype(np.int64) for g in gens]
-    z = y[:, pivots] * (common // dens)[:, None]
-    cubes = y.reshape(-1, n, n)
-    for gen in gens:
-        prods = (cubes @ gen.T).reshape(len(y), n * n)
-        if not np.array_equal(common * prods[:, pivots], prods[:, free] @ z):
-            return False
+    top = max(y.max(initial=0), -y.min(initial=0))
+    dtype = np.float64 if len(free) * n * top**2 * most * common < 2**53 else object
+    gens = [g.astype(dtype) for g in gens]
+    z = (y[:, pivots] * (common // dens)[:, None]).astype(dtype)
+    for start in range(0, len(y), _BLOCK):
+        cubes = y[start:start + _BLOCK].astype(dtype).reshape(-1, n, n)
+        for gen in gens:
+            prods = (cubes @ gen.T).reshape(len(cubes), n * n)
+            if not np.array_equal(common * prods[:, pivots], prods[:, free] @ z):
+                return False
     return True
 
 
@@ -530,8 +537,8 @@ def _square_report(bundle: RepBundle, c: int, m0: Fraction) -> dict:
     blocks = [_square_blocks(t) for t in _int_blocks(bundle, members, m0)]
     wedge_dim = d * (d - 1) // 2
     sym_dim = d * (d + 1) // 2
-    wedge_algebra = _span_dimension([wedge for wedge, _ in blocks])
-    sym_algebra = _span_dimension([sym for _, sym in blocks])
+    wedge_algebra = wedge_dim**2 - len(_annihilator([wedge for wedge, _ in blocks]))
+    sym_algebra = sym_dim**2 - len(_annihilator([sym for _, sym in blocks]))
     return {
         "class_size": d,
         "skipped": False,
@@ -595,9 +602,9 @@ def psu_membership_check(bundle: RepBundle, c: int, s: int, u: int, m0) -> bool:
     isomorphic A-modules, and by the density theorem A is the whole product.
     The target commutes with the swap, so it lies in A.
 
-    Elsewhere (a root, or squares that are not full) the target is tested
-    against the closed span of A mod two independent 24-bit primes; a nonzero
-    residual modulo either prime refutes it.  This is the one mod-p verdict.
+    Elsewhere (a root, or squares that are not full) A = ker Y for the exact
+    annihilator Y of `_annihilator` on V (x) V, so the target lies in A
+    exactly when Y kills it.
     """
     if s == u:
         raise ValueError("need two distinct reflections")
@@ -611,25 +618,18 @@ def psu_membership_check(bundle: RepBundle, c: int, s: int, u: int, m0) -> bool:
     if not _excluded(bundle, c, m0) and tensor_square_check(bundle, c, m0)["ok"]:
         return True
 
-    # The generators are b t_x(m0) for m0 = a/b, so a word of length k is
-    # scaled by b^k and the target by b^2: units mod p unless p divides b.
-    d, den = len(members), m0.denominator
+    # for m0 = a/b, A is generated by b T_x and the target is scaled by b^2
     blocks = _int_blocks(bundle, members, m0)
 
     def scaled_p(x: int) -> np.ndarray:  # b p_x = b s_x - b t_x(m0)
         s_x = np.array(_block(bundle.s_cols(x), members, 0), dtype=object)
-        return den * s_x - blocks[members.index(x)]
-
-    def closure(p: int) -> _ModSpan:
-        eye = np.identity(d, dtype=object)
-        return _grow_mod_span([(np.kron(t, eye) + np.kron(eye, t)) % p for t in blocks], d * d, p)
+        return m0.denominator * s_x - blocks[members.index(x)]
 
     ps, pu = scaled_p(s), scaled_p(u)
     target = np.kron(ps, pu) + np.kron(pu, ps)
-    for p in _PRIMES:
-        if den % p == 0:
-            raise ValueError(f"m0 = {m0} has a denominator divisible by the prime {p}")
-        span = bundle.memo(("span", c, m0, p), lambda: closure(p))
-        if span.residual(target.ravel() % p).any():
-            return False
-    return True
+    eye = np.identity(len(members), dtype=object)
+    y = bundle.memo(
+        ("annihilator", c, m0),
+        lambda: _annihilator([np.kron(t, eye) + np.kron(eye, t) for t in blocks]),
+    )
+    return not (y @ target.ravel()).any()

@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
@@ -12,14 +13,14 @@ from crg.matrices import ExactMatrix, rank_and_kernel
 from crg.rep import _block, build_rep
 from crg.tensor import (
     _MAX_WIDTH,
-    _PRIMES,
+    _P,
     _ModSpan,
     _SpanGrowth,
     _annihilates_algebra,
+    _annihilator,
     _block_relations,
-    _certified_dimension,
     _ds_table_at,
-    _exact_span_dimension,
+    _exact_annihilator,
     _grow_mod_span,
     _int_blocks,
     _integer_matrix,
@@ -106,14 +107,19 @@ _random_generators = st.integers(1, 3).flatmap(
 @settings(max_examples=30, deadline=None)
 @given(_random_generators)
 def test_exact_span_dimension_matches_rational_rank(gens):
-    assert _exact_span_dimension([_integer_matrix(g) for g in gens]) == (
-        _rational_closure_dimension(gens)
-    )
+    n = gens[0].rows
+    y = _exact_annihilator([_integer_matrix(g) for g in gens])
+    assert n * n - len(y) == _rational_closure_dimension(gens)
 
 
 def _certificate(gens: list[np.ndarray]) -> int | None:
-    p = _PRIMES[0]
-    return _certified_dimension(gens, _grow_mod_span([g % p for g in gens], len(gens[0]), p))
+    """n^2 - len(Y) for the lifted Y if it passes both checks, else None."""
+    n = len(gens[0])
+    span = _grow_mod_span([g % _P for g in gens], n, _P)
+    y = _lifted_annihilator(span)
+    if y is None or not _annihilates_algebra(gens, y, span._pivots[: span.dim]):
+        return None
+    return n * n - len(y)
 
 
 @settings(max_examples=30, deadline=None)
@@ -125,9 +131,8 @@ def test_certified_dimension_is_the_rational_dimension_or_refuses(gens):
 
 
 def test_certificate_refuses_a_bad_prime():
-    p = _PRIMES[0]
     # congruent to I mod p: one word mod p, two over Q
-    gen = ExactMatrix.from_rows([[Fraction(1), Fraction(p)], [Fraction(0), Fraction(1)]])
+    gen = ExactMatrix.from_rows([[Fraction(1), Fraction(_P)], [Fraction(0), Fraction(1)]])
     assert _certificate([_integer_matrix(gen)]) is None
     assert algebra_dimension([gen]) == 2
 
@@ -140,16 +145,15 @@ def _root_generators(name, rank, m0):
 
 
 # scaled by 2**62, the generators push the certificate's checks onto Python ints
-_CHECK_ROUTES = pytest.mark.parametrize("scale", [1, 2**62], ids=["int64", "python-int"])
+_CHECK_ROUTES = pytest.mark.parametrize("scale", [1, 2**62], ids=["float64", "python-int"])
 
 
 @_CHECK_ROUTES
 def test_tampered_annihilator_row_fails_closure(scale):
-    p = _PRIMES[0]
     for name, rank, m0 in (("A", 2, 0), ("I2", 5, 0), ("A", 4, 2)):
         gens = [scale * g for g in _root_generators(name, rank, m0)]
         n = len(gens[0])
-        span = _grow_mod_span([g % p for g in gens], n, p)
+        span = _grow_mod_span([g % _P for g in gens], n, _P)
         pivots = span._pivots[: span.dim]
         y = _lifted_annihilator(span)
         assert _annihilates_algebra(gens, y, pivots)
@@ -177,16 +181,17 @@ def test_root_dimensions_are_certified(monkeypatch, scale):
     def refuse(gens):
         raise AssertionError("Bareiss fallback reached")
 
-    monkeypatch.setattr(tensor, "_exact_span_dimension", refuse)
+    monkeypatch.setattr(tensor, "_exact_annihilator", refuse)
     for name, rank, m0, dim in (("A", 4, 7, 91), ("A", 4, 2, 76), ("I2", 5, 0, 13)):
         gens = [scale * g for g in _root_generators(name, rank, m0)]
+        n = len(gens[0])
         assert _certificate(gens) == dim
-        assert tensor._span_dimension(gens) == dim
+        assert n * n - len(_annihilator(gens)) == dim
 
 
 def test_algebra_dimension_takes_no_inverse_mod_p():
     swap = ExactMatrix.from_rows([[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]])
-    for den in (3, _PRIMES[0]):
+    for den in (3, _P):
         gen = ExactMatrix.from_rows([[Fraction(1, den), Fraction(1)], [Fraction(0), Fraction(2)]])
         assert algebra_dimension([gen, swap]) == 4
 
@@ -339,13 +344,99 @@ def test_membership_works_at_discriminant_root():
     assert psu_membership_check(b, 0, members[0], members[1], Fraction(7))
 
 
-def test_membership_refuses_a_denominator_divisible_by_its_prime(monkeypatch):
+def test_membership_at_a_bad_prime_takes_the_exact_route(monkeypatch):
     g = build_coxeter("A", 2)
     b = build_rep(g)
-    # squares that are not full send membership to the mod-p route
+    # squares that are not full send membership to the annihilator route
     monkeypatch.setattr(tensor, "tensor_square_check", lambda *args: {"ok": False})
-    with pytest.raises(ValueError, match=f"divisible by the prime {_PRIMES[0]}"):
-        psu_membership_check(b, 0, 0, 1, Fraction(1, _PRIMES[0]))
+    calls = []
+
+    def spy(gens):
+        calls.append(len(gens[0]))
+        return _exact_annihilator(gens)
+
+    monkeypatch.setattr(tensor, "_exact_annihilator", spy)
+    # at m0 = 1/p every generator b t_x(m0) = p N_x + E_xx is diagonal mod p
+    assert psu_membership_check(b, 0, 0, 1, Fraction(1, _P))
+    assert calls == [9]
+
+
+def _kernel_basis(y: np.ndarray, free: np.ndarray) -> np.ndarray:
+    """Integer basis of ker y, for y a nonzero diagonal on the columns `free`."""
+    dens = y[np.arange(len(free)), free]
+    assert np.count_nonzero(y[:, free]) == len(free) and all(dens)
+    pivots = np.setdiff1d(np.arange(y.shape[1]), free)
+    common = lcm(*dens)
+    basis = np.zeros((len(pivots), y.shape[1]), dtype=object)
+    basis[np.arange(len(pivots)), pivots] = common
+    basis[:, free] = (-y[:, pivots] * (common // dens)[:, None]).T
+    return basis
+
+
+def _square_generators(b, members, m0) -> list[np.ndarray]:
+    """b T_x(m0) = b (t_x (x) 1 + 1 (x) t_x) on V (x) V, as membership closes them."""
+    eye = np.identity(len(members), dtype=object)
+    return [np.kron(t, eye) + np.kron(eye, t) for t in _int_blocks(b, members, m0)]
+
+
+def test_annihilator_refutes_targets_outside_a_degenerate_algebra():
+    g = build_coxeter("I2", 5)
+    b = build_rep(g)
+    members = g.classes[0]
+    m0 = Fraction(5)
+    assert tensor._excluded(b, 0, m0)
+    d = len(members)
+    y = _annihilator(_square_generators(b, members, m0))
+    assert d**4 - len(y) == 231
+    assert not (y @ np.identity(d * d, dtype=object).ravel()).any()
+    # p_s (x) p_u - p_u (x) p_s anticommutes with the swap, which commutes with A
+    s_u = [np.array(_block(b.s_cols(x), members, 0), dtype=object) for x in members[:2]]
+    ps, pu = (s - t for s, t in zip(s_u, _int_blocks(b, members, m0)))
+    assert (y @ (np.kron(ps, pu) - np.kron(pu, ps)).ravel()).any()
+    unit = np.zeros(d**4, dtype=object)
+    unit[1] = 1
+    assert (y @ unit).any()
+
+
+def test_lifted_and_exact_annihilators_share_their_kernel():
+    # at m = 5 the exact route takes about 25 s; m = 0 closes the same width
+    g = build_coxeter("I2", 5)
+    b = build_rep(g)
+    gens = _square_generators(b, g.classes[0], Fraction(0))
+    n = len(gens[0])
+    span = _grow_mod_span([g % _P for g in gens], n, _P)
+    pivots = span._pivots[: span.dim]
+    lifted = _lifted_annihilator(span)
+    assert _annihilates_algebra(gens, lifted, pivots)
+    exact = _exact_annihilator(gens)
+    assert exact.shape == lifted.shape == (n * n - 89, n * n)
+    free = np.setdiff1d(np.arange(n * n), pivots)
+    assert not (lifted @ _kernel_basis(exact, free).T).any()
+    assert not (exact @ _kernel_basis(lifted, free).T).any()
+
+
+def test_membership_verdict_survives_a_refused_lift(monkeypatch):
+    g = build_coxeter("B", 3)
+    b = build_rep(g)
+    c = next(i for i, members in enumerate(g.classes) if len(members) == 3)
+    members = g.classes[c]
+    assert tensor._excluded(b, c, Fraction(5))
+    monkeypatch.setattr(tensor, "_lifted_annihilator", lambda span: None)
+    assert psu_membership_check(b, c, members[0], members[1], Fraction(5))
+
+
+def test_membership_refutes_a_target_outside_the_algebra(monkeypatch):
+    g = build_coxeter("B", 3)
+    b = build_rep(g)
+    members = g.classes[0]
+    s, u = members[0], members[1]
+    assert tensor._excluded(b, 0, Fraction(5))
+    assert psu_membership_check(b, 0, s, u, Fraction(5))
+    # columns of t_s(5) + E_ss in place of s make p_s the matrix unit E_ss
+    tampered = {x: dict(col) for x, col in b.t_at(s, 5).items()}
+    tampered[s][s] = tampered[s].get(s, 0) + 1
+    monkeypatch.setattr(b, "s_cols", lambda x, cols=b.s_cols: tampered if x == s else cols(x))
+    assert not psu_membership_check(b, 0, s, u, Fraction(5))
 
 
 def _insert_one_at_a_time(basis: dict[int, list[int]], vec: list[int], p: int) -> bool:
@@ -380,7 +471,7 @@ def _insert_one_at_a_time(basis: dict[int, list[int]], vec: list[int], p: int) -
             max_size=4,
         )
     ),
-    st.sampled_from((3, _PRIMES[0])),
+    st.sampled_from((3, _P)),
 )
 def test_batched_span_matches_one_at_a_time_insertion(levels, p):
     width = next((len(v) for blocks in levels for b in blocks for v in b), 1)
@@ -408,7 +499,7 @@ def test_batched_span_matches_one_at_a_time_insertion(levels, p):
     )
 )
 def test_span_growth_takes_the_words_of_one_at_a_time_insertion(gens):
-    p = _PRIMES[0]
+    p = _P
     n = len(gens[0])
     growth = _SpanGrowth([np.array(g, dtype=np.float64) % p for g in gens], n, p)
     eye = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -433,7 +524,7 @@ def test_span_growth_takes_the_words_of_one_at_a_time_insertion(gens):
 
 
 def test_mulmod_is_exact_at_the_width_bound():
-    p = _PRIMES[0]
+    p = _P
     # 2**17 terms of (p - 1)**2: the largest sum the bound allows
     top = np.full((1, _MAX_WIDTH), p - 1.0)
     assert _mulmod(top, top.T, p)[0, 0] == (_MAX_WIDTH * (p - 1) ** 2) % p
@@ -445,7 +536,7 @@ def test_mulmod_is_exact_at_the_width_bound():
 
 
 def test_mod_span_refuses_width_past_exact_bound():
-    p = _PRIMES[0]
+    p = _P
     assert _MAX_WIDTH == 2**17
     with pytest.raises(ValueError, match="exceeds"):
         _ModSpan(_MAX_WIDTH + 1, p)
@@ -458,7 +549,7 @@ def test_span_growth_refutes_membership_outside_degenerate_algebra():
     g = build_coxeter("A", 2)
     b = build_rep(g)
     members = g.classes[0]
-    p = _PRIMES[0]
+    p = _P
     gens = [t % p for t in _int_blocks(b, members, Fraction(0))]
     span = _grow_mod_span(gens, 3, p)
     for gen in gens:
