@@ -19,6 +19,7 @@ from .groups import (
     build_exceptional,
     build_series,
     data_dir,
+    series_size,
 )
 from .krammer import build_krammer, check_braid_relations, cubic_specialization_check
 from .quadratic import (
@@ -48,6 +49,10 @@ from .tensor import (
 )
 
 COXETER_FIXED = ("H3", "H4", "F4", "E6", "E7", "E8")
+# a series or dihedral group whose m or reflection count is above this is
+# refused before it is built: the reduction table of Q(zeta_m) alone has
+# about m * phi(m) entries
+SIZE_LIMIT = 200
 ALIASES = {23: "H3", 28: "F4", 30: "H4", 35: "E6", 36: "E7", 37: "E8"}
 
 
@@ -162,6 +167,16 @@ def parse_group(text: str) -> GroupSpec:
 
 
 def build_group(spec: GroupSpec) -> ReflectionGroupData:
+    m = count = 0
+    if isinstance(spec, Series):
+        m, count = spec.m, series_size(spec.m, spec.p, spec.r)
+    elif isinstance(spec, Coxeter) and spec.kind == "I2":
+        m = count = spec.rank
+    if max(m, count) > SIZE_LIMIT:
+        raise ValueError(
+            f"{spec.render()} is refused: m = {m} with {count} reflections,"
+            f" and both must be at most {SIZE_LIMIT}"
+        )
     if isinstance(spec, Series):
         return build_series(spec.m, spec.p, spec.r)
     if isinstance(spec, Exceptional):
@@ -240,33 +255,23 @@ class CheckOutcome:
     elapsed: float
 
 
-@dataclass
-class VerifyReport:
-    group: GroupSpec
-    checks: list[CheckOutcome]
-
-    @property
-    def failed(self) -> bool:
-        return any(c.status == "fail" for c in self.checks)
-
-
-def _run_check(report: VerifyReport, name: str, fn) -> None:
+def _run_check(checks: list[CheckOutcome], name: str, fn) -> None:
     start = time.perf_counter()
     try:
         result = fn()
     except ValueError as exc:
-        report.checks.append(
+        checks.append(
             CheckOutcome(name, "fail", str(exc), time.perf_counter() - start)
         )
         return
     elapsed = time.perf_counter() - start
     if result is None:
-        report.checks.append(CheckOutcome(name, "skipped", "not applicable", elapsed))
+        checks.append(CheckOutcome(name, "skipped", "not applicable", elapsed))
     elif result:
-        report.checks.append(CheckOutcome(name, "pass", "", elapsed))
+        checks.append(CheckOutcome(name, "pass", "", elapsed))
     else:
         detail = getattr(result, "detail", None)
-        report.checks.append(CheckOutcome(name, "fail", repr(detail or ""), elapsed))
+        checks.append(CheckOutcome(name, "fail", repr(detail or ""), elapsed))
 
 
 def _first_admissible(bundle, c: int, start: int) -> Fraction:
@@ -276,12 +281,12 @@ def _first_admissible(bundle, c: int, start: int) -> Fraction:
     return m0
 
 
-def _core_checks(report: VerifyReport, bundle: RepBundle) -> None:
+def _core_checks(checks: list[CheckOutcome], bundle: RepBundle) -> None:
     g = bundle.group
-    _run_check(report, "integrability", lambda: check_integrability(bundle))
-    _run_check(report, "equivariance", lambda: check_equivariance(bundle))
+    _run_check(checks, "integrability", lambda: check_integrability(bundle))
+    _run_check(checks, "equivariance", lambda: check_equivariance(bundle))
     for c in range(len(g.classes)):
-        _run_check(report, f"T-scalar[{c}]", lambda c=c: check_T_scalar(bundle, c))
+        _run_check(checks, f"T-scalar[{c}]", lambda c=c: check_T_scalar(bundle, c))
     # one discriminant per class, reused by N(c): a certified integer
     # spectrum, or Berkowitz, whose factors must expand back to det(A_c - m*I)
     discs: dict[int, Discriminant] = {}
@@ -290,36 +295,36 @@ def _core_checks(report: VerifyReport, bundle: RepBundle) -> None:
             discs[c] = discriminant(g, c)
             return True
 
-        _run_check(report, f"discriminant[{c}]", disc_identity)
+        _run_check(checks, f"discriminant[{c}]", disc_identity)
     for c in range(len(g.classes)):
-        _run_check(report, f"N(c)[{c}]", lambda c=c: check_n_c(g, c, discs.get(c)))
+        _run_check(checks, f"N(c)[{c}]", lambda c=c: check_n_c(g, c, discs.get(c)))
 
 
-def _spectral_checks(report: VerifyReport, bundle: RepBundle, sample: Fraction | None) -> None:
+def _spectral_checks(checks: list[CheckOutcome], bundle: RepBundle, sample: Fraction | None) -> None:
     for c, members in enumerate(bundle.group.classes):
         _run_check(
-            report, f"spectrum[{c}]", lambda s=members[0]: spectrum_check(bundle, s, sample)
+            checks, f"spectrum[{c}]", lambda s=members[0]: spectrum_check(bundle, s, sample)
         )
 
 
-def _tensor_checks(report: VerifyReport, bundle: RepBundle, sample: Fraction | None) -> None:
+def _tensor_checks(checks: list[CheckOutcome], bundle: RepBundle, sample: Fraction | None) -> None:
     # exact: cmd_verify rejects a non-integer --m for this suite
     start = int(sample) if sample is not None else 7
     for c, members in enumerate(bundle.group.classes):
-        _run_check(report, f"ds-table[{c}]", lambda: ds_table_check(bundle, members[0], c))
+        _run_check(checks, f"ds-table[{c}]", lambda: ds_table_check(bundle, members[0], c))
         names = [f"tensor-square[{c}]", f"psu-membership[{c}]"]
         if len(members) > _TENSOR_CLASS_LIMIT:
             detail = f"class of {len(members)} above the tensor limit of {_TENSOR_CLASS_LIMIT}"
             for name in names:
-                report.checks.append(CheckOutcome(name, "skipped", detail, 0.0))
+                checks.append(CheckOutcome(name, "skipped", detail, 0.0))
             continue
 
         def squares(c=c):
             return tensor_square_check(bundle, c, _first_admissible(bundle, c, start))["ok"]
 
-        _run_check(report, names[0], squares)
+        _run_check(checks, names[0], squares)
         if len(members) < 2:
-            report.checks.append(CheckOutcome(names[1], "skipped", "singleton class", 0.0))
+            checks.append(CheckOutcome(names[1], "skipped", "singleton class", 0.0))
             continue
 
         def membership(c=c, members=members):
@@ -328,12 +333,12 @@ def _tensor_checks(report: VerifyReport, bundle: RepBundle, sample: Fraction | N
                 m0 += 1
             return psu_membership_check(bundle, c, members[0], members[1], m0)
 
-        _run_check(report, names[1], membership)
+        _run_check(checks, names[1], membership)
 
 
-def _parabolic_checks(report: VerifyReport, bundle: RepBundle) -> None:
+def _parabolic_checks(checks: list[CheckOutcome], bundle: RepBundle) -> None:
     if bundle.size < 2:
-        report.checks.append(
+        checks.append(
             CheckOutcome("parabolic-restriction", "skipped", "no proper seed", 0.0)
         )
         return
@@ -344,7 +349,7 @@ def _parabolic_checks(report: VerifyReport, bundle: RepBundle) -> None:
         except ValueError:
             return parabolic_restriction_check(bundle, [0])
 
-    _run_check(report, "parabolic-restriction", restriction)
+    _run_check(checks, "parabolic-restriction", restriction)
 
 
 def _dihedral_and_krammer(spec: GroupSpec) -> tuple[int | None, int | None]:
@@ -364,39 +369,39 @@ def _dihedral_and_krammer(spec: GroupSpec) -> tuple[int | None, int | None]:
     return e, rank + 1 if kind == "A" else None
 
 
-def _dihedral_checks(report: VerifyReport, spec: GroupSpec) -> None:
+def _dihedral_checks(checks: list[CheckOutcome], spec: GroupSpec) -> None:
     e, _ = _dihedral_and_krammer(spec)
     if e is None:
-        report.checks.append(
+        checks.append(
             CheckOutcome("dihedral-zero-point", "skipped", "not an odd dihedral group", 0.0)
         )
         return
-    _run_check(report, "dihedral-zero-point", lambda: dihedral_m0_check(e))
-    report.checks.append(
+    _run_check(checks, "dihedral-zero-point", lambda: dihedral_m0_check(e))
+    checks.append(
         CheckOutcome("dihedral-character-note", "pass", DIHEDRAL_CHARACTER_NOTE, 0.0)
     )
 
 
-def _krammer_checks(report: VerifyReport, spec: GroupSpec) -> None:
+def _krammer_checks(checks: list[CheckOutcome], spec: GroupSpec) -> None:
     _, n = _dihedral_and_krammer(spec)
     if n is None or n < 2:
-        report.checks.append(
+        checks.append(
             CheckOutcome("krammer-braid", "skipped", "not a type-A group", 0.0)
         )
-        report.checks.append(
+        checks.append(
             CheckOutcome("krammer-cubic", "skipped", "not a type-A group", 0.0)
         )
         return
     model = build_krammer(n)
-    _run_check(report, "krammer-braid", lambda: check_braid_relations(model))
-    _run_check(report, "krammer-cubic", lambda: cubic_specialization_check(model))
+    _run_check(checks, "krammer-braid", lambda: check_braid_relations(model))
+    _run_check(checks, "krammer-cubic", lambda: cubic_specialization_check(model))
 
 
 SUITES = ("core", "spectral", "tensor", "parabolic", "dihedral", "krammer", "all")
 
 
 def cmd_verify(spec: GroupSpec, suite: str, sample: Fraction | None) -> int:
-    report = VerifyReport(spec, [])
+    checks: list[CheckOutcome] = []
     wanted = SUITES[:-1] if suite == "all" else (suite,)
     if sample is not None and not {"spectral", "tensor"} & set(wanted):
         raise ValueError(
@@ -409,28 +414,28 @@ def cmd_verify(spec: GroupSpec, suite: str, sample: Fraction | None) -> int:
     bundle = build_rep(build_group(spec))
     for name in wanted:
         if name == "core":
-            _core_checks(report, bundle)
+            _core_checks(checks, bundle)
         elif name == "spectral":
-            _spectral_checks(report, bundle, sample)
+            _spectral_checks(checks, bundle, sample)
         elif name == "tensor":
-            _tensor_checks(report, bundle, sample)
+            _tensor_checks(checks, bundle, sample)
         elif name == "parabolic":
-            _parabolic_checks(report, bundle)
+            _parabolic_checks(checks, bundle)
         elif name == "dihedral":
-            _dihedral_checks(report, spec)
+            _dihedral_checks(checks, spec)
         elif name == "krammer":
-            _krammer_checks(report, spec)
-    names = [c.name for c in report.checks]
+            _krammer_checks(checks, spec)
+    names = [c.name for c in checks]
     assert len(names) == len(set(names)), "duplicate check name"
-    for c in report.checks:
+    for c in checks:
         tag = {"pass": "PASS", "fail": "FAIL", "skipped": "SKIP"}[c.status]
         detail = f"  {c.detail}" if c.detail else ""
         print(f"{tag} {c.name} ({c.elapsed:.3f}s){detail}")
-    failed = sum(1 for c in report.checks if c.status == "fail")
-    passed = sum(1 for c in report.checks if c.status == "pass")
-    skipped = sum(1 for c in report.checks if c.status == "skipped")
+    failed = sum(1 for c in checks if c.status == "fail")
+    passed = sum(1 for c in checks if c.status == "pass")
+    skipped = sum(1 for c in checks if c.status == "skipped")
     print(f"{spec.render()}: {passed} passed, {failed} failed, {skipped} skipped")
-    return 1 if report.failed else 0
+    return 1 if failed else 0
 
 
 def _table_section(group: str) -> str:

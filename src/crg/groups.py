@@ -2,17 +2,19 @@
 the exceptional groups G12, G13, G22 and G24, with conjugation tables and
 class statistics.
 
-Every group is built one way.  An order-2 reflection
-s = I - 2 a (x) phi / (phi . a) is keyed by its root line and its coform
-line: a and phi scaled so that their first nonzero coordinate is 1.  The key
-of y s y is (y a, phi y), so a few generating reflections act on the keys by
-matrix-vector products, and every other row of the conjugation table follows
-from sigma_{g y g} = sigma_g sigma_y sigma_g, which is integer work."""
+Every group is built one way, from its root lines.  An order-2 unitary
+reflection s = I - 2 a a* / (a* a) is fixed by its root line: a scaled so
+that its first nonzero coordinate is 1.  Its coform, the linear form a*, is
+the complex conjugate of the root.  The root of y s y is y a, so a few
+generating reflections act on the lines by matrix-vector products, and every
+other row of the conjugation table follows from
+sigma_{g y g} = sigma_g sigma_y sigma_g, which is integer work."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
+from itertools import combinations, permutations
 from math import lcm
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -21,8 +23,6 @@ from .cyclotomic import CycNum, CyclotomicField, cyclotomic_field
 from .matrices import ExactMatrix
 
 Vec = tuple[CycNum, ...]
-# (root line, coform line) of one order-2 reflection
-Key = tuple[Vec, Vec]
 
 
 def _line(v: Sequence[CycNum]) -> Vec:
@@ -44,28 +44,29 @@ def _axpy(x: CycNum, a: Vec, b: Vec) -> list[CycNum]:
     return [u - x * v if v else u for u, v in zip(a, b)]
 
 
-def _conjugator(g: Key) -> Callable[[Key], Key]:
-    """The map key(s) -> key(g s g): g a for the root, phi g for the coform."""
-    a_g, phi_g = g
-    c = 2 / _dot(phi_g, a_g)
-    # a real reflection (phi = a) maps real reflections to real reflections
-    real = a_g == phi_g
+def _coform(a: Vec) -> Vec:
+    """The linear form of I - 2 a a* / (a* a): the complex conjugate of a."""
+    return tuple(x.conj() for x in a)
 
-    def act(key: Key) -> Key:
-        a, phi = key
+
+def _conjugator(a_g: Vec) -> Callable[[Vec], Vec]:
+    """The map from the root line a of s to the line of g a, the root of g s g,
+    for g = I - 2 a_g a_g* / (a_g* a_g).
+
+    g is Hermitian, so the coform of g s g is a* g = (g a)*: the conjugate of
+    the new root.  The root line alone therefore keys every conjugate."""
+    phi_g = _coform(a_g)
+    c = 2 / _dot(phi_g, a_g)
+
+    def act(a: Vec) -> Vec:
         x = c * _dot(phi_g, a)
-        root = _line(_axpy(x, a, a_g)) if x else a
-        if real and a == phi:
-            return root, root
-        y = c * _dot(phi, a_g)
-        return root, _line(_axpy(y, phi, phi_g)) if y else phi
+        return _line(_axpy(x, a, a_g)) if x else a
 
     return act
 
 
-def _reflection_matrix(key: Key) -> ExactMatrix:
+def _reflection_matrix(a: Vec, phi: Vec) -> ExactMatrix:
     """I - 2 a (x) phi / (phi . a)."""
-    a, phi = key
     r = len(a)
     c = -2 / _dot(phi, a)
     cphi = [c * x for x in phi]
@@ -103,7 +104,7 @@ class Reflection:
 
 
 class ReflectionGroupData:
-    """Immutable bundle of reflections, conjugation table and class data."""
+    """Immutable bundle of reflections, conjugation table, generators and class data."""
 
     def __init__(
         self,
@@ -112,6 +113,7 @@ class ReflectionGroupData:
         conductor: int,
         reflections: tuple[Reflection, ...],
         conj_table: tuple[tuple[int, ...], ...],
+        generators: tuple[int, ...],
     ) -> None:
         self.name = name
         self.rank = rank
@@ -119,6 +121,7 @@ class ReflectionGroupData:
         self.field = cyclotomic_field(conductor)
         self.reflections = reflections
         self.conj_table = conj_table
+        self.generators = generators
 
         n = len(reflections)
         alpha = [[0] * n for _ in range(n)]
@@ -139,8 +142,8 @@ class ReflectionGroupData:
             frontier = [start]
             while frontier:
                 s = frontier.pop()
-                for y in range(n):
-                    t = conj_table[y][s]
+                for w in generators:
+                    t = conj_table[w][s]
                     if t not in orbit:
                         orbit.add(t)
                         frontier.append(t)
@@ -159,38 +162,29 @@ class ReflectionGroupData:
     def commutes(self, s: int, u: int) -> bool:
         return self.conj_table[u][s] == s
 
-    @cached_property
-    def generators(self) -> tuple[int, ...]:
-        """Reflections that generate W, taken greedily in index order.
-
-        The closure of a set of reflections under conjugation by its own
-        members lies in the group they generate, so a set whose closure is
-        all of R generates W."""
-        gens: list[int] = []
-        reached: set[int] = set()
-        for cand in range(self.size):
-            if cand not in reached:
-                gens.append(cand)
-                new = {cand}
-                while new:
-                    reached |= new
-                    new = {self.conj_table[w][y] for y in reached for w in gens} - reached
-        return tuple(gens)
-
     def __repr__(self) -> str:
         return f"ReflectionGroupData({self.name}: {self.size} reflections)"
 
 
 def _assemble(
-    name: str, rank: int, conductor: int, keys: set[Key], expected: int
+    name: str, rank: int, conductor: int, roots: Iterable[Vec], expected: int
 ) -> ReflectionGroupData:
-    """Index the reflections by their sorted packed matrices and build the
-    conjugation table from the rows of a few generators."""
-    if len(keys) != expected:
-        raise ValueError(f"{name}: built {len(keys)} reflections, expected {expected}")
-    mats = {k: _reflection_matrix(k) for k in keys}
-    ordered = sorted(keys, key=lambda k: _packed(mats[k]))
-    index = {k: i for i, k in enumerate(ordered)}
+    """The group generated by the reflections with the given roots, which must
+    be all of its reflections.
+
+    The reflections are indexed by their sorted packed matrices.  Generators
+    are taken greedily in index order: a reflection becomes a generator when
+    the closure so far misses it, and its conjugation row comes from
+    `_conjugator`; every row in the closure of the generators under
+    conjugation by them follows by integer work.  That closure lies in the
+    group the generators make, so once it is all of R they generate W."""
+    lines = {_line(a) for a in roots}
+    if len(lines) != expected:
+        raise ValueError(f"{name}: built {len(lines)} reflections, expected {expected}")
+    coforms = {a: _coform(a) for a in lines}
+    mats = {a: _reflection_matrix(a, phi) for a, phi in coforms.items()}
+    ordered = sorted(lines, key=lambda a: _packed(mats[a]))
+    index = {a: i for i, a in enumerate(ordered)}
     n = len(ordered)
     rows: dict[int, tuple[int, ...]] = {}
     gens: list[int] = []
@@ -198,7 +192,7 @@ def _assemble(
         if cand in rows:
             continue
         act = _conjugator(ordered[cand])
-        row = tuple(index.get(act(k), -1) for k in ordered)
+        row = tuple(index.get(act(a), -1) for a in ordered)
         if -1 in row:
             raise ValueError(f"{name}: reflection set is not conjugation-closed")
         rows[cand] = row
@@ -216,10 +210,10 @@ def _assemble(
                         fresh.append(t)
             frontier = fresh
     reflections = tuple(
-        Reflection(i, mats[k], k[0], k[1]) for i, k in enumerate(ordered)
+        Reflection(i, mats[a], a, coforms[a]) for i, a in enumerate(ordered)
     )
     conj = tuple(rows[y] for y in range(n))
-    return ReflectionGroupData(name, rank, conductor, reflections, conj)
+    return ReflectionGroupData(name, rank, conductor, reflections, conj, tuple(gens))
 
 
 def _root_of_unity(field: CyclotomicField, m_param: int, k: int) -> CycNum:
@@ -228,6 +222,11 @@ def _root_of_unity(field: CyclotomicField, m_param: int, k: int) -> CycNum:
         return field.zeta(k)
     # conductor 1 hosts m_param = 2
     return field.from_rational(-1 if k % 2 else 1)
+
+
+def series_size(m_param: int, p: int, r: int) -> int:
+    """The number of order-2 reflections of G(m_param, p, r), m_param / p in {1, 2}."""
+    return m_param * r * (r - 1) // 2 + (r if m_param == 2 * p else 0)
 
 
 @lru_cache(maxsize=None)
@@ -247,138 +246,70 @@ def build_series(m_param: int, p: int, r: int) -> ReflectionGroupData:
     def vec(entries: dict[int, CycNum]) -> Vec:
         return tuple(entries.get(b, zero) for b in range(r))
 
-    keys: set[Key] = set()
-    for i in range(r):
-        for j in range(i + 1, r):
-            for k in range(m_param):
-                # zeta^k at (i, j) and zeta^-k at (j, i)
-                root = vec({i: one, j: -_root_of_unity(field, m_param, -k)})
-                coform = vec({i: one, j: -_root_of_unity(field, m_param, k)})
-                keys.add((root, coform))
+    roots = [
+        # zeta^k at (i, j) and zeta^-k at (j, i)
+        vec({i: one, j: -_root_of_unity(field, m_param, -k)})
+        for i in range(r)
+        for j in range(i + 1, r)
+        for k in range(m_param)
+    ]
     if m_param // p == 2:
-        for i in range(r):
-            keys.add((vec({i: one}), vec({i: one})))
-    expected = m_param * r * (r - 1) // 2 + (r if m_param // p == 2 else 0)
-    return _assemble(f"G({m_param},{p},{r})", r, conductor, keys, expected)
+        roots += [vec({i: one}) for i in range(r)]
+    return _assemble(f"G({m_param},{p},{r})", r, conductor, roots, series_size(m_param, p, r))
 
 
-def _root_keys(roots: Iterable[Vec]) -> set[Key]:
-    """Keys of the reflections I - 2 a a* / (a* a), one per root line: the
-    coform line is the complex conjugate of the root line, and equals it for
-    a real root."""
-    return {(line, tuple(x.conj() for x in line)) for line in map(_line, roots)}
-
-
-def _h_series_roots(rank: int) -> list[tuple]:
-    """Icosahedral root systems over Q(zeta_5)."""
-    f = cyclotomic_field(5)
-    one = f.one()
-    zero = f.zero()
-    tau = -f.zeta(2) - f.zeta(3)
-    itau = tau - 1  # 1/tau
-    half = f.from_rational(Fraction(1, 2))
-    roots = []
-    if rank == 3:
-        for pos in range(3):
-            for sgn in (one, -one):
-                v = [zero, zero, zero]
-                v[pos] = sgn
-                roots.append(tuple(v))
-        for shift in range(3):  # cyclic permutations only
-            for s0 in (1, -1):
-                for s1 in (1, -1):
-                    for s2 in (1, -1):
-                        base = [s0 * tau * half, s1 * half, s2 * itau * half]
-                        roots.append(tuple(base[(i - shift) % 3] for i in range(3)))
-    else:
-        for pos in range(4):
-            for sgn in (one, -one):
-                v = [zero] * 4
-                v[pos] = sgn
-                roots.append(tuple(v))
-        for signs in range(16):
-            roots.append(
-                tuple(half if signs >> i & 1 else -half for i in range(4))
-            )
-        for s0 in (1, -1):
-            for s1 in (1, -1):
-                for s2 in (1, -1):
-                    base = (s0 * tau * half, s1 * half, s2 * itau * half, zero)
-                    for perm in _even_permutations(4):
-                        roots.append(tuple(base[perm[i]] for i in range(4)))
-    return roots
-
-
-def _even_permutations(n: int) -> list[tuple[int, ...]]:
-    from itertools import permutations
-
-    out = []
-    for perm in permutations(range(n)):
-        inv = sum(
-            1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j]
-        )
-        if inv % 2 == 0:
-            out.append(perm)
+def _signs(base: Sequence[CycNum]) -> list[Vec]:
+    """base under every choice of sign of its nonzero coordinates."""
+    out: list[Vec] = [()]
+    for x in base:
+        out = [v + (y,) for v in out for y in ((x, -x) if x else (x,))]
     return out
 
 
-def _e_series_roots(kind: str) -> list[tuple]:
-    """E8 roots over Q, with E7 and E6 cut out by orthogonality to roots."""
+def _coordinate_roots(field: CyclotomicField, n: int, support: int) -> list[Vec]:
+    """+-e_i (support 1) or +-e_i +- e_j (support 2) in field^n."""
+    one, zero = field.one(), field.zero()
+    return [
+        v
+        for idx in combinations(range(n), support)
+        for v in _signs(tuple(one if k in idx else zero for k in range(n)))
+    ]
+
+
+def _h_series_roots(rank: int) -> list[Vec]:
+    """Icosahedral root systems over Q(zeta_5)."""
+    f = cyclotomic_field(5)
+    tau = -f.zeta(2) - f.zeta(3)
+    half = f.from_rational(Fraction(1, 2))
+    golden = (tau * half, half, (tau - 1) * half)  # tau - 1 = 1/tau
+    roots = _coordinate_roots(f, rank, 1)
+    if rank == 3:
+        # cyclic permutations only
+        return roots + [v[-k:] + v[:-k] for v in _signs(golden) for k in range(3)]
+    # the even permutations: an even number of inversions
+    evens = [
+        p for p in permutations(range(4)) if sum(a > b for a, b in combinations(p, 2)) % 2 == 0
+    ]
+    golden4 = [tuple(v[i] for i in p) for v in _signs(golden + (f.zero(),)) for p in evens]
+    return roots + _signs((half,) * 4) + golden4
+
+
+def _e_series_roots(kind: str) -> list[Vec]:
+    """E8 roots over Q; E7 is cut out by orthogonality to e_6 + e_7, and E6
+    by orthogonality to e_5 + e_6 too (coordinates counted from 0)."""
     f = cyclotomic_field(1)
     half = f.from_rational(Fraction(1, 2))
-    one = f.one()
-    zero = f.zero()
-    roots: list[tuple] = []
-    for i in range(8):
-        for j in range(i + 1, 8):
-            for si in (one, -one):
-                for sj in (one, -one):
-                    v = [zero] * 8
-                    v[i] = si
-                    v[j] = sj
-                    roots.append(tuple(v))
-    for signs in range(256):
-        if bin(signs).count("1") % 2 == 0:
-            roots.append(
-                tuple(-half if signs >> i & 1 else half for i in range(8))
-            )
-    if kind == "E8":
-        return roots
-
-    e7_axis = [zero] * 8
-    e7_axis[6] = one
-    e7_axis[7] = one
-    cut = [tuple(e7_axis)]
-    if kind == "E6":
-        e6_axis = [zero] * 8
-        e6_axis[5] = one
-        e6_axis[6] = one
-        cut.append(tuple(e6_axis))
-    return [r for r in roots if all(_dot(r, ax).is_zero() for ax in cut)]
+    # (+-1/2, ..., +-1/2) with an even number of minus signs
+    evens = [v for v in _signs((half,) * 8) if sum(1 for x in v if x != half) % 2 == 0]
+    cut = {"E8": (), "E7": ((6, 7),), "E6": ((6, 7), (5, 6))}[kind]
+    roots = _coordinate_roots(f, 8, 2) + evens
+    return [r for r in roots if all(not r[i] + r[j] for i, j in cut)]
 
 
-def _f4_roots() -> list[tuple]:
+def _f4_roots() -> list[Vec]:
     f = cyclotomic_field(1)
-    one = f.one()
-    zero = f.zero()
-    half = f.from_rational(Fraction(1, 2))
-    roots: list[tuple] = []
-    for i in range(4):
-        for sgn in (one, -one):
-            v = [zero] * 4
-            v[i] = sgn
-            roots.append(tuple(v))
-    for i in range(4):
-        for j in range(i + 1, 4):
-            for si in (one, -one):
-                for sj in (one, -one):
-                    v = [zero] * 4
-                    v[i] = si
-                    v[j] = sj
-                    roots.append(tuple(v))
-    for signs in range(16):
-        roots.append(tuple(-half if signs >> i & 1 else half for i in range(4)))
-    return roots
+    halves = _signs((f.from_rational(Fraction(1, 2)),) * 4)
+    return _coordinate_roots(f, 4, 1) + _coordinate_roots(f, 4, 2) + halves
 
 
 _ROOT_SYSTEM_SIZES = {"H3": 15, "H4": 60, "F4": 24, "E6": 36, "E7": 63, "E8": 120}
@@ -408,18 +339,19 @@ def build_coxeter(kind: str, rank: int | None = None) -> ReflectionGroupData:
         if rank is not None:
             raise ValueError(f"type {kind} takes no rank")
         n = 3 if kind == "H3" else 4
-        keys = _root_keys(_h_series_roots(n))
-        return _assemble(kind, n, 5, keys, _ROOT_SYSTEM_SIZES[kind])
+        return _assemble(kind, n, 5, _h_series_roots(n), _ROOT_SYSTEM_SIZES[kind])
     elif kind in ("F4", "E6", "E7", "E8"):
         if rank is not None:
             raise ValueError(f"type {kind} takes no rank")
         roots = _f4_roots() if kind == "F4" else _e_series_roots(kind)
         n = 4 if kind == "F4" else 8
-        return _assemble(kind, n, 1, _root_keys(roots), _ROOT_SYSTEM_SIZES[kind])
+        return _assemble(kind, n, 1, roots, _ROOT_SYSTEM_SIZES[kind])
     else:
         raise ValueError(f"unsupported type {kind!r}")
     label = f"{kind}{rank}" if kind != "I2" else f"I2({rank})"
-    return ReflectionGroupData(label, g.rank, g.conductor, g.reflections, g.conj_table)
+    return ReflectionGroupData(
+        label, g.rank, g.conductor, g.reflections, g.conj_table, g.generators
+    )
 
 
 def _lift(x: CycNum, field: CyclotomicField) -> CycNum:
@@ -496,8 +428,7 @@ def build_exceptional(name: str) -> ReflectionGroupData:
     if name not in EXCEPTIONAL:
         raise ValueError(f"no construction for {name}")
     rank, conductor, count, roots = EXCEPTIONAL[name]
-    keys = _root_keys(roots(cyclotomic_field(conductor)))
-    return _assemble(name, rank, conductor, keys, count)
+    return _assemble(name, rank, conductor, roots(cyclotomic_field(conductor)), count)
 
 
 def data_dir() -> Path:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crg import cli, rep
+from crg import cli, groups, rep
 from crg.cli import (
     ALIASES,
     Coxeter,
@@ -217,6 +217,21 @@ def test_usage_errors_exit_2(capsys):
     assert "syntax error" in capsys.readouterr().err
     assert main(["verify", "--group", "G(6,2,3)"]) == 2
     assert "unsupported" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name", ["I2(100000)", "G(100000,100000,2)", "G(200000,100000,1)", "G(100,100,3)"]
+)
+def test_oversized_groups_are_refused_before_they_are_built(capsys, monkeypatch, name):
+    built = []
+    monkeypatch.setattr(cli, "build_series", lambda *args: built.append(args))
+    monkeypatch.setattr(groups, "build_series", lambda *args: built.append(args))
+    assert main(["discriminants", "--group", name]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {name} is refused: m = ")
+    assert captured.out == "" and built == []
+    # the largest admitted series reaches the builder
+    assert build_group(Series(200, 200, 2)) is None and built == [(200, 200, 2)]
 
 
 def test_verify_failure_exits_1(capsys, monkeypatch):

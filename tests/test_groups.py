@@ -170,6 +170,108 @@ def test_exceptional_groups_match_their_generator_matrices(name):
     assert hashlib.sha256(blob.encode()).hexdigest() == EXCEPTIONAL_SHA256[name]
 
 
+# sha256 of every fixture group with a construction, named as parse_group
+# renders it, so the aliases G23, G28, G30 and G35-G37 give H3, F4, H4 and
+# E6-E8.  The digest covers the reflection matrices in index order, the roots, the coforms, the
+# conjugation table, the classes and the generators, so it pins the
+# reflection order rule (sorted packed matrices) and everything read from it.
+GROUP_SHA256 = {
+    "G(3,3,3)": "a386fd5aa0ae1dfc56f28ecf3aa048616993f81fdc984d2c8a2305c2c14e81f8",
+    "G(4,4,3)": "4a2bcaeb69ac50028df76735f646f1ba65bf20ee4fde9b2fcc5101dafd08da95",
+    "G(5,5,3)": "2bf2c795291b4df693703e06c93817033ece51b5907696a3cb8023959bcfbdfc",
+    "G(6,6,3)": "5bd29455cb337a2920ace291e90122644c8c9e60130a921c0be8c9985e9210fb",
+    "G(7,7,3)": "705ad844d6d0afbae72243ba284b2bf55e7fb6d39ab3f46abd72373c3a0477f3",
+    "G(8,8,3)": "d0c3bfc5910e83694ac10c7d9b1974143ab462c4f25df73d839ef142c2bfdae3",
+    "G(9,9,3)": "f67ef09f2cfd7c2e0d3da2db13e9aaf4024ba459cf81ee2c93798fabc08712cf",
+    "G(10,10,3)": "e5ea985cdeb7f209abf3b25cc9b0e2ee1a599f87b1d4fe4f995a6a293e21a8c6",
+    "G(11,11,3)": "faa0170d868f6c8466d58ee12295a1aade0918e35b3f4c8f75bc6f914f430388",
+    "G(12,12,3)": "ca4a9b2182b10c6cd1f866c82dbc87c84d3ff296f4ed8e8f9e242e091bae45f7",
+    "G(13,13,3)": "1970d582a90b19cea20dedb3d531ff8e8cae9c56ac1ca0c6dfde6be61c8cdb45",
+    "G(14,14,3)": "1cd3f0ed57b28163824a2897c8dd04085199928ee37b647e63aee1bc6a432a5c",
+    "G(3,3,4)": "47ed942734e193e41b2f42fc68d2a9b60f84bc5f783759bb6086c72feb462387",
+    "G(4,4,4)": "a9a727bbf48bbda3639db5b6105107ed2f47aaec299f91b8b157fefdbb1dd9d1",
+    "G(5,5,4)": "ea3c79562a9e7ccf4fa47b80781bb5dad55faeca63425f429f1e2a92324c6f9d",
+    "G(6,6,4)": "2aee3e98555201a4daa046ef6bcb504c90672883e6b2e0c19192dde6880c7027",
+    "G(3,3,5)": "ca85f16ed0c021114b80a8146c4d2232524b1f2854657e3e4bd4300108ad1d07",
+    "G(4,4,5)": "94461027129d2363821cda259591549ee977e5abd2c49993b1c4822249fe1adf",
+    "G(5,5,5)": "82686e320cb94f8ebd59f805d198ced647ba8d9687673e9af9813d4255818550",
+    "G12": "2a39b6e395954f476eb6a7f8eebd5daa4a523f34f4796e174146dffe055b123e",
+    "G13": "959dc587d57e831c36916eb5d8988caaf3183940c4b12c1c7d7f0a40dd45e8f6",
+    "G22": "4ed9519debe405f99b2f5063dc9103fd12aa09e63bd5d93b8fcfa657c198a210",
+    "H3": "556c09ee8be5a8d7c063e99475b08828bb06b65a829354a8852c81cb41776655",
+    "G24": "2b8df07caffac4e0572d3f32cf09b456c4c7942c34117dee81c1e00ea8496c66",
+    "F4": "7fe90e93621129d120ec8fe0e9273922661d5c0ce407ca12953e19d7ac747fe4",
+    "H4": "f164e01fb99ac843a4925f69f351ab5cfbf6b4dfd8661c45a20d1d15568acc72",
+    "E6": "2daf6f94480896caef4fb7d8cb3a252addfb1a4b8d6ac02a7b079e0b17714eb8",
+    "E7": "ad3406a1c36e64643e52f97d70b1cb460a82cb14952c3fb212517480724ad643",
+    "E8": "c52976d311dbe837cdc0b1ec7646e1b7e665dfec562d9a557a2f368a614126fb",
+    "G(2,1,2)": "048e140d1256329bb58cc3a57d8335166bcc527628f2ef16e959b2966108a855",
+    "G(4,2,2)": "004022cb75eb451087bbcad522640db48c9f2b4010b1b97e82b0d5df7468e1eb",
+    "G(6,3,2)": "50396bdd22a266d1fb8506ee382fcbb6e60137cb9e94845c8381dfd3ad9cad6c",
+    "G(8,4,2)": "33ddd6dcde4025b70f40cd0f5fc76b1bc99780798533eb38258c78d8a0339c2b",
+    "G(10,5,2)": "e78e1c4ade197360d07b46f56b69adc2f6be291add35bea3508f720a7ec9de8e",
+    "G(12,6,2)": "0844232ccb0db799cbbe7f13304a186c5d60cfb8987b8f0bdaa38b278d45c8b5",
+    "G(14,7,2)": "1e1e7867a2a6daf54df21621db0a7bad0cc0eaee5ae60209bce9a0956610b2d1",
+    "G(16,8,2)": "8b1787c2c0b41f9a6e6b1b0df04bc9aa244e5e0389c269be3a59036654fcf707",
+    "G(18,9,2)": "c2002f7184aa8cf4c219e3b099050dfcae046ffee9d9ddbc0f7fab3ef518ba61",
+    "G(20,10,2)": "203ecda600481724188e3f7ffe8c0d8e3c2e5f17ca241e77090c0865d27aaae8",
+    "G(4,2,3)": "a8f818c7794b6cf0f1be59c9681f9024984935625ca13081798922534ef4681d",
+    "G(6,3,3)": "b3bcbe2ddd062c003823db100e3814e70ffbad2acfa671f385319d83a6ef6000",
+    "G(8,4,3)": "d110ce2ddaa0a61de2b1d8945a0c0725ed8ae3f08b451a6d748345f81ba4a3ba",
+    "G(10,5,3)": "6caa1ef44b7d640cfab14e09f38f4c64ccb034f7e8da67eb65c59e541c4b3ad2",
+    "G(12,6,3)": "07048e08190d551689fce5dd2b3fc2f89ca0428e2941191b1b370b7bf5fff0ec",
+    "G(4,2,4)": "79fb2036f666d94734abf62b7062f73a7809e390efdcdaa347a0789a87d0ab78",
+    "G(6,3,4)": "57929f59b60391987cff5edeab6f8df55d1f2136d98b91ac57bc6f5efb21bbef",
+    "G(8,4,4)": "c454fe3ee26b95e1c6816e5790c2b76615a13c21b2e6da5e159e89c8377e9784",
+    "A2": "57b491a2e940628b360612faf9c91e3edb5de670c8c014a312227b17da6ec3c0",
+    "A3": "937019c50612729bc5a6f2b92b4314ffd94611ff1f135f5404bc325cdce8082a",
+    "A4": "58d80c3c521d51a328e8660389bbe50ef420d7d7938bb21a606e6c3d0deb1618",
+    "A5": "a4816dc11c7c13203a952b99684959620f1a1b7ab042cce086b768a113d0604c",
+    "A6": "ec86c14fd9b4b8b3a3d6bc14900d8fdc6960e1566096df536a24578462a09bbb",
+    "B2": "10a13293479f83428f5a74720d7582bc5e1aac30ab4463140faccbd597079ba1",
+    "B3": "8727cc788afd2ea8cb91cc277b102f394d8756546ce41aaabbbb6eb2a8cc6bb2",
+    "B4": "83606910d0161bbd343adfe1ae89ee14194d6e1c9c92285f36d5065cd0c638cf",
+    "B5": "8e815fc25dfbc99083856d3b06f7953a1ebaa5153d0ae3b9a12ec6033d03a30d",
+    "B6": "22687585d788f69bfde832b8845f269df4bb01c56700116ed9a64c681410a436",
+    "D4": "24831a257a79fcd3423a0c168022a7be99d26495ae6d7f022d83492cc121bffe",
+    "D5": "1490e4b85a866924d8beebabf882ba420b3142e8cb78d2d3c39e90802a1505b8",
+    "D6": "4b8cef337b44128a55c9649632ba79fcb7ad8ba4ee2cd21045d949a675ded69a",
+    "I2(3)": "778d3ed5b3eae8d810cfeb32b2f73221cd9fffc7ef91fe9035e9ac6e39df7f1a",
+    "I2(4)": "b74193150e84ecd18ef4e0113f41d9993063b3432887dc1bd4ba184f3a9ba068",
+    "I2(5)": "503f66cbbab9db0b65a1b7009a8f81815650a8c8d7c06c42ecb2e1daf5e0bcad",
+    "I2(6)": "511d5d61a32088c39571468ab9ea86b3e26266dd9a89e7f89202b1e85b4523a3",
+    "I2(7)": "7a7713ef4c9f364abc1528ae857e23910af46bb1890908d58b0dfee0fa8df227",
+    "I2(8)": "94fd61e1a5bf1c7e4d861305b54c640c1db3b826d51fd4b116b434828eb156fa",
+    "I2(9)": "28cceb28e677cbb260b81addaf1c5e2671c74f5be725ae18b23731bb18f82009",
+    "I2(10)": "f52fe7b187b20950f9384eea51644f372b7844a070249d69d4db4907780fd0f3",
+    "I2(11)": "eb4a4a3b255a6a9c7d28ad97c172ad5896317abddfd63a07728c1c8003a3a220",
+    "I2(12)": "f3fa093573969cf6349cb25a32634b9fd9126e889d6544cf22ed3c7d5a08038d",
+    "I2(13)": "18227d720edb9e0f94e67a6e1017523f90a15a9cca0935ce6e4f18025102086b",
+    "I2(14)": "1120e4f25bd3c16a652ccfe12b9167331a3c00695640de29b697e7386b2c2e6d",
+}
+
+
+@pytest.mark.parametrize("name", list(GROUP_SHA256))
+def test_group_matches_its_pinned_digest(name):
+    from crg.cli import build_group, parse_group
+
+    g = build_group(parse_group(name))
+    blob = repr(
+        (
+            g.name,
+            g.rank,
+            g.conductor,
+            [r.matrix.entries for r in g.reflections],
+            [r.root for r in g.reflections],
+            [r.coform for r in g.reflections],
+            g.conj_table,
+            g.classes,
+            g.generators,
+        )
+    )
+    assert hashlib.sha256(blob.encode()).hexdigest() == GROUP_SHA256[name]
+
+
 @pytest.mark.parametrize(
     "name", ["A3", "B3", "G(4,2,3)", "G(5,5,3)", "H3", "F4", "G12", "G13", "G22", "G24"]
 )
@@ -193,20 +295,20 @@ def test_conj_table_matches_matrix_conjugation(name):
 
 
 def test_assemble_rejects_a_set_not_closed_under_conjugation():
-    from crg.groups import _assemble, _root_keys
+    from crg.groups import _assemble
 
     q = cyclotomic_field(1)
     roots = [tuple(q.from_rational(x) for x in r) for r in ((1, -1, 0), (0, 1, -1))]
     with pytest.raises(ValueError, match="not conjugation-closed"):
-        _assemble("A2 minus one", 3, 1, _root_keys(roots), 2)
+        _assemble("A2 minus one", 3, 1, roots, 2)
 
 
 def test_assemble_refuses_a_wrong_reflection_count():
-    from crg.groups import _assemble, _root_keys
+    from crg.groups import _assemble
 
     q = cyclotomic_field(1)
     roots = [
         tuple(q.from_rational(x) for x in r) for r in ((1, -1, 0), (0, 1, -1), (1, 0, -1))
     ]
     with pytest.raises(ValueError, match="A2: built 3 reflections, expected 4"):
-        _assemble("A2", 3, 1, _root_keys(roots), 4)
+        _assemble("A2", 3, 1, roots, 4)
