@@ -41,7 +41,8 @@ from .rep import (
 )
 from .tensor import (
     _EXCLUDED_POINTS,
-    _TENSOR_CLASS_LIMIT,
+    _ROOT_CLASS_LIMIT,
+    _SQUARE_CLASS_LIMIT,
     _excluded,
     ds_table_check,
     psu_membership_check,
@@ -313,8 +314,8 @@ def _tensor_checks(checks: list[CheckOutcome], bundle: RepBundle, sample: Fracti
     for c, members in enumerate(bundle.group.classes):
         _run_check(checks, f"ds-table[{c}]", lambda: ds_table_check(bundle, members[0], c))
         names = [f"tensor-square[{c}]", f"psu-membership[{c}]"]
-        if len(members) > _TENSOR_CLASS_LIMIT:
-            detail = f"class of {len(members)} above the tensor limit of {_TENSOR_CLASS_LIMIT}"
+        if len(members) > _SQUARE_CLASS_LIMIT:
+            detail = f"class of {len(members)} above the tensor limit of {_SQUARE_CLASS_LIMIT}"
             for name in names:
                 checks.append(CheckOutcome(name, "skipped", detail, 0.0))
             continue
@@ -326,11 +327,19 @@ def _tensor_checks(checks: list[CheckOutcome], bundle: RepBundle, sample: Fracti
         if len(members) < 2:
             checks.append(CheckOutcome(names[1], "skipped", "singleton class", 0.0))
             continue
+        m0 = Fraction(start)
+        while m0 in _EXCLUDED_POINTS:
+            m0 += 1
+        # at a root, membership closes V (x) V, which keeps the smaller limit
+        if len(members) > _ROOT_CLASS_LIMIT and _excluded(bundle, c, m0):
+            detail = (
+                f"class of {len(members)} at the discriminant root {m0},"
+                f" above the root limit of {_ROOT_CLASS_LIMIT}"
+            )
+            checks.append(CheckOutcome(names[1], "skipped", detail, 0.0))
+            continue
 
-        def membership(c=c, members=members):
-            m0 = Fraction(start)
-            while m0 in _EXCLUDED_POINTS:
-                m0 += 1
+        def membership(c=c, members=members, m0=m0):
             return psu_membership_check(bundle, c, members[0], members[1], m0)
 
         _run_check(checks, names[1], membership)

@@ -26,8 +26,11 @@ Vec = tuple[CycNum, ...]
 
 
 def _line(v: Sequence[CycNum]) -> Vec:
-    """v scaled so that its first nonzero coordinate is 1."""
-    inv = 1 / next(c for c in v if c)
+    """v scaled so that its first nonzero coordinate is 1; v itself if it already is."""
+    lead = next(c for c in v if c)
+    if lead.den == 1 and lead.num[0] == 1 and not any(lead.num[1:]):
+        return tuple(v)
+    inv = 1 / lead
     return tuple(c * inv for c in v)
 
 

@@ -1,29 +1,42 @@
-"""Tensor-square operators and Burnside irreducibility by algebra closure."""
+"""Tensor-square operators, and Burnside irreducibility of the squares by
+Norton's test, with algebra closure as the fallback."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
 from math import gcd, isqrt, lcm
+from random import Random
 
 import numpy as np
 
 from .matrices import ExactMatrix
+from .modp import (
+    _BLOCK,
+    _NORTON_SEED,
+    _P,
+    _a_root,
+    _combination,
+    _grow_mod_span,
+    _kernel_line,
+    _min_poly,
+    _mod,
+    _ModSpan,
+    _mulmod,
+    _norton,
+)
 from .quadratic import discriminant
 from .rep import RepBundle, Sparse, _block, _scaled_t, _sparse_mul, _sparse_sum
 
-# Spans are kept mod a prime p < 2**24 in float64, which holds every integer
-# below 2**53 exactly.  `_mulmod` splits its left factor into 12-bit limbs, so
-# each product of a limb and an entry is below 2**12 * 2**24 = 2**36, and a dot
-# product of at most 2**17 such terms is below 2**53: every partial sum that
-# BLAS forms is an exact integer.  A span wider than 2**17 is refused.
-_P = 16777213
-_LIMB = 4096
-_MAX_WIDTH = 2**17
-# Rows reduced against a span, or checked against an annihilator, by one product.
-_BLOCK = 64
-
-_TENSOR_CLASS_LIMIT = 12
+# Norton's test decides the squares of every fixture class of up to 36
+# reflections, in at most about 6 s (E6); its mod-p generators take about
+# d^5 / 2 floats, 0.24 GB at 36.  Membership at a root of the discriminant
+# closes all of V (x) V, d^4 wide, so it keeps 12.
+_SQUARE_CLASS_LIMIT = 36
+_ROOT_CLASS_LIMIT = 12
+# palindromic elements tried on the alternating square before the closure runs:
+# about 6 in 10 have an eigenvalue in F_p, so 20 tries all miss about once in 10^8
+_NORTON_TRIES = 20
 _EXCLUDED_POINTS = {
     Fraction(-3),
     Fraction(-1),
@@ -31,127 +44,6 @@ _EXCLUDED_POINTS = {
     Fraction(1),
     Fraction(3),
 }
-
-
-def _mod(x: np.ndarray, p: int) -> np.ndarray:
-    """x mod p in place, for float64 integers with |x| + p <= 2**53."""
-    q = np.floor(x * (1.0 / p))
-    q *= p
-    x -= q
-    # the rounded quotient is off by at most one either way
-    np.add(x, p, out=x, where=x < 0)
-    np.subtract(x, p, out=x, where=x >= p)
-    return x
-
-
-def _mulmod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b mod p for float64 integers in [0, p), with at most 2**17 terms per sum."""
-    hi = np.floor(a * (1.0 / _LIMB))
-    lo = a - hi * _LIMB
-    out = _mod(hi @ b, p)
-    out *= _LIMB
-    # below 2**36 + 2**17 * (2**12 - 1) * (2**24 - 1) < 2**53 - 2**40
-    out += lo @ b
-    return _mod(out, p)
-
-
-def _reduce_by(vecs: np.ndarray, rows: np.ndarray, pivots, p: int) -> np.ndarray:
-    """`vecs` with their entries in the pivot columns of `rows` cleared, mod p."""
-    out = _mulmod(vecs[:, pivots], rows, p)
-    np.subtract(vecs, out, out=out)
-    np.add(out, p, out=out, where=out < 0)
-    return out
-
-
-def _echelon(block: np.ndarray, p: int) -> tuple[list[int], np.ndarray, list[int]]:
-    """The rows of `block` independent of the rows before them, in order.
-
-    Returns their indices, the rows in reduced echelon form and their pivots.
-    The second half is reduced against the first by one product, so the
-    elimination runs in matrix products.
-    """
-    if len(block) == 1:
-        nonzero = np.flatnonzero(block[0])
-        if nonzero.size == 0:
-            return [], block[:0], []
-        piv = int(nonzero[0])
-        return [0], _mod(block * pow(int(block[0, piv]), -1, p), p), [piv]
-    half = len(block) // 2
-    kept, rows, pivots = _echelon(block[:half], p)
-    rest = _reduce_by(block[half:], rows, pivots, p) if kept else block[half:]
-    kept_rest, rows_rest, pivots_rest = _echelon(rest, p)
-    if kept and kept_rest:
-        rows = _reduce_by(rows, rows_rest, pivots_rest, p)
-    return (
-        kept + [half + i for i in kept_rest],
-        np.concatenate([rows, rows_rest]),
-        pivots + pivots_rest,
-    )
-
-
-class _ModSpan:
-    """Row space mod p in reduced echelon form.
-
-    Rows are float64 integers in [0, p) in one buffer that doubles when full.
-    Vectors join a level at a time: `add_block` keeps each row of a block that
-    is independent of the span and of the rows kept before it, which are the
-    rows one-at-a-time insertion keeps.  Rows added during a level are reduced
-    against the older rows at once, the older rows against them at `end_level`.
-    """
-
-    def __init__(self, width: int, p: int) -> None:
-        if width > _MAX_WIDTH:
-            raise ValueError(
-                f"span width {width} exceeds {_MAX_WIDTH}, the bound for exact products"
-            )
-        self.p = p
-        self.width = width
-        self.dim = 0
-        self._settled = 0
-        self._rows = np.zeros((min(16, width), width))
-        self._pivots = np.zeros(len(self._rows), dtype=np.intp)
-
-    def residual(self, vecs: np.ndarray) -> np.ndarray:
-        """Residuals of the rows of `vecs`, integers in [0, p), against the span."""
-        vecs = np.asarray(vecs, dtype=np.float64).reshape(-1, self.width)
-        for start, stop in ((0, self._settled), (self._settled, self.dim)):
-            if stop > start:
-                vecs = _reduce_by(vecs, self._rows[start:stop], self._pivots[start:stop], self.p)
-        return vecs
-
-    def add_block(self, block: np.ndarray) -> list[int]:
-        """Add the new rows of `block`, in order; return their indices."""
-        block = self.residual(block)
-        live = np.flatnonzero(block.any(axis=1))
-        if not live.size:
-            return []
-        kept, new, pivots = _echelon(block[live], self.p)
-        if kept:
-            if self.dim > self._settled:
-                pending = self._rows[self._settled:self.dim]
-                pending[:] = _reduce_by(pending, new, pivots, self.p)
-            self._append(new, pivots)
-        return live[kept].tolist()
-
-    def end_level(self) -> None:
-        """Reduce the older rows against the rows added since the last call."""
-        start, stop = self._settled, self.dim
-        if start and stop > start:
-            old = self._rows[:start]
-            old[:] = _reduce_by(old, self._rows[start:stop], self._pivots[start:stop], self.p)
-        self._settled = stop
-
-    def _append(self, rows: np.ndarray, pivots: list[int]) -> None:
-        stop = self.dim + len(rows)
-        if stop > len(self._rows):
-            size = min(max(stop, 2 * len(self._rows)), self.width)
-            grown = np.zeros((size, self.width))
-            grown[: self.dim] = self._rows[: self.dim]
-            self._rows = grown
-            self._pivots = np.resize(self._pivots, size)
-        self._rows[self.dim:stop] = rows
-        self._pivots[self.dim:stop] = pivots
-        self.dim = stop
 
 
 def _integer_matrix(mat: ExactMatrix) -> np.ndarray:
@@ -359,11 +251,9 @@ def _annihilates_algebra(gens: list[np.ndarray], y: np.ndarray, pivots) -> bool:
     return True
 
 
-def _check_class_size(members) -> None:
-    if len(members) > _TENSOR_CLASS_LIMIT:
-        raise ValueError(
-            f"tensor operators limited to classes of size <= {_TENSOR_CLASS_LIMIT}"
-        )
+def _check_class_size(members, limit: int) -> None:
+    if len(members) > limit:
+        raise ValueError(f"tensor operators limited to classes of size <= {limit}")
 
 
 def ds_table_check(bundle: RepBundle, s: int, c: int) -> bool:
@@ -505,7 +395,7 @@ def _square_blocks(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     A vector's coordinate on the basis vector (i, j) is its (i, j) entry.
     """
     d = len(t)
-    eye = np.identity(d, dtype=object)
+    eye = np.identity(d, dtype=t.dtype)
     big = np.kron(t, eye) + np.kron(eye, t)
     out = []
     for i, j, sign in ((*np.triu_indices(d, 1), -1), (*np.triu_indices(d), 1)):
@@ -517,10 +407,16 @@ def _square_blocks(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def tensor_square_check(bundle: RepBundle, c: int, m0) -> dict:
-    """Burnside closure on the alternating and symmetric squares of V_c.
+    """Is the algebra of the T_x full on the alternating and symmetric squares of V_c?
 
-    The closure runs once per bundle, class and point; each call returns a
-    fresh copy of its report.
+    Each square is decided by Norton's test (`_norton`) when it passes, and
+    by the closure of `_annihilator` otherwise.  A full algebra mod p is
+    spanned by the integer words mod p, so D^2 of them are independent mod
+    p, hence over Q, and the rational algebra is full.  The report gives each
+    square's dimension D, the dimension of its algebra (D^2 when full) and
+    the route that decided it, "norton" or "closure".  The squares are
+    decided once per bundle, class and point; each call returns a fresh copy
+    of the report.
     """
     m0 = Fraction(m0)
     if _excluded(bundle, c, m0):
@@ -533,62 +429,77 @@ def _square_report(bundle: RepBundle, c: int, m0: Fraction) -> dict:
     d = len(members)
     if d == 1:
         return {"class_size": 1, "skipped": True, "ok": True}
-    _check_class_size(members)
-    blocks = [_square_blocks(t) for t in _int_blocks(bundle, members, m0)]
-    wedge_dim = d * (d - 1) // 2
-    sym_dim = d * (d + 1) // 2
-    wedge_algebra = wedge_dim**2 - len(_annihilator([wedge for wedge, _ in blocks]))
-    sym_algebra = sym_dim**2 - len(_annihilator([sym for _, sym in blocks]))
-    return {
-        "class_size": d,
-        "skipped": False,
-        "wedge_dim": wedge_dim,
-        "wedge_algebra": wedge_algebra,
-        "sym_dim": sym_dim,
-        "sym_algebra": sym_algebra,
-        "ok": wedge_algebra == wedge_dim**2 and sym_algebra == sym_dim**2,
-    }
+    _check_class_size(members, _SQUARE_CLASS_LIMIT)
+    ints = _int_blocks(bundle, members, m0)
+    # the squares of the generators mod p; the integer squares only on a fallback
+    wedges = np.empty((d, d * (d - 1) // 2, d * (d - 1) // 2))
+    syms = np.empty((d, d * (d + 1) // 2, d * (d + 1) // 2))
+    for x, t in enumerate(ints):
+        wedges[x], syms[x] = (block % _P for block in _square_blocks((t % _P).astype(np.int64)))
+    report = {"class_size": d, "skipped": False}
+    for index, name, dim, norton in (
+        (0, "wedge", d * (d - 1) // 2, lambda: _wedge_norton(wedges, _P)),
+        (1, "sym", d * (d + 1) // 2, lambda: _sym_norton(syms, ints[0], m0.numerator, _P)),
+    ):
+        if norton():
+            route, algebra = "norton", dim**2
+        else:
+            gens = [_square_blocks(t)[index] for t in ints]
+            route, algebra = "closure", dim**2 - len(_annihilator(gens))
+        report |= {f"{name}_dim": dim, f"{name}_algebra": algebra, f"{name}_route": route}
+    report["ok"] = all(report[f"{x}_algebra"] == report[f"{x}_dim"] ** 2 for x in ("wedge", "sym"))
+    return report
 
 
-class _SpanGrowth:
-    """BFS closure of a matrix algebra span mod p, one level of words per `_advance`."""
+def _sym_norton(gens: np.ndarray, t_s: np.ndarray, a: int, p: int) -> bool:
+    """Norton's test on S^2 with theta = b T_s - 2a and v = e_s e_s, m0 = a/b.
 
-    def __init__(self, gens: list[np.ndarray], n: int, p: int) -> None:
-        self.n = n
-        self.p = p
-        self.count = len(gens)
-        # word @ [g_1 | ... | g_k] holds the products word * g_i side by side
-        self.gens = np.hstack(gens).astype(np.float64)
-        self.span = _ModSpan(n * n, p)
-        eye = np.eye(n)
-        self.span.add_block(eye.reshape(1, -1))
-        self.span.end_level()
-        self.frontier = eye[None]
-
-    def _advance(self) -> bool:
-        if not len(self.frontier):
-            return False
-        n, k = self.n, self.count
-        step = max(1, _BLOCK // k)
-        taken = [np.zeros((0, n * n))]
-        for start in range(0, len(self.frontier), step):
-            if self.span.dim == n * n:  # full: no later word can join
-                break
-            words = self.frontier[start:start + step]
-            prods = _mulmod(words.reshape(-1, n), self.gens, self.p)
-            # word-major, generator-minor: the order of one-at-a-time insertion
-            prods = prods.reshape(len(words), n, k, n).swapaxes(1, 2).reshape(-1, n * n)
-            taken.append(prods[self.span.add_block(prods)])
-        self.span.end_level()
-        self.frontier = np.concatenate(taken).reshape(-1, n, n)
-        return True
+    gens[0] is b T_s, and t_s = b t_s(m0) is the integer class block of s,
+    first in the class.  b t_s e_s = a e_s is checked exactly, so theta v =
+    0, and v is the first basis vector of S^2.  For m0 not in {-1, 0, 1}, 2
+    m0 is a sum of two eigenvalues m0, -1, 1 of t_s only as m0 + m0, so over
+    Q the kernel of theta is the line of v; `_norton` checks its nullity mod
+    p through ker theta^T.
+    """
+    if t_s[0, 0] != a or t_s[1:, 0].any():
+        return False
+    theta = gens[0].copy()
+    np.fill_diagonal(theta, (theta.diagonal() - 2 * a) % p)
+    v = np.zeros(len(theta))
+    v[0] = 1
+    return _norton(gens, theta, v, p)
 
 
-def _grow_mod_span(gens: list[np.ndarray], n: int, p: int) -> _ModSpan:
-    growth = _SpanGrowth(gens, n, p)
-    while growth._advance():
-        pass
-    return growth.span
+def _wedge_norton(gens: np.ndarray, p: int) -> bool:
+    found = _wedge_theta(gens, p)
+    return found is not None and _norton(gens, *found, p)
+
+
+def _wedge_theta(gens: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """theta - lam with a kernel of one line, and the vector v spanning it, or None.
+
+    On Λ^2 the -1 eigenspace of t_s is at least 2-dimensional, so no
+    eigenvalue of one T_s is simple.  Each seeded try takes the palindromic
+    theta = sum_x c_x b T_x + T_a T_b + T_b T_a mod p, and lam is a root in
+    F_p of the minimal polynomial of a random vector, so an eigenvalue of
+    theta.  The seed fixes the tries, so every call returns the same theta;
+    it affects only whether the test is reached, never its verdict.
+    """
+    rng = Random(_NORTON_SEED)
+    n = len(gens[0])
+    for _ in range(_NORTON_TRIES):
+        a, b = rng.sample(range(len(gens)), 2)
+        theta = _mulmod(gens[a], gens[b], p) + _mulmod(gens[b], gens[a], p)
+        theta = _mod(theta + _combination(gens, rng, p), p)
+        u = np.array([rng.randrange(p) for _ in range(n)], dtype=np.float64)
+        lam = _a_root(_min_poly(theta, u, p), p, rng)
+        if lam is None:
+            continue
+        np.fill_diagonal(theta, (theta.diagonal() - lam) % p)
+        v = _kernel_line(theta, p)
+        if v is not None:
+            return theta, v
+    return None
 
 
 def psu_membership_check(bundle: RepBundle, c: int, s: int, u: int, m0) -> bool:
@@ -597,14 +508,17 @@ def psu_membership_check(bundle: RepBundle, c: int, s: int, u: int, m0) -> bool:
     Away from the roots of the class discriminant, a passing
     `tensor_square_check` proves membership exactly.  Every T_x commutes with
     the swap of V (x) V, so A lies in End(Λ²) ⊕ End(S²).  The square check
-    proves that A maps onto each factor: a full mod-p span bounds the rational
-    rank from below.  Λ² and S² differ in dimension, so they are not
-    isomorphic A-modules, and by the density theorem A is the whole product.
-    The target commutes with the swap, so it lies in A.
+    proves that A maps onto each factor, by Norton's test or by a full mod-p
+    closure: either way D^2 integer words are independent mod p, so over Q.
+    Λ² and S² differ in dimension, so they are not isomorphic A-modules, and
+    by the density theorem A is the whole product.  The target commutes with
+    the swap, so it lies in A.  This route takes classes of up to
+    `_SQUARE_CLASS_LIMIT` reflections.
 
     Elsewhere (a root, or squares that are not full) A = ker Y for the exact
     annihilator Y of `_annihilator` on V (x) V, so the target lies in A
-    exactly when Y kills it.
+    exactly when Y kills it.  That closure is d^4 wide, so it takes classes
+    of up to `_ROOT_CLASS_LIMIT` reflections.
     """
     if s == u:
         raise ValueError("need two distinct reflections")
@@ -614,9 +528,10 @@ def psu_membership_check(bundle: RepBundle, c: int, s: int, u: int, m0) -> bool:
     members = bundle.group.classes[c]
     if s not in members or u not in members:
         raise ValueError("reflections must belong to the class")
-    _check_class_size(members)
+    _check_class_size(members, _SQUARE_CLASS_LIMIT)
     if not _excluded(bundle, c, m0) and tensor_square_check(bundle, c, m0)["ok"]:
         return True
+    _check_class_size(members, _ROOT_CLASS_LIMIT)
 
     # for m0 = a/b, A is generated by b T_x and the target is scaled by b^2
     blocks = _int_blocks(bundle, members, m0)

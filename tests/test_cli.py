@@ -146,13 +146,27 @@ def test_dihedral_and_krammer_checks_follow_the_group(capsys, spelling, same_as)
 
 
 def test_verify_skips_tensor_on_large_class(capsys):
-    code = main(["verify", "--group", "H3", "--suite", "tensor"])
+    code = main(["verify", "--group", "G(13,13,3)", "--suite", "tensor"])
     out = capsys.readouterr().out
     assert code == 0
     assert "PASS ds-table[0]" in out
     for name in ("tensor-square[0]", "psu-membership[0]"):
-        assert f"SKIP {name} (0.000s)  class of 15 above the tensor limit of 12" in out
+        assert f"SKIP {name} (0.000s)  class of 39 above the tensor limit of 36" in out
     assert "--force" not in out
+
+
+def test_verify_skips_membership_at_a_root_above_the_root_limit(capsys):
+    # 13 is a root of H3's class discriminant: the squares move on to 14, and
+    # membership at 13 would close V (x) V on a class of 15
+    code = main(["verify", "--group", "H3", "--suite", "tensor", "--m", "13"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert re.search(r"PASS tensor-square\[0\] \(\d+\.\d{3}s\)", out)
+    assert (
+        "SKIP psu-membership[0] (0.000s)  class of 15 at the discriminant root 13,"
+        " above the root limit of 12"
+    ) in out
+    assert "FAIL" not in out
 
 
 def test_tables_prop81(capsys):

@@ -312,3 +312,17 @@ def test_assemble_refuses_a_wrong_reflection_count():
     ]
     with pytest.raises(ValueError, match="A2: built 3 reflections, expected 4"):
         _assemble("A2", 3, 1, roots, 4)
+
+
+def test_line_keeps_a_vector_whose_lead_is_already_one():
+    from crg.groups import _line
+
+    q = cyclotomic_field(4)
+    i, zero, two = q.zeta(1), q.zero(), q.from_rational(2)
+    v = [zero, q.one(), i, -two]
+    # the same coordinate objects come back, so nothing was rescaled
+    assert all(a is b for a, b in zip(_line(v), v))
+    scaled = _line([zero, two * i, two, i])
+    structure = [(c.num, c.den) for c in scaled]
+    # 2i scales to 1, 2 to -i and i to 1/2
+    assert structure == [((0, 0), 1), ((1, 0), 1), ((0, -1), 1), ((1, 0), 2)]

@@ -1,31 +1,30 @@
 import itertools
+import time
 from fractions import Fraction
 from math import lcm
+from random import Random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import crg.modp as modp
 import crg.tensor as tensor
 from crg.groups import build_coxeter, build_series
 from crg.matrices import ExactMatrix, rank_and_kernel
+from crg.modp import _MAX_WIDTH, _P, _ModSpan, _SpanGrowth, _grow_mod_span, _mulmod
+from crg.quadratic import discriminant
 from crg.rep import _block, build_rep
 from crg.tensor import (
-    _MAX_WIDTH,
-    _P,
-    _ModSpan,
-    _SpanGrowth,
     _annihilates_algebra,
     _annihilator,
     _block_relations,
     _ds_table_at,
     _exact_annihilator,
-    _grow_mod_span,
     _int_blocks,
     _integer_matrix,
     _lifted_annihilator,
-    _mulmod,
     _regular_rep,
     _square_blocks,
     algebra_dimension,
@@ -267,18 +266,44 @@ def test_tampered_alpha_inside_a_class_fails_the_ds_table(g):
     assert tampered
 
 
+def _off_root_point(b, c) -> Fraction:
+    m0 = Fraction(7)
+    while tensor._excluded(b, c, m0):
+        m0 += 1
+    return m0
+
+
 def test_tensor_ops_refuses_large_class():
+    g = build_series(13, 13, 3)
+    b = build_rep(g)
+    assert len(g.classes[0]) == 39
+    # the operator table has no size limit; the squares keep theirs
+    assert ds_table_check(b, 0, 0)
+    m0 = _off_root_point(b, 0)
+    with pytest.raises(ValueError, match="<= 36"):
+        tensor_square_check(b, 0, m0)
+    with pytest.raises(ValueError, match="<= 36"):
+        psu_membership_check(b, 0, 0, 1, m0)
+    # 13 is a root of H3's class discriminant: membership there closes V (x) V,
+    # which keeps the limit of 12
+    h3 = build_rep(build_coxeter("H3"))
+    assert len(h3.group.classes[0]) == 15 and tensor._excluded(h3, 0, Fraction(13))
+    with pytest.raises(ValueError, match="<= 12"):
+        psu_membership_check(h3, 0, 0, 1, Fraction(13))
+
+
+def test_squares_and_membership_pass_above_the_root_limit():
+    start = time.monotonic()
     g = build_coxeter("H3")
     b = build_rep(g)
-    assert len(g.classes[0]) == 15
-    # the operator table has no size limit; the closures keep theirs
-    assert ds_table_check(b, 0, 0)
-    with pytest.raises(ValueError, match="<= 12"):
-        tensor_square_check(b, 0, Fraction(7))
-    # 13 is a root of the class discriminant: the gate must hold on the root route too
-    for m0 in (Fraction(7), Fraction(13)):
-        with pytest.raises(ValueError, match="<= 12"):
-            psu_membership_check(b, 0, 0, 1, m0)
+    members = g.classes[0]
+    assert len(members) == 15
+    report = tensor_square_check(b, 0, Fraction(7))
+    assert report["ok"] and (report["wedge_route"], report["sym_route"]) == ("norton", "norton")
+    assert (report["wedge_algebra"], report["sym_algebra"]) == (105**2, 120**2)
+    for s, u in ((members[0], members[1]), (members[3], members[11])):
+        assert psu_membership_check(b, 0, s, u, Fraction(7))
+    assert time.monotonic() - start < 10
 
 
 def test_square_decomposition_dimensions():
@@ -605,7 +630,7 @@ def test_square_blocks_act_as_derivations(name, rank, m0):
             assert all(type(v) is int for v in [*wedge.flat, *sym.flat])
 
 
-def test_membership_off_roots_rests_on_the_square_closure(monkeypatch):
+def test_membership_off_roots_rests_on_the_square_verdict(monkeypatch):
     widths = []
 
     class Recording(_ModSpan):
@@ -613,7 +638,11 @@ def test_membership_off_roots_rests_on_the_square_closure(monkeypatch):
             widths.append(width)
             super().__init__(width, p)
 
-    monkeypatch.setattr(tensor, "_ModSpan", Recording)
+    def refuse(gens):
+        raise AssertionError("closure reached")
+
+    monkeypatch.setattr(modp, "_ModSpan", Recording)
+    monkeypatch.setattr(tensor, "_annihilator", refuse)
     for name, rank in (("A", 3), ("I2", 5), ("B", 2)):
         g = build_coxeter(name, rank)
         b = build_rep(g)
@@ -624,12 +653,76 @@ def test_membership_off_roots_rests_on_the_square_closure(monkeypatch):
             widths.clear()
             report = tensor_square_check(b, c, Fraction(7))
             assert report["ok"]
+            assert (report["wedge_route"], report["sym_route"]) == ("norton", "norton")
             for s, u in list(itertools.combinations(members, 2))[:5]:
                 assert psu_membership_check(b, c, s, u, Fraction(7))
             assert tensor_square_check(b, c, Fraction(7)) == report
-            # one closure on each square, none on V (x) V
-            assert sorted(widths) == [(d * (d - 1) // 2) ** 2, (d * (d + 1) // 2) ** 2]
-            assert d**4 not in widths
+            # spins and kernels only: no span as wide as a square's algebra or V (x) V
+            sym_dim = d * (d + 1) // 2
+            assert widths and max(widths) <= 2 * sym_dim + 1 < min(sym_dim**2, d**4)
+
+
+def _square_report_at(b, c, m0) -> dict:
+    """The square report at any point, roots included, without the memo."""
+    return tensor._square_report(b, c, Fraction(m0))
+
+
+def test_norton_never_certifies_a_reducible_square():
+    # at a root of the class discriminant V_c, and so each square, is reducible
+    for name, rank, c, m0 in (("I2", 5, 0, 5), ("A", 3, 0, 5), ("B", 3, 0, 5), ("B", 3, 1, 7)):
+        b = build_rep(build_coxeter(name, rank))
+        assert m0 in {root for root, _ in discriminant(b.group, c).factors}
+        report = _square_report_at(b, c, m0)
+        assert (report["wedge_route"], report["sym_route"]) == ("closure", "closure")
+        assert report["wedge_algebra"] < report["wedge_dim"] ** 2
+        assert report["sym_algebra"] < report["sym_dim"] ** 2
+        assert not report["ok"]
+    # block upper-triangular generators keep the span of the first three coordinates
+    rng = np.random.default_rng(5)
+    for n in (5, 8):
+        gens = rng.integers(-3, 4, size=(4, n, n))
+        gens[:, 3:, :3] = 0
+        assert not tensor._wedge_norton(gens % _P * 1.0, _P)
+        mats = [ExactMatrix(n, n, [Fraction(int(x)) for x in g.flat]) for g in gens]
+        assert algebra_dimension(mats) < n * n
+
+
+def test_forced_norton_failure_takes_the_closure(monkeypatch):
+    b = build_rep(build_coxeter("A", 3))
+    norton = _square_report_at(b, 0, 7)
+    assert (norton["wedge_route"], norton["sym_route"]) == ("norton", "norton")
+    monkeypatch.setattr(tensor, "_norton", lambda *args: False)
+    forced = _square_report_at(b, 0, 7)
+    assert forced == dict(norton, wedge_route="closure", sym_route="closure")
+
+
+def test_wedge_search_is_deterministic():
+    for name, rank in (("A", 3), ("I2", 5)):
+        g = build_coxeter(name, rank)
+        members = g.classes[0]
+        reports, found = [], []
+        for _ in range(2):
+            b = build_rep(g)
+            reports.append(tensor_square_check(b, 0, Fraction(7)))
+            gens = [_square_blocks(t % _P)[0] for t in _int_blocks(b, members, Fraction(7))]
+            found.append(tensor._wedge_theta(np.array(gens, dtype=np.float64) % _P, _P))
+        assert reports[0] == reports[1]
+        (theta, v), (theta2, v2) = found
+        assert np.array_equal(theta, theta2) and np.array_equal(v, v2)
+        # theta v = 0 mod p, and v is a nonzero vector
+        assert not _mulmod(theta, v[:, None], _P).any() and v.any()
+
+
+def test_a_root_is_a_root_in_f_p():
+    p = _P
+    rng = Random(0)
+    cubic = np.array([-105, 71, -15, 1]) % p  # (x - 3)(x - 5)(x - 7)
+    assert modp._a_root(cubic, p, rng) in (3, 5, 7)
+    non_residue = next(r for r in range(2, 100) if pow(r, (p - 1) // 2, p) == p - 1)
+    assert modp._a_root(np.array([-non_residue % p, 0, 1]), p, rng) is None
+    # the minimal polynomial of e_0 under a 3-cycle is x^3 - 1
+    cycle = np.roll(np.eye(3), 1, axis=0)
+    assert modp._min_poly(cycle, np.eye(3)[0], p).tolist() == [p - 1, 0, 0, 1]
 
 
 def test_square_report_is_a_fresh_copy():
