@@ -9,6 +9,7 @@ from .arrangement import codim2_flats, parabolic_reflections
 from .cyclotomic import CycNum, CyclotomicField, cyclotomic_field, totient
 from .groups import (
     ReflectionGroupData,
+    Refused,
     alpha,
     build_coxeter,
     build_exceptional,
@@ -18,11 +19,10 @@ from .groups import (
 )
 from .krammer import build_krammer, check_braid_relations, cubic_specialization_check
 from .matrices import ExactMatrix, char_poly, rank_and_kernel
-from .polynomials import M, ParamPoly, cyclotomic_polynomial, integer_roots
+from .polynomials import M, ParamPoly, integer_roots
 from .quadratic import (
     Discriminant,
     check_n_c,
-    closed_form_check,
     conjecture_scan,
     discriminant,
     gram_matrix,
@@ -56,9 +56,9 @@ __all__ = [
     "rank_and_kernel",
     "M",
     "ParamPoly",
-    "cyclotomic_polynomial",
     "integer_roots",
     "ReflectionGroupData",
+    "Refused",
     "alpha",
     "build_coxeter",
     "build_exceptional",
@@ -69,7 +69,6 @@ __all__ = [
     "parabolic_reflections",
     "Discriminant",
     "check_n_c",
-    "closed_form_check",
     "conjecture_scan",
     "discriminant",
     "gram_matrix",

@@ -6,7 +6,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .cyclotomic import CycNum
-from .groups import ReflectionGroupData
+from .groups import ReflectionGroupData, Refused
 from .matrices import _rref
 
 
@@ -111,7 +111,7 @@ def parabolic_reflections(g: ReflectionGroupData, seed) -> tuple[int, ...]:
     """
     seed = sorted(set(seed))
     if not seed:
-        raise ValueError("empty seed")
+        raise Refused("empty seed")
     span = _rref([list(g.reflections[s].coform) for s in seed])
     return tuple(
         x for x in range(g.size) if _in_rowspan(g.reflections[x].coform, span)

@@ -15,6 +15,7 @@ from typing import Union
 from .groups import (
     EXCEPTIONAL,
     ReflectionGroupData,
+    Refused,
     build_coxeter,
     build_exceptional,
     build_series,
@@ -97,7 +98,7 @@ class _Parser:
         self.pos = 0
 
     def fail(self, message: str):
-        raise ValueError(f"syntax error at position {self.pos}: {message}")
+        raise Refused(f"syntax error at position {self.pos}: {message}")
 
     def peek(self) -> str:
         return self.text[self.pos] if self.pos < len(self.text) else ""
@@ -109,11 +110,14 @@ class _Parser:
 
     def integer(self) -> int:
         start = self.pos
-        while self.peek().isdigit():
+        while "0" <= self.peek() <= "9":
             self.pos += 1
         if self.pos == start:
             self.fail("expected an integer")
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:  # more digits than int() converts
+            self.fail("integer too long")
 
     def done(self) -> None:
         if self.pos != len(self.text):
@@ -135,14 +139,14 @@ def parse_group(text: str) -> GroupSpec:
             p.expect(")")
             p.done()
             if pp < 1 or m % pp or m // pp not in (1, 2):
-                raise ValueError("pseudo-reflection series unsupported")
+                raise Refused("pseudo-reflection series unsupported")
             return Series(m, pp, r)
         k = p.integer()
         p.done()
         if k in ALIASES:
             return Coxeter(ALIASES[k])
         if f"G{k}" not in EXCEPTIONAL:
-            raise ValueError(f"no construction for G{k}")
+            raise Refused(f"no construction for G{k}")
         return Exceptional(k)
     if head in ("A", "B", "D"):
         p.pos += 1
@@ -174,7 +178,7 @@ def build_group(spec: GroupSpec) -> ReflectionGroupData:
     elif isinstance(spec, Coxeter) and spec.kind == "I2":
         m = count = spec.rank
     if max(m, count) > SIZE_LIMIT:
-        raise ValueError(
+        raise Refused(
             f"{spec.render()} is refused: m = {m} with {count} reflections,"
             f" and both must be at most {SIZE_LIMIT}"
         )
@@ -260,15 +264,11 @@ def _run_check(checks: list[CheckOutcome], name: str, fn) -> None:
     start = time.perf_counter()
     try:
         result = fn()
-    except ValueError as exc:
-        checks.append(
-            CheckOutcome(name, "fail", str(exc), time.perf_counter() - start)
-        )
+    except Refused as exc:
+        checks.append(CheckOutcome(name, "skipped", str(exc), time.perf_counter() - start))
         return
     elapsed = time.perf_counter() - start
-    if result is None:
-        checks.append(CheckOutcome(name, "skipped", "not applicable", elapsed))
-    elif result:
+    if result:
         checks.append(CheckOutcome(name, "pass", "", elapsed))
     else:
         detail = getattr(result, "detail", None)
@@ -355,7 +355,7 @@ def _parabolic_checks(checks: list[CheckOutcome], bundle: RepBundle) -> None:
     def restriction():
         try:
             return parabolic_restriction_check(bundle, [0, 1])
-        except ValueError:
+        except Refused:
             return parabolic_restriction_check(bundle, [0])
 
     _run_check(checks, "parabolic-restriction", restriction)
@@ -413,13 +413,11 @@ def cmd_verify(spec: GroupSpec, suite: str, sample: Fraction | None) -> int:
     checks: list[CheckOutcome] = []
     wanted = SUITES[:-1] if suite == "all" else (suite,)
     if sample is not None and not {"spectral", "tensor"} & set(wanted):
-        raise ValueError(
-            f"--m is read only by the spectral and tensor suites, not by {suite}"
-        )
+        raise Refused(f"--m is read only by the spectral and tensor suites, not by {suite}")
     if "spectral" in wanted and sample == 1:
-        raise ValueError("the spectral suite needs --m other than 1: t_s is not semisimple there")
+        raise Refused("the spectral suite needs --m other than 1: t_s is not semisimple there")
     if "tensor" in wanted and sample is not None and sample.denominator != 1:
-        raise ValueError(f"the tensor suite needs an integer --m, got {sample}")
+        raise Refused(f"the tensor suite needs an integer --m, got {sample}")
     bundle = build_rep(build_group(spec))
     for name in wanted:
         if name == "core":
@@ -459,7 +457,10 @@ def _table_section(group: str) -> str:
 def cmd_tables(which: str, fixture_path: str | None) -> int:
     path = Path(fixture_path) if fixture_path else data_dir() / "tables.json"
     with open(path) as fh:
-        rows = json.load(fh)
+        try:
+            rows = json.load(fh)
+        except ValueError as exc:  # not JSON, or not text
+            raise Refused(f"{path} is not a JSON fixture: {exc}") from None
     selected: dict[str, list[dict]] = {}
     for row in rows:
         if _table_section(row["group"]) == which:
@@ -470,7 +471,7 @@ def cmd_tables(which: str, fixture_path: str | None) -> int:
         try:
             spec = parse_group(group)
             g = build_group(spec)
-        except ValueError as exc:
+        except Refused as exc:
             print(f"SKIP {group}: {exc}")
             skips += len(selected[group])
             continue
@@ -553,10 +554,13 @@ def _build_arg_parser() -> argparse.ArgumentParser:
 def _parse_sample(text: str | None) -> Fraction | None:
     if text is None:
         return None
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"--m must be a rational number, got {text!r}") from None
+    # no exponent: Fraction("1e999999999") would build a billion-digit integer
+    if "e" not in text.lower():
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise Refused(f"--m must be a rational number such as 5 or 22/7, got {text!r}")
 
 
 def main(argv=None) -> int:
@@ -574,7 +578,7 @@ def main(argv=None) -> int:
             return cmd_conjecture(args.e_max, args.r_max)
         if args.command == "list-groups":
             return cmd_list_groups()
-    except (ValueError, OSError) as exc:
+    except (Refused, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

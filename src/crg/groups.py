@@ -25,6 +25,13 @@ from .matrices import ExactMatrix
 Vec = tuple[CycNum, ...]
 
 
+class Refused(ValueError):
+    """A group, point or size that crg declines to decide: unsupported, outside
+    a limit, or excluded.  The CLI reports it as refused input or as a skipped
+    check, never as a failed claim; any other exception, such as a plain
+    ValueError for a misused argument, is an internal error."""
+
+
 def _line(v: Sequence[CycNum]) -> Vec:
     """v scaled so that its first nonzero coordinate is 1; v itself if it already is."""
     lead = next(c for c in v if c)
@@ -236,11 +243,11 @@ def series_size(m_param: int, p: int, r: int) -> int:
 def build_series(m_param: int, p: int, r: int) -> ReflectionGroupData:
     """The order-2 reflections of G(m_param, p, r) on C^r."""
     if m_param < 1 or p < 1 or r < 1:
-        raise ValueError("series parameters must be positive")
+        raise Refused("series parameters must be positive")
     if m_param % p:
-        raise ValueError(f"G({m_param},{p},{r}): p must divide m")
+        raise Refused(f"G({m_param},{p},{r}): p must divide m")
     if m_param // p not in (1, 2):
-        raise ValueError("unsupported pseudo-reflection series")
+        raise Refused("unsupported pseudo-reflection series")
     conductor = m_param if m_param > 2 else 1
     field = cyclotomic_field(conductor)
     zero = field.zero()
@@ -324,33 +331,33 @@ def build_coxeter(kind: str, rank: int | None = None) -> ReflectionGroupData:
     kind = kind.upper()
     if kind == "A":
         if rank is None or not 1 <= rank <= 9:
-            raise ValueError("type A needs a rank between 1 and 9")
+            raise Refused("type A needs a rank between 1 and 9")
         g = build_series(1, 1, rank + 1)
     elif kind == "B":
         if rank is None or not 2 <= rank <= 9:
-            raise ValueError("type B needs a rank between 2 and 9")
+            raise Refused("type B needs a rank between 2 and 9")
         g = build_series(2, 1, rank)
     elif kind == "D":
         if rank is None or not 3 <= rank <= 9:
-            raise ValueError("type D needs a rank between 3 and 9")
+            raise Refused("type D needs a rank between 3 and 9")
         g = build_series(2, 2, rank)
     elif kind == "I2":
         if rank is None or rank < 3:
-            raise ValueError("type I2 needs e >= 3")
+            raise Refused("type I2 needs e >= 3")
         g = build_series(rank, rank, 2)
     elif kind in ("H3", "H4"):
         if rank is not None:
-            raise ValueError(f"type {kind} takes no rank")
+            raise Refused(f"type {kind} takes no rank")
         n = 3 if kind == "H3" else 4
         return _assemble(kind, n, 5, _h_series_roots(n), _ROOT_SYSTEM_SIZES[kind])
     elif kind in ("F4", "E6", "E7", "E8"):
         if rank is not None:
-            raise ValueError(f"type {kind} takes no rank")
+            raise Refused(f"type {kind} takes no rank")
         roots = _f4_roots() if kind == "F4" else _e_series_roots(kind)
         n = 4 if kind == "F4" else 8
         return _assemble(kind, n, 1, roots, _ROOT_SYSTEM_SIZES[kind])
     else:
-        raise ValueError(f"unsupported type {kind!r}")
+        raise Refused(f"unsupported type {kind!r}")
     label = f"{kind}{rank}" if kind != "I2" else f"I2({rank})"
     return ReflectionGroupData(
         label, g.rank, g.conductor, g.reflections, g.conj_table, g.generators
@@ -429,7 +436,7 @@ EXCEPTIONAL: dict[str, tuple[int, int, int, Callable[[CyclotomicField], list[Vec
 def build_exceptional(name: str) -> ReflectionGroupData:
     """An exceptional unitary group of EXCEPTIONAL from its root lines."""
     if name not in EXCEPTIONAL:
-        raise ValueError(f"no construction for {name}")
+        raise Refused(f"no construction for {name}")
     rank, conductor, count, roots = EXCEPTIONAL[name]
     return _assemble(name, rank, conductor, roots(cyclotomic_field(conductor)), count)
 

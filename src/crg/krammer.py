@@ -14,6 +14,7 @@ t = 0..3, computed in Python ints.
 from __future__ import annotations
 
 from .cyclotomic import cyclotomic_field
+from .groups import Refused
 from .rep import Sparse, _sparse_mul
 
 
@@ -53,7 +54,7 @@ class KrammerModel:
 
 def build_krammer(n: int) -> KrammerModel:
     if n < 2:
-        raise ValueError("need at least two strands")
+        raise Refused("need at least two strands")
     return KrammerModel(n)
 
 

@@ -6,8 +6,6 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
-from .cyclotomic import cyclotomic_int_coeffs
-
 
 class ParamPoly:
     """Rational-coefficient polynomial in m, ascending order, no trailing zeros."""
@@ -150,11 +148,6 @@ class ParamPoly:
 
 
 M = ParamPoly((0, 1))
-
-
-def cyclotomic_polynomial(n: int) -> ParamPoly:
-    """The n-th cyclotomic polynomial, monic of degree phi(n)."""
-    return ParamPoly(cyclotomic_int_coeffs(n))
 
 
 def _int_nth_root(x: int, k: int) -> int:

@@ -138,68 +138,6 @@ def _closed_form(kind: str, n: int) -> tuple[tuple[tuple[int, int], ...], int | 
     raise ValueError(f"unknown closed form {kind!r}")
 
 
-def _series_signature(name: str) -> tuple[int, int, int] | None:
-    """Parse a group label into G(m, p, r) parameters when possible."""
-    import re
-
-    match = re.fullmatch(r"G\((\d+),(\d+),(\d+)\)", name.replace(" ", ""))
-    if match:
-        return tuple(int(x) for x in match.groups())
-    match = re.fullmatch(r"A(\d+)", name)
-    if match:
-        return (1, 1, int(match.group(1)) + 1)
-    match = re.fullmatch(r"B(\d+)", name)
-    if match:
-        return (2, 1, int(match.group(1)))
-    match = re.fullmatch(r"D(\d+)", name)
-    if match:
-        return (2, 2, int(match.group(1)))
-    match = re.fullmatch(r"I2\((\d+)\)", name)
-    if match:
-        return (int(match.group(1)),) * 2 + (2,)
-    return None
-
-
-def closed_form_check(g: ReflectionGroupData) -> dict:
-    """Compare computed determinants against the closed formulas for A, B, D, I2."""
-    sig = _series_signature(g.name)
-    cases: list[tuple[int, str, int]] = []
-    if sig is not None:
-        m_param, p, r = sig
-        if m_param == 1 and p == 1 and r >= 3:
-            cases = [(0, _A_FORMULA, r)]
-        elif m_param == 2 and p == 1 and r >= 2:
-            for c, members in enumerate(g.classes):
-                matrix = g.reflections[members[0]].matrix
-                diagonal = all(matrix[i, j] == 0 for i in range(g.rank) for j in range(g.rank) if i != j)
-                cases.append((c, _B_DIAG if diagonal else _B_TRANS, r))
-        elif m_param == 2 and p == 2 and r >= 4:
-            cases = [(0, _D_FORMULA, r)]
-        elif m_param == p and r == 2 and m_param >= 3:
-            kind = _I_ODD if m_param % 2 else _I_EVEN
-            cases = [(c, kind, m_param) for c in range(len(g.classes))]
-    if not cases:
-        raise ValueError(f"no closed determinant formula for {g.name}")
-    report = {"group": g.name, "ok": True, "cases": []}
-    for c, kind, n in cases:
-        expected_factors, expected_sign = _closed_form(kind, n)
-        disc = discriminant(g, c)
-        factors_match = disc.factors == expected_factors and disc.remainder.degree == 0
-        sign_ok = True if expected_sign is None else disc.sign == expected_sign
-        report["cases"].append(
-            {
-                "class_size": len(g.classes[c]),
-                "expected_factors": list(expected_factors),
-                "computed_factors": list(disc.factors),
-                "computed_sign": disc.sign,
-                "expected_sign": expected_sign,
-                "match": factors_match and sign_ok,
-            }
-        )
-        report["ok"] = report["ok"] and factors_match and sign_ok
-    return report
-
-
 def conjecture_scan(e_max: int, r_max: int, size_cap: int = 90) -> dict:
     """Test the predicted determinant of G(e,e,r), odd e, against computation."""
     cases = []

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .arrangement import FlatTable, codim2_flats, parabolic_reflections
 from .cyclotomic import cyclotomic_field
-from .groups import ReflectionGroupData, build_series, class_stats, k_c
+from .groups import ReflectionGroupData, Refused, build_series, class_stats, k_c
 from .matrices import ExactMatrix
 from .quadratic import kernel_at
 
@@ -270,7 +270,7 @@ def spectrum_check(bundle: RepBundle, s: int, m0=None) -> bool:
     """
     m0 = None if m0 is None else Fraction(m0)
     if m0 == 1:
-        raise ValueError("not semisimple")
+        raise Refused("not semisimple")
     g = bundle.group
     n = g.size
     c = g.class_of[s]
@@ -305,34 +305,6 @@ def spectrum_check(bundle: RepBundle, s: int, m0=None) -> bool:
     return True
 
 
-def dual_check(bundle: RepBundle) -> bool:
-    """The transpose of t_s implements the dual-basis formulas.
-
-    The m E_ss term is its own transpose, so the N_s alone prove it for all m.
-    """
-    g = bundle.group
-    for s in range(g.size):
-        conj = g.conj_table[s]
-        expected: Sparse = {}
-        row_s: Column = {}
-        for u in range(g.size):
-            if u == s:
-                continue
-            expected[u] = {conj[u]: 1}
-            a = bundle.alpha[s][u]
-            if a:
-                row_s[u] = -a
-        if row_s:
-            expected[s] = row_s
-        transposed: Sparse = {}
-        for u, col in bundle.n_cols[s].items():
-            for row, val in col.items():
-                transposed.setdefault(row, {})[u] = val
-        if transposed != expected:
-            return False
-    return True
-
-
 def parabolic_restriction_check(bundle: RepBundle, seed) -> bool:
     """Restriction to a parabolic matches its own rebuilt action; the
     quotient is the bare conjugation permutation.
@@ -343,7 +315,7 @@ def parabolic_restriction_check(bundle: RepBundle, seed) -> bool:
     g = bundle.group
     inside = set(parabolic_reflections(g, seed))
     if not inside or len(inside) == g.size:
-        raise ValueError("improper seed")
+        raise Refused("improper seed")
     conj = g.conj_table
     for s in inside:
         for u in range(g.size):
@@ -364,44 +336,6 @@ def parabolic_restriction_check(bundle: RepBundle, seed) -> bool:
     return True
 
 
-def bn_model_check(n: int) -> bool:
-    """The hyperoctahedral action on the diagonal class matches the closed
-    formulas: t_i.x_j = x_j - 2 x_i, t_i.x_i = m x_i, transpositions permute."""
-    g = build_series(2, 1, n)
-    bundle = build_rep(g)
-    diag = None
-    for members in g.classes:
-        mat = g.reflections[members[0]].matrix
-        if all(mat[i, j] == 0 for i in range(g.rank) for j in range(g.rank) if i != j):
-            diag = members
-    if diag is None or len(diag) != n:
-        return False
-    axis = {}
-    for s in diag:
-        mat = g.reflections[s].matrix
-        axis[s] = next(i for i in range(g.rank) if mat[i, i] == -1)
-    for s in diag:
-        cols = bundle.n_cols[s]
-        # t_i.x_i = m x_i: column s of N_s is zero
-        if s in cols:
-            return False
-        for u in diag:
-            if u != s and cols[u] != {u: 1, s: -2}:
-                return False
-    for members in g.classes:
-        if members is diag:
-            continue
-        for s in members:
-            mat = g.reflections[s].matrix
-            for u in diag:
-                i = axis[u]
-                j = next(k for k in range(g.rank) if mat[k, i] != 0)
-                image = next(x for x in diag if axis[x] == j)
-                if bundle.n_cols[s][u] != {image: 1}:
-                    return False
-    return True
-
-
 DIHEDRAL_CHARACTER_NOTE = (
     "two-dimensional dihedral characters are evaluated on the explicit "
     "matrix model: trace 0 on reflections, zeta^k + zeta^-k on rotations"
@@ -412,7 +346,7 @@ def dihedral_m0_check(e: int) -> bool:
     """At m = 0 the odd dihedral representation restricted to the zero-sum
     hyperplane is the permutation action, with character sum chi_U = sum chi_k."""
     if e % 2 == 0 or e < 3:
-        raise ValueError("e must be odd and at least 3")
+        raise Refused("e must be odd and at least 3")
     g = build_series(e, e, 2)
     bundle = build_rep(g)
     n = g.size

@@ -10,9 +10,11 @@ from random import Random
 
 import numpy as np
 
+from .groups import Refused
 from .matrices import ExactMatrix
 from .modp import (
     _BLOCK,
+    _MAX_WIDTH,
     _NORTON_SEED,
     _P,
     _a_root,
@@ -253,7 +255,7 @@ def _annihilates_algebra(gens: list[np.ndarray], y: np.ndarray, pivots) -> bool:
 
 def _check_class_size(members, limit: int) -> None:
     if len(members) > limit:
-        raise ValueError(f"tensor operators limited to classes of size <= {limit}")
+        raise Refused(f"tensor operators limited to classes of size <= {limit}")
 
 
 def ds_table_check(bundle: RepBundle, s: int, c: int) -> bool:
@@ -410,7 +412,9 @@ def tensor_square_check(bundle: RepBundle, c: int, m0) -> dict:
     """Is the algebra of the T_x full on the alternating and symmetric squares of V_c?
 
     Each square is decided by Norton's test (`_norton`) when it passes, and
-    by the closure of `_annihilator` otherwise.  A full algebra mod p is
+    by the closure of `_annihilator` otherwise.  The closure is D^2 wide, so
+    it backs S^2 up to classes of 26 and Λ^2 up to 27 (`_MAX_WIDTH`); a miss
+    above that is refused.  A full algebra mod p is
     spanned by the integer words mod p, so D^2 of them are independent mod
     p, hence over Q, and the rational algebra is full.  The report gives each
     square's dimension D, the dimension of its algebra (D^2 when full) and
@@ -420,7 +424,7 @@ def tensor_square_check(bundle: RepBundle, c: int, m0) -> dict:
     """
     m0 = Fraction(m0)
     if _excluded(bundle, c, m0):
-        raise ValueError("excluded evaluation point")
+        raise Refused("excluded evaluation point")
     return dict(bundle.memo(("square", c, m0), lambda: _square_report(bundle, c, m0)))
 
 
@@ -443,6 +447,11 @@ def _square_report(bundle: RepBundle, c: int, m0: Fraction) -> dict:
     ):
         if norton():
             route, algebra = "norton", dim**2
+        elif dim**2 > _MAX_WIDTH:
+            raise Refused(
+                f"Norton's test missed the {name} square of a class of {d}, whose"
+                f" closure would be {dim**2} wide, above the limit of {_MAX_WIDTH}"
+            )
         else:
             gens = [_square_blocks(t)[index] for t in ints]
             route, algebra = "closure", dim**2 - len(_annihilator(gens))
@@ -524,7 +533,7 @@ def psu_membership_check(bundle: RepBundle, c: int, s: int, u: int, m0) -> bool:
         raise ValueError("need two distinct reflections")
     m0 = Fraction(m0)
     if m0 in _EXCLUDED_POINTS:
-        raise ValueError("excluded evaluation point")
+        raise Refused("excluded evaluation point")
     members = bundle.group.classes[c]
     if s not in members or u not in members:
         raise ValueError("reflections must belong to the class")

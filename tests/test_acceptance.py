@@ -16,7 +16,7 @@ import crg.tensor as tensor
 from crg.cli import build_group, parse_group
 from crg.groups import build_coxeter, data_dir
 from crg.krammer import build_krammer, check_braid_relations, cubic_specialization_check
-from crg.quadratic import check_n_c, closed_form_check, conjecture_scan, discriminant
+from crg.quadratic import check_n_c, conjecture_scan, discriminant
 from crg.rep import (
     build_rep,
     check_T_scalar,
@@ -100,13 +100,11 @@ def _assert_rows_match(names) -> None:
 
 
 def test_closed_form_determinants_with_signs_logged():
+    # these fixture rows are expanded from `quadratic._closed_form`, and
+    # tests/test_tools.py pins the fixture to that expansion
     start = time.monotonic()
-    signs = []
-    for name in CLOSED_FORM_GROUPS:
-        report = closed_form_check(_group(name))
-        assert report["ok"], report
-        for case in report["cases"]:
-            signs.append((name, case["class_size"], case["computed_sign"]))
+    _assert_rows_match(CLOSED_FORM_GROUPS)
+    signs = [(name, size, sign) for name in CLOSED_FORM_GROUPS for size, sign, _ in _computed_rows(name)]
     print("computed signs:", signs)
     assert time.monotonic() - start < 30
 

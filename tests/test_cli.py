@@ -1,13 +1,16 @@
 """Group-spec parsing, output formats, and exit codes of the command line."""
 
+import contextlib
+import io
 import json
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from crg import cli, groups, rep
+from crg import cli, groups, rep, tensor
+from crg.groups import Refused
 from crg.cli import (
     ALIASES,
     Coxeter,
@@ -262,14 +265,92 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
 
 
 def test_internal_error_exits_3(capsys, monkeypatch):
-    def broken(bundle):
-        raise RuntimeError("lost a column")
+    # a plain ValueError is a bug too: only `Refused` is a refusal
+    for error in (RuntimeError, ValueError):
 
-    monkeypatch.setattr(cli, "check_integrability", broken)
-    assert main(["verify", "--group", "A2", "--suite", "core"]) == 3
+        def broken(bundle):
+            raise error("lost a column")
+
+        monkeypatch.setattr(cli, "check_integrability", broken)
+        assert main(["verify", "--group", "A2", "--suite", "core"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"internal error: {error.__name__}: lost a column\n"
+        assert captured.out == ""
+
+
+def test_refused_check_is_skipped(capsys, monkeypatch):
+    def refused(bundle):
+        raise Refused("no room for this one")
+
+    monkeypatch.setattr(cli, "check_integrability", refused)
+    assert main(["verify", "--group", "A2", "--suite", "core"]) == 0
+    out = capsys.readouterr().out
+    assert re.search(r"^SKIP integrability \(\d+\.\d{3}s\)  no room for this one$", out, re.M)
+    assert "0 failed" in out and "FAIL" not in out
+
+
+def test_norton_miss_above_the_closure_width_is_skipped(capsys, monkeypatch):
+    # S^2 of a class of 27 is 378 wide: its closure would be 378^2 = 142884
+    # wide, above the bound for exact mod-p products
+    monkeypatch.setattr(tensor, "_sym_norton", lambda *args: False)
+    assert main(["verify", "--group", "G(9,9,3)", "--suite", "tensor"]) == 0
+    out = capsys.readouterr().out
+    detail = "sym square of a class of 27, whose closure would be 142884 wide, above the limit of 131072"
+    for name in ("tensor-square[0]", "psu-membership[0]"):
+        assert re.search(rf"^SKIP {re.escape(name)} \(\d+\.\d{{3}}s\)  .*{detail}$", out, re.M)
+    assert "FAIL" not in out
+
+
+def test_tables_refuses_a_malformed_fixture(tmp_path, capsys):
+    path = tmp_path / "tables.json"
+    path.write_text('[{"group": "A2",')
+    assert main(["tables", "--which", "prop81", "--fixture", str(path)]) == 2
     captured = capsys.readouterr()
-    assert captured.err == "internal error: RuntimeError: lost a column\n"
+    assert captured.err.startswith(f"error: {path} is not a JSON fixture: ")
     assert captured.out == ""
+
+
+def _run_quietly(argv) -> tuple[int, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+GROUP_LIKE = r"[ABDEFGHI]\d{0,3}|I2\(\d{0,4}\)|G\(\d{1,4},\d{1,4},\d{1,3}\)"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.text(max_size=16), st.from_regex(GROUP_LIKE, fullmatch=True)))
+@example("A\u00b2")  # a digit that int() does not read
+@example("G" + "9" * 5000)  # more digits than int() converts
+def test_fuzzed_group_names_exit_cleanly(text):
+    # the builders validate for real; `_assemble` hands back A2, and the
+    # uncached builders keep the stub out of their caches
+    a2 = groups.build_coxeter("A", 2)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groups, "_assemble", lambda *args: a2)
+        for name in ("build_series", "build_coxeter", "build_exceptional"):
+            unwrapped = getattr(groups, name).__wrapped__
+            mp.setattr(groups, name, unwrapped)
+            mp.setattr(cli, name, unwrapped)
+        code, err = _run_quietly(["discriminants", f"--group={text}"])
+    assert code in (0, 2)
+    assert "Traceback" not in err and "internal error" not in err
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        st.text(max_size=16),
+        st.fractions().map(str),
+        st.from_regex(r"-?\d{1,6}(/-?\d{0,4})?|-?\d*\.\d*([eE]-?\d{1,3})?", fullmatch=True),
+    )
+)
+def test_fuzzed_m_values_exit_cleanly(text):
+    code, err = _run_quietly(["verify", "--group", "A2", "--suite", "spectral", f"--m={text}"])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err and "internal error" not in err
 
 
 def test_spectral_suite_rejects_m_equal_to_one(capsys):
@@ -288,7 +369,8 @@ def test_m_is_rejected_where_no_suite_reads_it(capsys):
         assert captured.out == ""
 
 
-@pytest.mark.parametrize("value", ["abc", "1/0", "", "1/2/3"])
+# an exponent is refused unread: "1e999999999" would build a billion-digit integer
+@pytest.mark.parametrize("value", ["abc", "1/0", "", "1/2/3", "1e5"])
 def test_verify_rejects_unparsable_m(capsys, value):
     assert main(["verify", "--group", "A2", "--m", value]) == 2
     captured = capsys.readouterr()

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crg import M, ParamPoly, cyclotomic_polynomial, integer_roots
+from crg import M, ParamPoly, integer_roots
+from crg.cyclotomic import cyclotomic_int_coeffs
 
 
 def test_basic_ring_ops_and_degree():
@@ -27,6 +28,10 @@ def test_evaluation():
     assert p(Fraction(3, 2)) == Fraction(5, 4)
     assert (1 - M)(1) == 0
     assert ParamPoly((5,))(123) == 5
+
+
+def cyclotomic_polynomial(n: int) -> ParamPoly:
+    return ParamPoly(cyclotomic_int_coeffs(n))
 
 
 def test_cyclotomic_polynomial_small_cases():

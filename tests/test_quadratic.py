@@ -9,9 +9,15 @@ from crg.groups import build_coxeter, build_series, class_stats
 from crg.matrices import ExactMatrix
 from crg.polynomials import ParamPoly
 from crg.quadratic import (
+    _A_FORMULA,
+    _B_DIAG,
+    _B_TRANS,
+    _D_FORMULA,
+    _I_EVEN,
+    _I_ODD,
     Discriminant,
+    _closed_form,
     check_n_c,
-    closed_form_check,
     conjecture_scan,
     discriminant,
     gram_matrix,
@@ -123,26 +129,25 @@ def test_gram_invariant_under_conjugation():
 
 
 def test_closed_forms():
-    for kind, rank in [
-        ("A", 3),
-        ("A", 4),
-        ("B", 2),
-        ("B", 3),
-        ("B", 4),
-        ("D", 4),
-        ("D", 5),
-        ("I2", 5),
-        ("I2", 6),
-        ("I2", 7),
-        ("I2", 8),
-    ]:
-        report = closed_form_check(build_coxeter(kind, rank))
-        assert report["ok"], report
+    # every class against its closed formula; a sign the formula leaves open
+    # is (-1)^d for a fully factored class of d reflections
+    cases = [("A", 3, [(_A_FORMULA, 4)]), ("A", 4, [(_A_FORMULA, 5)])]
+    cases += [("B", n, [(_B_DIAG, n), (_B_TRANS, n)]) for n in (2, 3, 4)]
+    cases += [("D", n, [(_D_FORMULA, n)]) for n in (4, 5)]
+    cases += [("I2", e, [(_I_ODD, e)] if e % 2 else [(_I_EVEN, e)] * 2) for e in (5, 6, 7, 8)]
+    for kind, rank, forms in cases:
+        g = build_coxeter(kind, rank)
+        discs = [discriminant(g, c) for c in range(len(g.classes))]
+        assert all(d.remainder.coeffs == (1,) for d in discs), (kind, rank)
+        expected = []
+        for factors, sign in (_closed_form(*form) for form in forms):
+            expected.append((factors, (-1) ** sum(m for _, m in factors) if sign is None else sign))
+        assert sorted((d.factors, d.sign) for d in discs) == sorted(expected), (kind, rank)
 
 
 def test_closed_form_rejects_uncovered_groups():
-    with pytest.raises(ValueError, match="no closed determinant formula"):
-        closed_form_check(build_coxeter("H3"))
+    with pytest.raises(ValueError, match="unknown closed form 'h3'"):
+        _closed_form("h3", 3)
 
 
 def test_conjecture_scan_enumerates_and_matches():
