@@ -227,16 +227,9 @@ def cmd_discriminants(spec: GroupSpec, fmt: str) -> int:
     for c in range(len(g.classes)):
         d = discriminant(g, c)
         if fmt == "json":
-            lines.append(
-                json.dumps(
-                    {
-                        "sign": d.sign,
-                        "factors": [list(f) for f in d.factors],
-                        "remainder": _remainder_list(d.remainder),
-                    },
-                    separators=(",", ":"),
-                )
-            )
+            fields = {"sign": d.sign, "factors": [list(f) for f in d.factors]}
+            fields["remainder"] = _remainder_list(d.remainder)
+            lines.append(json.dumps(fields, separators=(",", ":")))
         elif fmt == "csv":
             factors = ";".join(f"{root}:{mult}" for root, mult in d.factors)
             remainder = ";".join(str(x) for x in _remainder_list(d.remainder))
@@ -347,9 +340,7 @@ def _tensor_checks(checks: list[CheckOutcome], bundle: RepBundle, sample: Fracti
 
 def _parabolic_checks(checks: list[CheckOutcome], bundle: RepBundle) -> None:
     if bundle.size < 2:
-        checks.append(
-            CheckOutcome("parabolic-restriction", "skipped", "no proper seed", 0.0)
-        )
+        checks.append(CheckOutcome("parabolic-restriction", "skipped", "no proper seed", 0.0))
         return
 
     def restriction():
@@ -386,20 +377,14 @@ def _dihedral_checks(checks: list[CheckOutcome], spec: GroupSpec) -> None:
         )
         return
     _run_check(checks, "dihedral-zero-point", lambda: dihedral_m0_check(e))
-    checks.append(
-        CheckOutcome("dihedral-character-note", "pass", DIHEDRAL_CHARACTER_NOTE, 0.0)
-    )
+    checks.append(CheckOutcome("dihedral-character-note", "pass", DIHEDRAL_CHARACTER_NOTE, 0.0))
 
 
 def _krammer_checks(checks: list[CheckOutcome], spec: GroupSpec) -> None:
     _, n = _dihedral_and_krammer(spec)
     if n is None or n < 2:
-        checks.append(
-            CheckOutcome("krammer-braid", "skipped", "not a type-A group", 0.0)
-        )
-        checks.append(
-            CheckOutcome("krammer-cubic", "skipped", "not a type-A group", 0.0)
-        )
+        for name in ("krammer-braid", "krammer-cubic"):
+            checks.append(CheckOutcome(name, "skipped", "not a type-A group", 0.0))
         return
     model = build_krammer(n)
     _run_check(checks, "krammer-braid", lambda: check_braid_relations(model))
@@ -438,39 +423,60 @@ def cmd_verify(spec: GroupSpec, suite: str, sample: Fraction | None) -> int:
         tag = {"pass": "PASS", "fail": "FAIL", "skipped": "SKIP"}[c.status]
         detail = f"  {c.detail}" if c.detail else ""
         print(f"{tag} {c.name} ({c.elapsed:.3f}s){detail}")
-    failed = sum(1 for c in checks if c.status == "fail")
-    passed = sum(1 for c in checks if c.status == "pass")
-    skipped = sum(1 for c in checks if c.status == "skipped")
-    print(f"{spec.render()}: {passed} passed, {failed} failed, {skipped} skipped")
-    return 1 if failed else 0
+    n = {s: sum(c.status == s for c in checks) for s in ("pass", "fail", "skipped")}
+    print(f"{spec.render()}: {n['pass']} passed, {n['fail']} failed, {n['skipped']} skipped")
+    return 1 if n["fail"] else 0
+
+
+_FIXTURE_ROW = '{"group": str, "class_size": int, "sign": int, "factors": [[int, int], ...]}'
+
+
+def _fixture_rows(path: Path) -> list[tuple[str, tuple]]:
+    """(group, row) for each row of the fixture at `path`, the row in the form
+    its class is computed in; refused unless every row has the shape `_FIXTURE_ROW`."""
+    with open(path) as fh:
+        try:
+            rows = json.load(fh)
+        except ValueError as exc:  # not JSON, or not text
+            raise Refused(f"{path} is not a JSON fixture: {exc}") from None
+    ints = lambda xs: all(type(x) is int for x in xs)
+    if not isinstance(rows, list) or not all(
+        isinstance(row, dict)
+        and isinstance(row.get("group"), str)
+        and ints([row.get("class_size"), row.get("sign")])
+        and isinstance(row.get("factors"), list)
+        and all(isinstance(f, list) and len(f) == 2 and ints(f) for f in row["factors"])
+        for row in rows
+    ):
+        raise Refused(f"{path} is not a JSON fixture: each row must be {_FIXTURE_ROW}")
+    return [
+        (row["group"], (row["class_size"], row["sign"], tuple(map(tuple, row["factors"])), (1,)))
+        for row in rows
+    ]
 
 
 def _table_section(group: str) -> str:
     if group.startswith("G("):
-        m, p, _ = (int(x) for x in group[2:-1].split(","))
+        try:
+            m, p, _ = (int(x) for x in group[2:-1].split(","))
+        except ValueError:
+            raise Refused(f"fixture group {group!r} is not a series G(m,p,r)") from None
         return "1" if m == p else "2"
-    if group[0] in ("A", "B", "D") or group.startswith("I2("):
+    if group[:1] in ("A", "B", "D") or group.startswith("I2("):
         return "prop81"
     return "1"
 
 
 def cmd_tables(which: str, fixture_path: str | None) -> int:
     path = Path(fixture_path) if fixture_path else data_dir() / "tables.json"
-    with open(path) as fh:
-        try:
-            rows = json.load(fh)
-        except ValueError as exc:  # not JSON, or not text
-            raise Refused(f"{path} is not a JSON fixture: {exc}") from None
-    selected: dict[str, list[dict]] = {}
-    for row in rows:
-        if _table_section(row["group"]) == which:
-            selected.setdefault(row["group"], []).append(row)
-    failures = 0
-    skips = 0
+    selected: dict[str, list[tuple]] = {}
+    for group, row in _fixture_rows(path):
+        if _table_section(group) == which:
+            selected.setdefault(group, []).append(row)
+    failures = skips = 0
     for group in selected:
         try:
-            spec = parse_group(group)
-            g = build_group(spec)
+            g = build_group(parse_group(group))
         except Refused as exc:
             print(f"SKIP {group}: {exc}")
             skips += len(selected[group])
@@ -485,15 +491,7 @@ def cmd_tables(which: str, fixture_path: str | None) -> int:
             for c in range(len(g.classes))
             for d in [discriminant(g, c)]
         )
-        expected = sorted(
-            (
-                row["class_size"],
-                row["sign"],
-                tuple(tuple(f) for f in row["factors"]),
-                (1,),
-            )
-            for row in selected[group]
-        )
+        expected = sorted(selected[group])
         if computed == expected:
             print(f"PASS {group}: {len(selected[group])} row(s)")
         else:

@@ -55,8 +55,9 @@ def _axpy(x: CycNum, a: Vec, b: Vec) -> list[CycNum]:
 
 
 def _coform(a: Vec) -> Vec:
-    """The linear form of I - 2 a a* / (a* a): the complex conjugate of a."""
-    return tuple(x.conj() for x in a)
+    """The linear form of I - 2 a a* / (a* a): the complex conjugate of a,
+    which keeps each rational coordinate as it is."""
+    return tuple(x if x.is_rational() else x.conj() for x in a)
 
 
 def _conjugator(a_g: Vec) -> Callable[[Vec], Vec]:

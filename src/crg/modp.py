@@ -194,12 +194,13 @@ def _grow_mod_span(gens: list[np.ndarray], n: int, p: int) -> _ModSpan:
     return growth.span
 
 
-def _norton(gens: np.ndarray, theta: np.ndarray, v: np.ndarray, p: int) -> bool:
-    """Norton's test mod p: the algebra A of the generators gens[x] is all of End(F_p^D).
+def _norton(theta: np.ndarray, v: np.ndarray, pair: list[np.ndarray], p: int) -> bool:
+    """Norton's test mod p: the algebra A that holds theta and both matrices of
+    `pair` is all of End(F_p^D).
 
-    `theta` lies in A and v spans its kernel.  The test passes when ker
-    theta^T is one line, spanned by w, v spins to F_p^D under A and w spins
-    to F_p^D under the transposes (Parker 1984; Holt and Rees 1994):
+    v spans ker theta.  The test passes when ker theta^T is one line, spanned
+    by w, v spins to F_p^D under the pair and w spins to F_p^D under its
+    transposes (Parker 1984; Holt and Rees 1994):
 
     - Irreducible: let U be a proper nonzero submodule.  If theta is singular
       on U, v lies in U, so A v = F_p^D lies in U.  Otherwise theta maps U
@@ -210,24 +211,13 @@ def _norton(gens: np.ndarray, theta: np.ndarray, v: np.ndarray, p: int) -> bool:
       theta, so f v = c v, and f - c kills A v = F_p^D.  So End_A = F_p,
       and A = End(F_p^D) by Burnside.
 
-    A spin under any elements of A stays inside A v, so each spin first
-    tries two seeded random combinations of the generators, which mostly
-    suffice and take far fewer products, and then the generators themselves.
-    A failed test proves nothing: the caller falls back to the closure.
+    Any algebra that holds theta and the pair, such as that of the caller's
+    generators, is then full as well.  A failed test proves nothing: the
+    caller falls back to the closure.
     """
     w = _kernel_line(theta.T, p)
-    if w is None:
-        return False
-    rng = Random(_NORTON_SEED)
-
-    def forward(mats):  # a row vector times g^T is g times the column
-        return [g.T for g in mats]
-
-    for vec, side in ((v, forward), (w, list)):
-        pair = [_combination(gens, rng, p) for _ in range(2)]
-        if not (_spins(side(pair), vec, p) or _spins(side(gens), vec, p)):
-            return False
-    return True
+    # a row vector times g^T is g times the column
+    return w is not None and _spins([g.T for g in pair], v, p) and _spins(pair, w, p)
 
 
 def _combination(gens: np.ndarray, rng: Random, p: int) -> np.ndarray:
@@ -266,19 +256,18 @@ def _min_poly(theta: np.ndarray, u: np.ndarray, p: int) -> np.ndarray:
     """The monic minimal polynomial of u under theta mod p, lowest coefficient first.
 
     The Krylov vectors u, theta u, ... are independent up to the first, of
-    index j, that depends on those before it.  Its residual against the rows
-    (theta^i u | e_i), i < j, is (0 | f): f(theta) u = 0 with f monic.
+    index j, that depends on those before it.  One elimination of the rows
+    (theta^i u | e_i), with e_i in reversed order, reduces row j to (0 | f):
+    f(theta) u = 0, and its pivot on e_j makes f monic.
     """
     n = len(u)
     krylov = np.empty((n + 1, n))
     krylov[0] = u
     for i in range(n):  # as rows: (theta u)^T = u^T theta^T
         krylov[i + 1] = _mulmod(krylov[i:i + 1], theta.T, p)
-    j = len(_echelon(krylov, p)[0])
-    aug = np.hstack([krylov[: j + 1], np.eye(j + 1)])
-    span = _ModSpan(n + j + 1, p)
-    span.add_block(aug[:j])
-    return span.residual(aug[j:])[0, n:].astype(np.int64)
+    _, rows, pivots = _echelon(np.hstack([krylov, np.fliplr(np.eye(n + 1))]), p)
+    j = next(i for i, piv in enumerate(pivots) if piv >= n)
+    return rows[j, n:][::-1][: j + 1].astype(np.int64)
 
 
 # Polynomials mod p are int64 arrays, lowest coefficient first, with no

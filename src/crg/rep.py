@@ -64,10 +64,17 @@ class RepBundle:
         self._memo: dict = {}
 
     def memo(self, key: tuple, compute):
-        """compute(), run once per bundle and key; the bundle's one cache."""
+        """compute(), run once per bundle and key; the bundle's one cache.
+        A refusal is cached too, and raised again."""
         if key not in self._memo:
-            self._memo[key] = compute()
-        return self._memo[key]
+            try:
+                self._memo[key] = compute()
+            except Refused as refusal:
+                self._memo[key] = refusal
+        found = self._memo[key]
+        if isinstance(found, Refused):
+            raise found.with_traceback(None)
+        return found
 
     @property
     def size(self) -> int:

@@ -31,9 +31,10 @@ from .quadratic import discriminant
 from .rep import RepBundle, Sparse, _block, _scaled_t, _sparse_mul, _sparse_sum
 
 # Norton's test decides the squares of every fixture class of up to 36
-# reflections, in at most about 6 s (E6); its mod-p generators take about
-# d^5 / 2 floats, 0.24 GB at 36.  Membership at a root of the discriminant
-# closes all of V (x) V, d^4 wide, so it keeps 12.
+# reflections, E6's in about 5 s, and holds only a few D x D matrices.  With
+# the limit raised, G(13,13,3)'s class of 39 took 6.0 s at 114 MB peak RSS and
+# H4's class of 60 took 26 s at 460 MB (2-vCPU host).  Membership at a root of
+# the discriminant closes all of V (x) V, d^4 wide, so it keeps 12.
 _SQUARE_CLASS_LIMIT = 36
 _ROOT_CLASS_LIMIT = 12
 # palindromic elements tried on the alternating square before the closure runs:
@@ -389,8 +390,8 @@ def _int_blocks(bundle: RepBundle, members, m0: Fraction) -> list[np.ndarray]:
     return [np.array(_block(_scaled_t(bundle, x, a, b), members, 0), dtype=object) for x in members]
 
 
-def _square_blocks(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """t (x) 1 + 1 (x) t on the alternating and symmetric squares of integer t.
+def _square_block(t: np.ndarray, sign: int) -> np.ndarray:
+    """t (x) 1 + 1 (x) t on the alternating (sign -1) or symmetric (sign 1) square of t.
 
     The bases are e_k ^ e_l = e_k (x) e_l - e_l (x) e_k for k < l, and
     e_k e_l = e_k (x) e_l + e_l (x) e_k for k < l with e_k (x) e_k for k = l.
@@ -399,13 +400,11 @@ def _square_blocks(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     d = len(t)
     eye = np.identity(d, dtype=t.dtype)
     big = np.kron(t, eye) + np.kron(eye, t)
-    out = []
-    for i, j, sign in ((*np.triu_indices(d, 1), -1), (*np.triu_indices(d), 1)):
-        pairs = i * d + j
-        swapped = big[np.ix_(pairs, j * d + i)]
-        swapped[:, i == j] = 0
-        out.append(big[np.ix_(pairs, pairs)] + sign * swapped)
-    return out[0], out[1]
+    i, j = np.triu_indices(d, 1 if sign < 0 else 0)
+    pairs = i * d + j
+    swapped = big[np.ix_(pairs, j * d + i)]
+    swapped[:, i == j] = 0
+    return big[np.ix_(pairs, pairs)] + sign * swapped
 
 
 def tensor_square_check(bundle: RepBundle, c: int, m0) -> dict:
@@ -435,15 +434,12 @@ def _square_report(bundle: RepBundle, c: int, m0: Fraction) -> dict:
         return {"class_size": 1, "skipped": True, "ok": True}
     _check_class_size(members, _SQUARE_CLASS_LIMIT)
     ints = _int_blocks(bundle, members, m0)
-    # the squares of the generators mod p; the integer squares only on a fallback
-    wedges = np.empty((d, d * (d - 1) // 2, d * (d - 1) // 2))
-    syms = np.empty((d, d * (d + 1) // 2, d * (d + 1) // 2))
-    for x, t in enumerate(ints):
-        wedges[x], syms[x] = (block % _P for block in _square_blocks((t % _P).astype(np.int64)))
+    # Norton's test takes the class blocks mod p; the integer squares only on a fallback
+    blocks = np.array([t % _P for t in ints], dtype=np.float64)
     report = {"class_size": d, "skipped": False}
-    for index, name, dim, norton in (
-        (0, "wedge", d * (d - 1) // 2, lambda: _wedge_norton(wedges, _P)),
-        (1, "sym", d * (d + 1) // 2, lambda: _sym_norton(syms, ints[0], m0.numerator, _P)),
+    for sign, name, dim, norton in (
+        (-1, "wedge", d * (d - 1) // 2, lambda: _wedge_norton(blocks, _P)),
+        (1, "sym", d * (d + 1) // 2, lambda: _sym_norton(blocks, ints[0], m0.numerator, _P)),
     ):
         if norton():
             route, algebra = "norton", dim**2
@@ -453,17 +449,23 @@ def _square_report(bundle: RepBundle, c: int, m0: Fraction) -> dict:
                 f" closure would be {dim**2} wide, above the limit of {_MAX_WIDTH}"
             )
         else:
-            gens = [_square_blocks(t)[index] for t in ints]
+            gens = [_square_block(t, sign) for t in ints]
             route, algebra = "closure", dim**2 - len(_annihilator(gens))
         report |= {f"{name}_dim": dim, f"{name}_algebra": algebra, f"{name}_route": route}
     report["ok"] = all(report[f"{x}_algebra"] == report[f"{x}_dim"] ** 2 for x in ("wedge", "sym"))
     return report
 
 
-def _sym_norton(gens: np.ndarray, t_s: np.ndarray, a: int, p: int) -> bool:
+def _norton_pair(blocks: np.ndarray, sign: int, p: int) -> list[np.ndarray]:
+    """Two seeded random elements sum_x c_x b T_x, as the squares of sum_x c_x b t_x mod p."""
+    rng = Random(_NORTON_SEED)
+    return [_square_block(_combination(blocks, rng, p), sign) % p for _ in range(2)]
+
+
+def _sym_norton(blocks: np.ndarray, t_s: np.ndarray, a: int, p: int) -> bool:
     """Norton's test on S^2 with theta = b T_s - 2a and v = e_s e_s, m0 = a/b.
 
-    gens[0] is b T_s, and t_s = b t_s(m0) is the integer class block of s,
+    blocks[0] is b t_s(m0) mod p, and t_s is the integer class block of s,
     first in the class.  b t_s e_s = a e_s is checked exactly, so theta v =
     0, and v is the first basis vector of S^2.  For m0 not in {-1, 0, 1}, 2
     m0 is a sum of two eigenvalues m0, -1, 1 of t_s only as m0 + m0, so over
@@ -472,35 +474,36 @@ def _sym_norton(gens: np.ndarray, t_s: np.ndarray, a: int, p: int) -> bool:
     """
     if t_s[0, 0] != a or t_s[1:, 0].any():
         return False
-    theta = gens[0].copy()
+    theta = _square_block(blocks[0], 1) % p
     np.fill_diagonal(theta, (theta.diagonal() - 2 * a) % p)
     v = np.zeros(len(theta))
     v[0] = 1
-    return _norton(gens, theta, v, p)
+    return _norton(theta, v, _norton_pair(blocks, 1, p), p)
 
 
-def _wedge_norton(gens: np.ndarray, p: int) -> bool:
-    found = _wedge_theta(gens, p)
-    return found is not None and _norton(gens, *found, p)
+def _wedge_norton(blocks: np.ndarray, p: int) -> bool:
+    found = _wedge_theta(blocks, p)
+    return found is not None and _norton(*found, _norton_pair(blocks, -1, p), p)
 
 
-def _wedge_theta(gens: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray] | None:
+def _wedge_theta(blocks: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray] | None:
     """theta - lam with a kernel of one line, and the vector v spanning it, or None.
 
     On Λ^2 the -1 eigenspace of t_s is at least 2-dimensional, so no
     eigenvalue of one T_s is simple.  Each seeded try takes the palindromic
-    theta = sum_x c_x b T_x + T_a T_b + T_b T_a mod p, and lam is a root in
-    F_p of the minimal polynomial of a random vector, so an eigenvalue of
-    theta.  The seed fixes the tries, so every call returns the same theta;
-    it affects only whether the test is reached, never its verdict.
+    theta = sum_x c_x b T_x + T_a T_b + T_b T_a mod p, built from the class
+    blocks b t_x mod p as three squares, and lam is a root in F_p of the
+    minimal polynomial of a random vector, so an eigenvalue of theta.  The
+    seed fixes the tries, so every call returns the same theta; it affects
+    only whether the test is reached, never its verdict.
     """
     rng = Random(_NORTON_SEED)
-    n = len(gens[0])
     for _ in range(_NORTON_TRIES):
-        a, b = rng.sample(range(len(gens)), 2)
-        theta = _mulmod(gens[a], gens[b], p) + _mulmod(gens[b], gens[a], p)
-        theta = _mod(theta + _combination(gens, rng, p), p)
-        u = np.array([rng.randrange(p) for _ in range(n)], dtype=np.float64)
+        a, b = rng.sample(range(len(blocks)), 2)
+        t_a, t_b = (_square_block(blocks[x], -1) % p for x in (a, b))
+        theta = _mulmod(t_a, t_b, p) + _mulmod(t_b, t_a, p)
+        theta = _mod(theta + _square_block(_combination(blocks, rng, p), -1) % p, p)
+        u = np.array([rng.randrange(p) for _ in theta], dtype=np.float64)
         lam = _a_root(_min_poly(theta, u, p), p, rng)
         if lam is None:
             continue

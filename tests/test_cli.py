@@ -293,20 +293,40 @@ def test_norton_miss_above_the_closure_width_is_skipped(capsys, monkeypatch):
     # S^2 of a class of 27 is 378 wide: its closure would be 378^2 = 142884
     # wide, above the bound for exact mod-p products
     monkeypatch.setattr(tensor, "_sym_norton", lambda *args: False)
+    searches = []
+    wedge_theta = tensor._wedge_theta
+    monkeypatch.setattr(tensor, "_wedge_theta", lambda *args: searches.append(1) or wedge_theta(*args))
     assert main(["verify", "--group", "G(9,9,3)", "--suite", "tensor"]) == 0
     out = capsys.readouterr().out
     detail = "sym square of a class of 27, whose closure would be 142884 wide, above the limit of 131072"
     for name in ("tensor-square[0]", "psu-membership[0]"):
         assert re.search(rf"^SKIP {re.escape(name)} \(\d+\.\d{{3}}s\)  .*{detail}$", out, re.M)
     assert "FAIL" not in out
+    # the bundle caches the refusal: psu-membership does not rerun the squares
+    assert len(searches) == 1
 
 
 def test_tables_refuses_a_malformed_fixture(tmp_path, capsys):
     path = tmp_path / "tables.json"
-    path.write_text('[{"group": "A2",')
-    assert main(["tables", "--which", "prop81", "--fixture", str(path)]) == 2
+    row = '"group": "A2", "class_size": 3, "sign": -1'
+    for text in (
+        '[{"group": "A2",',
+        "[1]",
+        '[{"group": "A2"}]',
+        '{"group": "A2"}',
+        f'[{{{row}, "factors": 5}}]',
+        f'[{{{row}, "factors": [[1]]}}]',
+        '[{"group": 5, "class_size": 3, "sign": -1, "factors": []}]',
+    ):
+        path.write_text(text)
+        assert main(["tables", "--which", "prop81", "--fixture", str(path)]) == 2, text
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {path} is not a JSON fixture: ")
+        assert captured.out == ""
+    path.write_text('[{"group": "G(x,1,1)", "class_size": 3, "sign": -1, "factors": []}]')
+    assert main(["tables", "--which", "1", "--fixture", str(path)]) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith(f"error: {path} is not a JSON fixture: ")
+    assert captured.err == "error: fixture group 'G(x,1,1)' is not a series G(m,p,r)\n"
     assert captured.out == ""
 
 

@@ -1,5 +1,6 @@
 import itertools
 import time
+import tracemalloc
 from fractions import Fraction
 from math import lcm
 from random import Random
@@ -26,7 +27,7 @@ from crg.tensor import (
     _integer_matrix,
     _lifted_annihilator,
     _regular_rep,
-    _square_blocks,
+    _square_block,
     algebra_dimension,
     ds_table_check,
     psu_membership_check,
@@ -611,7 +612,7 @@ def test_square_blocks_act_as_derivations(name, rank, m0):
         d = len(members)
         for x, t in zip(members, _int_blocks(b, members, Fraction(m0))):
             assert t.flatten().tolist() == list((den * b.t_block(x, members, m0)).entries)
-            wedge, sym = _square_blocks(t)
+            wedge, sym = _square_block(t, -1), _square_block(t, 1)
             cols = t.T.tolist()  # cols[k] = b t e_k
             unit = [[int(i == k) for i in range(d)] for k in range(d)]
             pairs = [(k, l) for k in range(d) for l in range(k + 1, d)]
@@ -677,14 +678,43 @@ def test_norton_never_certifies_a_reducible_square():
         assert report["wedge_algebra"] < report["wedge_dim"] ** 2
         assert report["sym_algebra"] < report["sym_dim"] ** 2
         assert not report["ok"]
-    # block upper-triangular generators keep the span of the first three coordinates
+    # block upper-triangular class blocks keep U, the span of the first three
+    # coordinates, so their squares keep Λ²U and S²U; e_0 is an eigenvector
+    # of the first block, as on a class block
     rng = np.random.default_rng(5)
     for n in (5, 8):
-        gens = rng.integers(-3, 4, size=(4, n, n))
-        gens[:, 3:, :3] = 0
-        assert not tensor._wedge_norton(gens % _P * 1.0, _P)
-        mats = [ExactMatrix(n, n, [Fraction(int(x)) for x in g.flat]) for g in gens]
-        assert algebra_dimension(mats) < n * n
+        blocks = rng.integers(-3, 4, size=(4, n, n)).astype(object)
+        blocks[:, 3:, :3] = 0
+        blocks[0, 1:, 0] = 0
+        for sign in (-1, 1):
+            assert len(_annihilator([_square_block(t, sign) for t in blocks]))
+        mod_p = np.array(blocks % _P, dtype=np.float64)
+        # the search finds a theta, so the spins decide
+        assert tensor._wedge_theta(mod_p, _P) is not None
+        assert not tensor._wedge_norton(mod_p, _P)
+        assert not tensor._sym_norton(mod_p, blocks[0], blocks[0, 0, 0], _P)
+
+
+def test_norton_builds_no_square_per_generator(monkeypatch):
+    # one square mod p per generator would be 18 (153^2 + 171^2) floats,
+    # about 7.2 MiB, on G(6,6,3)'s class of 18
+    b = build_rep(build_series(6, 6, 3))
+    d = len(b.group.classes[0])
+    assert d == 18 and not tensor._excluded(b, 0, Fraction(7))
+    stacks = d * ((d * (d - 1) // 2) ** 2 + (d * (d + 1) // 2) ** 2) * 8
+    spun = []
+    spins = modp._spins
+    monkeypatch.setattr(modp, "_spins", lambda gens, *args: spun.append(len(gens)) or spins(gens, *args))
+    tracemalloc.start()
+    try:
+        report = tensor_square_check(b, 0, Fraction(7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (report["wedge_route"], report["sym_route"]) == ("norton", "norton")
+    assert peak < stacks
+    # v and w of each square spin under the pair alone
+    assert spun == [2] * 4
 
 
 def test_forced_norton_failure_takes_the_closure(monkeypatch):
@@ -704,8 +734,8 @@ def test_wedge_search_is_deterministic():
         for _ in range(2):
             b = build_rep(g)
             reports.append(tensor_square_check(b, 0, Fraction(7)))
-            gens = [_square_blocks(t % _P)[0] for t in _int_blocks(b, members, Fraction(7))]
-            found.append(tensor._wedge_theta(np.array(gens, dtype=np.float64) % _P, _P))
+            blocks = [t % _P for t in _int_blocks(b, members, Fraction(7))]
+            found.append(tensor._wedge_theta(np.array(blocks, dtype=np.float64), _P))
         assert reports[0] == reports[1]
         (theta, v), (theta2, v2) = found
         assert np.array_equal(theta, theta2) and np.array_equal(v, v2)
@@ -723,6 +753,24 @@ def test_a_root_is_a_root_in_f_p():
     # the minimal polynomial of e_0 under a 3-cycle is x^3 - 1
     cycle = np.roll(np.eye(3), 1, axis=0)
     assert modp._min_poly(cycle, np.eye(3)[0], p).tolist() == [p - 1, 0, 0, 1]
+    # f(theta) u = 0 for the minimal polynomial f of u, whose degree is the rank
+    # of the Krylov vectors: full for a random theta, half of it on two equal
+    # diagonal blocks, one for the identity
+    gen = np.random.default_rng(3)
+    for n in (1, 4, 9):
+        half = gen.integers(0, p, (n, n))
+        for theta in (gen.integers(0, p, (n, n)), np.kron(np.eye(2, dtype=np.int64), half), np.eye(n)):
+            theta = theta.astype(np.float64)
+            u = gen.integers(1, p, len(theta)).astype(np.float64)
+            f = modp._min_poly(theta, u, p)
+            krylov = [u]
+            for _ in theta:
+                krylov.append(_mulmod(theta, krylov[-1][:, None], p)[:, 0])
+            span = _ModSpan(len(theta), p)
+            span.add_block(np.array(krylov))
+            assert f[-1] == 1 and len(f) - 1 == span.dim
+            value = sum(int(c) * k.astype(np.int64) for c, k in zip(f, krylov))
+            assert not (value % p).any()
 
 
 def test_square_report_is_a_fresh_copy():
