@@ -227,9 +227,16 @@ def cmd_discriminants(spec: GroupSpec, fmt: str) -> int:
     for c in range(len(g.classes)):
         d = discriminant(g, c)
         if fmt == "json":
-            fields = {"sign": d.sign, "factors": [list(f) for f in d.factors]}
-            fields["remainder"] = _remainder_list(d.remainder)
-            lines.append(json.dumps(fields, separators=(",", ":")))
+            lines.append(
+                json.dumps(
+                    {
+                        "sign": d.sign,
+                        "factors": [list(f) for f in d.factors],
+                        "remainder": _remainder_list(d.remainder),
+                    },
+                    separators=(",", ":"),
+                )
+            )
         elif fmt == "csv":
             factors = ";".join(f"{root}:{mult}" for root, mult in d.factors)
             remainder = ";".join(str(x) for x in _remainder_list(d.remainder))
@@ -340,7 +347,9 @@ def _tensor_checks(checks: list[CheckOutcome], bundle: RepBundle, sample: Fracti
 
 def _parabolic_checks(checks: list[CheckOutcome], bundle: RepBundle) -> None:
     if bundle.size < 2:
-        checks.append(CheckOutcome("parabolic-restriction", "skipped", "no proper seed", 0.0))
+        checks.append(
+            CheckOutcome("parabolic-restriction", "skipped", "no proper seed", 0.0)
+        )
         return
 
     def restriction():
@@ -377,14 +386,20 @@ def _dihedral_checks(checks: list[CheckOutcome], spec: GroupSpec) -> None:
         )
         return
     _run_check(checks, "dihedral-zero-point", lambda: dihedral_m0_check(e))
-    checks.append(CheckOutcome("dihedral-character-note", "pass", DIHEDRAL_CHARACTER_NOTE, 0.0))
+    checks.append(
+        CheckOutcome("dihedral-character-note", "pass", DIHEDRAL_CHARACTER_NOTE, 0.0)
+    )
 
 
 def _krammer_checks(checks: list[CheckOutcome], spec: GroupSpec) -> None:
     _, n = _dihedral_and_krammer(spec)
     if n is None or n < 2:
-        for name in ("krammer-braid", "krammer-cubic"):
-            checks.append(CheckOutcome(name, "skipped", "not a type-A group", 0.0))
+        checks.append(
+            CheckOutcome("krammer-braid", "skipped", "not a type-A group", 0.0)
+        )
+        checks.append(
+            CheckOutcome("krammer-cubic", "skipped", "not a type-A group", 0.0)
+        )
         return
     model = build_krammer(n)
     _run_check(checks, "krammer-braid", lambda: check_braid_relations(model))
@@ -423,9 +438,11 @@ def cmd_verify(spec: GroupSpec, suite: str, sample: Fraction | None) -> int:
         tag = {"pass": "PASS", "fail": "FAIL", "skipped": "SKIP"}[c.status]
         detail = f"  {c.detail}" if c.detail else ""
         print(f"{tag} {c.name} ({c.elapsed:.3f}s){detail}")
-    n = {s: sum(c.status == s for c in checks) for s in ("pass", "fail", "skipped")}
-    print(f"{spec.render()}: {n['pass']} passed, {n['fail']} failed, {n['skipped']} skipped")
-    return 1 if n["fail"] else 0
+    failed = sum(1 for c in checks if c.status == "fail")
+    passed = sum(1 for c in checks if c.status == "pass")
+    skipped = sum(1 for c in checks if c.status == "skipped")
+    print(f"{spec.render()}: {passed} passed, {failed} failed, {skipped} skipped")
+    return 1 if failed else 0
 
 
 _FIXTURE_ROW = '{"group": str, "class_size": int, "sign": int, "factors": [[int, int], ...]}'
@@ -473,10 +490,12 @@ def cmd_tables(which: str, fixture_path: str | None) -> int:
     for group, row in _fixture_rows(path):
         if _table_section(group) == which:
             selected.setdefault(group, []).append(row)
-    failures = skips = 0
+    failures = 0
+    skips = 0
     for group in selected:
         try:
-            g = build_group(parse_group(group))
+            spec = parse_group(group)
+            g = build_group(spec)
         except Refused as exc:
             print(f"SKIP {group}: {exc}")
             skips += len(selected[group])

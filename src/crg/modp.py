@@ -187,8 +187,10 @@ class _SpanGrowth:
         return True
 
 
-def _grow_mod_span(gens: list[np.ndarray], n: int, p: int) -> _ModSpan:
-    growth = _SpanGrowth(gens, n, p)
+def _grow_mod_span(
+    gens: list[np.ndarray], n: int, p: int, seed: np.ndarray | None = None
+) -> _ModSpan:
+    growth = _SpanGrowth(gens, n, p, seed)
     while growth._advance():
         pass
     return growth.span
@@ -233,23 +235,17 @@ def _kernel_line(mat: np.ndarray, p: int) -> np.ndarray | None:
     kernel is spanned by e_f - sum_i R[i, f] e_{piv_i}.
     """
     n = len(mat)
-    span = _ModSpan(n, p)
-    span.add_block(mat)
-    span.end_level()
-    if span.dim != n - 1:
+    _, rows, pivots = _echelon(mat, p)
+    if len(pivots) != n - 1:
         return None
-    pivots = span._pivots[: span.dim]
     v = np.ones(n)  # 1 on the free column; np.setdiff1d would import numpy.ma
-    v[pivots] = -span._rows[: span.dim, n * (n - 1) // 2 - pivots.sum()] % p
+    v[pivots] = -rows[:, n * (n - 1) // 2 - sum(pivots)] % p
     return v
 
 
 def _spins(gens: list[np.ndarray], vec: np.ndarray, p: int) -> bool:
     """Do the words vec g_1 ... g_j span every row vector, mod p?"""
-    growth = _SpanGrowth(gens, len(vec), p, vec[None])
-    while growth.span.dim < growth.span.width and growth._advance():
-        pass
-    return growth.span.dim == growth.span.width
+    return _grow_mod_span(gens, len(vec), p, vec[None]).dim == len(vec)
 
 
 def _min_poly(theta: np.ndarray, u: np.ndarray, p: int) -> np.ndarray:

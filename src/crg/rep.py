@@ -69,12 +69,11 @@ class RepBundle:
         if key not in self._memo:
             try:
                 self._memo[key] = compute()
-            except Refused as refusal:
-                self._memo[key] = refusal
-        found = self._memo[key]
-        if isinstance(found, Refused):
-            raise found.with_traceback(None)
-        return found
+            except Refused as refusal:  # kept without the frames it was raised in
+                self._memo[key] = refusal.with_traceback(None)
+        if isinstance(self._memo[key], Refused):
+            raise self._memo[key]
+        return self._memo[key]
 
     @property
     def size(self) -> int:

@@ -25,7 +25,8 @@ def test_make_tables_fixture_writes_the_shipped_fixture(tmp_path, capsys):
 
 def test_cli_snapshot_prints_output_and_exit_code(capsys):
     tool = _load("cli_snapshot")
-    tool.main(["list-groups"])
+    tool.commands = lambda: [["list-groups"]]
+    tool.main()
     out = capsys.readouterr().out
     assert out.startswith("$ crg list-groups\nseries: G(e,e,r) and G(2e,e,r)\n")
     assert out.endswith("\nexit 0\n\n") and out.count("$ crg") == 1

@@ -6,8 +6,7 @@ times masked, so that two checkouts can be compared with diff:
     diff before.txt after.txt
 
 Each command runs in-process through crg.cli.main, on the crg under src/ next
-to this script.  Arguments, if any, keep only the commands whose text holds
-one of them, such as `list-groups`.
+to this script.
 """
 
 from __future__ import annotations
@@ -38,16 +37,13 @@ def commands() -> list[list[str]]:
     ]
 
 
-def main(argv: list[str]) -> None:
-    for argv_crg in commands():
-        text = " ".join(argv_crg)
-        if argv and not any(word in text for word in argv):
-            continue
+def main() -> None:
+    for argv in commands():
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
-            code = crg_main(argv_crg)
-        print(f"$ crg {text}\n{ELAPSED.sub('(#.###s)', out.getvalue())}exit {code}\n")
+            code = crg_main(argv)
+        print(f"$ crg {' '.join(argv)}\n{ELAPSED.sub('(#.###s)', out.getvalue())}exit {code}\n")
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    main()
