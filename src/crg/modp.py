@@ -13,6 +13,8 @@ import numpy as np
 # product of at most 2**17 such terms is below 2**53: every partial sum that
 # BLAS forms is an exact integer.  A span wider than 2**17 is refused.
 _P = 16777213
+# the next prime down, where a lift that fails at _P is tried again
+_P2 = 16777199
 _LIMB = 4096
 _MAX_WIDTH = 2**17
 # Rows reduced against a span, or checked against an annihilator, by one product.
@@ -20,8 +22,6 @@ _BLOCK = 64
 
 # seeds the random elements that Norton's test draws
 _NORTON_SEED = 16
-# random splittings of the product of the linear factors of a minimal polynomial
-_NORTON_SPLITS = 32
 
 
 def _mod(x: np.ndarray, p: int) -> np.ndarray:
@@ -196,30 +196,31 @@ def _grow_mod_span(
     return growth.span
 
 
-def _norton(theta: np.ndarray, v: np.ndarray, pair: list[np.ndarray], p: int) -> bool:
-    """Norton's test mod p: the algebra A that holds theta and both matrices of
-    `pair` is all of End(F_p^D).
+def _norton(x: np.ndarray, phi: np.ndarray, pair: list[np.ndarray], p: int) -> bool:
+    """Norton's test mod p with the rank-one theta = x (x) phi, theta v = phi(v) x:
+    the algebra A that holds theta and both matrices of `pair` is all of
+    End(F_p^D).
 
-    v spans ker theta.  The test passes when ker theta^T is one line, spanned
-    by w, v spins to F_p^D under the pair and w spins to F_p^D under its
-    transposes (Parker 1984; Holt and Rees 1994):
+    The test passes when x spins to F_p^D under the pair and the row vector
+    phi spins to every row vector under its transposes (Parker 1984; Holt and
+    Rees 1994):
 
-    - Irreducible: let U be a proper nonzero submodule.  If theta is singular
-      on U, v lies in U, so A v = F_p^D lies in U.  Otherwise theta maps U
-      onto U, so the image of theta holds U, and w, which annihilates that
-      image, annihilates U.  The annihilator of U is a proper subspace that
-      the transposes keep, so A^T w lies in it.  Either way a spin falls short.
+    - Irreducible: let U be a nonzero submodule.  If phi(U) != 0, then x lies
+      in theta U, which lies in U, so U holds A x = F_p^D.  Otherwise phi a
+      vanishes on U for every a in A, since a U lies in U, so the spin of phi
+      lies in the annihilator of U.  That spin is every row vector, so U = 0,
+      which is not the case.
     - Absolutely irreducible: an endomorphism f of the module commutes with
-      theta, so f v = c v, and f - c kills A v = F_p^D.  So End_A = F_p,
-      and A = End(F_p^D) by Burnside.
+      theta, so phi(v) f x = phi(f v) x for every v.  phi is not zero, so f
+      is a scalar c on x, and f - c kills A x = F_p^D.  So End_A = F_p, and
+      A = End(F_p^D) by Burnside.
 
     Any algebra that holds theta and the pair, such as that of the caller's
     generators, is then full as well.  A failed test proves nothing: the
     caller falls back to the closure.
     """
-    w = _kernel_line(theta.T, p)
     # a row vector times g^T is g times the column
-    return w is not None and _spins([g.T for g in pair], v, p) and _spins(pair, w, p)
+    return _spins([g.T for g in pair], x, p) and _spins(pair, phi, p)
 
 
 def _combination(gens: np.ndarray, rng: Random, p: int) -> np.ndarray:
@@ -228,107 +229,6 @@ def _combination(gens: np.ndarray, rng: Random, p: int) -> np.ndarray:
     return _mulmod(coeffs, gens.reshape(len(gens), -1), p).reshape(gens.shape[1:])
 
 
-def _kernel_line(mat: np.ndarray, p: int) -> np.ndarray | None:
-    """The vector spanning ker `mat` mod p when its nullity is exactly 1, else None.
-
-    With the reduced echelon rows R of mat and its one free column f, the
-    kernel is spanned by e_f - sum_i R[i, f] e_{piv_i}.
-    """
-    n = len(mat)
-    _, rows, pivots = _echelon(mat, p)
-    if len(pivots) != n - 1:
-        return None
-    v = np.ones(n)  # 1 on the free column; np.setdiff1d would import numpy.ma
-    v[pivots] = -rows[:, n * (n - 1) // 2 - sum(pivots)] % p
-    return v
-
-
 def _spins(gens: list[np.ndarray], vec: np.ndarray, p: int) -> bool:
     """Do the words vec g_1 ... g_j span every row vector, mod p?"""
     return _grow_mod_span(gens, len(vec), p, vec[None]).dim == len(vec)
-
-
-def _min_poly(theta: np.ndarray, u: np.ndarray, p: int) -> np.ndarray:
-    """The monic minimal polynomial of u under theta mod p, lowest coefficient first.
-
-    The Krylov vectors u, theta u, ... are independent up to the first, of
-    index j, that depends on those before it.  One elimination of the rows
-    (theta^i u | e_i), with e_i in reversed order, reduces row j to (0 | f):
-    f(theta) u = 0, and its pivot on e_j makes f monic.
-    """
-    n = len(u)
-    krylov = np.empty((n + 1, n))
-    krylov[0] = u
-    for i in range(n):  # as rows: (theta u)^T = u^T theta^T
-        krylov[i + 1] = _mulmod(krylov[i:i + 1], theta.T, p)
-    _, rows, pivots = _echelon(np.hstack([krylov, np.fliplr(np.eye(n + 1))]), p)
-    j = next(i for i, piv in enumerate(pivots) if piv >= n)
-    return rows[j, n:][::-1][: j + 1].astype(np.int64)
-
-
-# Polynomials mod p are int64 arrays, lowest coefficient first, with no
-# trailing zeros.  A product of two coefficients is below p^2 < 2^48, so a
-# convolution of at most 2^15 terms stays below 2^63.
-
-
-def _a_root(f: np.ndarray, p: int, rng: Random) -> int | None:
-    """A root of f in F_p, or None if it has none.
-
-    g = gcd(f, x^p - x) is the product of the distinct x - lam over the roots
-    lam of f.  While g is not linear, gcd(g, (x + delta)^((p-1)/2) - 1) for a
-    random delta splits it (Cantor and Zassenhaus) with probability about 1/2.
-    """
-    if len(f) < 2:
-        return None
-    g = _poly_gcd(f, _poly_rem(_minus(_poly_pow(_X, p, f, p), _X), f, p), p)
-    for _ in range(_NORTON_SPLITS):
-        if len(g) <= 2:
-            break
-        half = _poly_pow(np.array([rng.randrange(p), 1]), (p - 1) // 2, g, p)
-        h = _poly_gcd(g, _poly_rem(_minus(half, _ONE), g, p), p)
-        if len(h) > 1:
-            g = h
-    return int(-g[0] % p) if len(g) == 2 else None
-
-
-_ONE = np.array([1], dtype=np.int64)
-_X = np.array([0, 1], dtype=np.int64)
-
-
-def _minus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.zeros(max(len(a), len(b)), dtype=np.int64)
-    out[: len(a)] += a
-    out[: len(b)] -= b
-    return out
-
-
-def _poly_pow(base: np.ndarray, e: int, f: np.ndarray, p: int) -> np.ndarray:
-    """base^e mod the monic f, mod p, by square and multiply."""
-    out = _ONE
-    for bit in bin(e)[2:]:
-        out = _poly_rem(np.convolve(out, out), f, p) if len(out) else out
-        if bit == "1" and len(out):
-            out = _poly_rem(np.convolve(out, base), f, p)
-    return out
-
-
-def _poly_rem(a: np.ndarray, f: np.ndarray, p: int) -> np.ndarray:
-    """a mod the monic f, mod p."""
-    a = a % p
-    k = len(f) - 1
-    for i in range(len(a) - 1, k - 1, -1):
-        if a[i]:
-            a[i - k:i + 1] = (a[i - k:i + 1] - a[i] * f) % p
-    nonzero = np.flatnonzero(a[:k])
-    return a[: nonzero[-1] + 1 if nonzero.size else 0]
-
-
-def _poly_gcd(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """The monic gcd of a and b mod p; a is nonzero."""
-    while len(b):
-        a, b = b, _poly_rem(a, _monic(b, p), p)
-    return _monic(a, p)
-
-
-def _monic(a: np.ndarray, p: int) -> np.ndarray:
-    return a * pow(int(a[-1]), -1, p) % p

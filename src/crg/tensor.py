@@ -17,29 +17,22 @@ from .modp import (
     _MAX_WIDTH,
     _NORTON_SEED,
     _P,
-    _a_root,
+    _P2,
     _combination,
     _grow_mod_span,
-    _kernel_line,
-    _min_poly,
-    _mod,
     _ModSpan,
-    _mulmod,
     _norton,
 )
 from .quadratic import discriminant
 from .rep import RepBundle, Sparse, _block, _scaled_t, _sparse_mul, _sparse_sum
 
 # Norton's test decides the squares of every fixture class of up to 36
-# reflections, E6's in about 5 s, and holds only a few D x D matrices.  With
-# the limit raised, G(13,13,3)'s class of 39 took 6.0 s at 114 MB peak RSS and
-# H4's class of 60 took 26 s at 460 MB (2-vCPU host).  Membership at a root of
+# reflections, E6's in about 1.4 s, and holds only a few D x D matrices.  With
+# the limit raised, G(13,13,3)'s class of 39 took 1.8 s at 93 MB peak RSS and
+# H4's class of 60 took 13 s at 397 MB (2-vCPU host).  Membership at a root of
 # the discriminant closes all of V (x) V, d^4 wide, so it keeps 12.
 _SQUARE_CLASS_LIMIT = 36
 _ROOT_CLASS_LIMIT = 12
-# palindromic elements tried on the alternating square before the closure runs:
-# about 6 in 10 have an eigenvalue in F_p, so 20 tries all miss about once in 10^8
-_NORTON_TRIES = 20
 _EXCLUDED_POINTS = {
     Fraction(-3),
     Fraction(-1),
@@ -164,19 +157,21 @@ def _annihilator(gens: list[np.ndarray]) -> np.ndarray:
     lift only proposes Y: the checks decide, so a wrong lift can only make
     the certificate fail.
 
-    If a lift or a check fails, Y comes from exact fraction-free elimination
-    (`_exact_annihilator`).  That case includes a bad prime, where the words
-    mod p have a lower rank than over Q.
+    If a lift or a check fails, as at a bad prime, where the words mod p
+    have a lower rank than over Q, the span, lift and checks run again at
+    the second prime `_P2`.  If they fail there too, Y comes from exact
+    fraction-free elimination (`_exact_annihilator`).
     """
     n = len(gens[0])
-    span = _grow_mod_span([g % _P for g in gens], n, _P)
-    if span.dim == n * n:
-        return np.zeros((0, n * n), dtype=object)
-    pivots = span._pivots[: span.dim]
-    y = _lifted_annihilator(span)
-    del span  # the checks need only Y: release the mod-p rows first
-    if y is not None and _annihilates_algebra(gens, y, pivots):
-        return y
+    for p in (_P, _P2):
+        span = _grow_mod_span([g % p for g in gens], n, p)
+        if span.dim == n * n:
+            return np.zeros((0, n * n), dtype=object)
+        pivots = span._pivots[: span.dim]
+        y = _lifted_annihilator(span)
+        del span  # the checks need only Y: release the mod-p rows first
+        if y is not None and _annihilates_algebra(gens, y, pivots):
+            return y
     return _exact_annihilator(gens)
 
 
@@ -410,10 +405,12 @@ def _square_block(t: np.ndarray, sign: int) -> np.ndarray:
 def tensor_square_check(bundle: RepBundle, c: int, m0) -> dict:
     """Is the algebra of the T_x full on the alternating and symmetric squares of V_c?
 
-    Each square is decided by Norton's test (`_norton`) when it passes, and
-    by the closure of `_annihilator` otherwise.  The closure is D^2 wide, so
-    it backs S^2 up to classes of 26 and Λ^2 up to 27 (`_MAX_WIDTH`); a miss
-    above that is refused.  A full algebra mod p is
+    Each square is decided by Norton's test with a rank-one element of the
+    algebra (`_square_norton`) when it passes, and by the closure of
+    `_annihilator` otherwise, as on a class whose operator table fails or at
+    a point where a scalar of the test vanishes mod p.  The closure is D^2
+    wide, so it backs S^2 up to classes of 26 and Λ^2 up to 27
+    (`_MAX_WIDTH`); a miss above that is refused.  A full algebra mod p is
     spanned by the integer words mod p, so D^2 of them are independent mod
     p, hence over Q, and the rational algebra is full.  The report gives each
     square's dimension D, the dimension of its algebra (D^2 when full) and
@@ -436,12 +433,16 @@ def _square_report(bundle: RepBundle, c: int, m0: Fraction) -> dict:
     ints = _int_blocks(bundle, members, m0)
     # Norton's test takes the class blocks mod p; the integer squares only on a fallback
     blocks = np.array([t % _P for t in ints], dtype=np.float64)
+    a, b = m0.numerator, m0.denominator
+    # the scalars of the power identities and of the Λ^2 identity are units mod p
+    rank_one = (
+        a * b * (b - a) * (a + b) * (a + 3 * b) * (a - 3 * b) % _P != 0
+        and ds_table_check(bundle, members[0], c)
+        and ds_table_check(bundle, members[1], c)
+    )
     report = {"class_size": d, "skipped": False}
-    for sign, name, dim, norton in (
-        (-1, "wedge", d * (d - 1) // 2, lambda: _wedge_norton(blocks, _P)),
-        (1, "sym", d * (d + 1) // 2, lambda: _sym_norton(blocks, ints[0], m0.numerator, _P)),
-    ):
-        if norton():
+    for sign, name, dim in ((-1, "wedge", d * (d - 1) // 2), (1, "sym", d * (d + 1) // 2)):
+        if rank_one and _square_norton(ints, blocks, b, sign, _P):
             route, algebra = "norton", dim**2
         elif dim**2 > _MAX_WIDTH:
             raise Refused(
@@ -462,56 +463,42 @@ def _norton_pair(blocks: np.ndarray, sign: int, p: int) -> list[np.ndarray]:
     return [_square_block(_combination(blocks, rng, p), sign) % p for _ in range(2)]
 
 
-def _sym_norton(blocks: np.ndarray, t_s: np.ndarray, a: int, p: int) -> bool:
-    """Norton's test on S^2 with theta = b T_s - 2a and v = e_s e_s, m0 = a/b.
+def _square_norton(ints: list[np.ndarray], blocks: np.ndarray, b: int, sign: int, p: int) -> bool:
+    """Norton's test on the alternating (sign -1) or symmetric (sign 1) square
+    with a rank-one theta = x (x) phi of A, where x is basis vector 0.
 
-    blocks[0] is b t_s(m0) mod p, and t_s is the integer class block of s,
-    first in the class.  b t_s e_s = a e_s is checked exactly, so theta v =
-    0, and v is the first basis vector of S^2.  For m0 not in {-1, 0, 1}, 2
-    m0 is a sum of two eigenvalues m0, -1, 1 of t_s only as m0 + m0, so over
-    Q the kernel of theta is the line of v; `_norton` checks its nullity mod
-    p through ker theta^T.
+    On the class block p_x = s_x - t_x = e_x (x) r_x, with r_x[x] = 1 - m
+    and r_x[y] = alpha(x, y).  Let s and u be the first two members, so that
+    e_s e_s and e_s ^ e_u are basis vector 0 of S^2 and Λ^2, and let P_x =
+    p_x (x) 1 + 1 (x) p_x and Q_s = p_s (x) p_s.
+
+    - S^2: Q_s = (e_s e_s) (x) phi, with phi(e_k e_l) = (2 - delta_kl)
+      r_s[k] r_s[l].  Q_s lies in A by the third power identity of
+      `ds_table_check`, whose scalar is 8 m (m + 1)^2.
+    - Λ^2: (1 - m) psu = P_s P_u P_s - alpha(s, u) alpha(u, s) P_s, where
+      psu = (e_s ^ e_u) (x) phi and phi(e_k ^ e_l) = r_s[k] r_u[l] - r_s[l]
+      r_u[k].  Indeed P_s(v ^ w) = e_s ^ y with y = r_s(v) w - r_s(w) v,
+      and P_s is 1 - m on e_s ^ V.  So P_s P_u P_s(v ^ w) = alpha(s, u)
+      alpha(u, s) e_s ^ y + ((1 - m) r_u(y) - alpha(u, s) r_s(y)) e_s ^ e_u,
+      where r_s(y) = 0 and r_u(y) = phi(v ^ w).  P_s and P_u lie in A by
+      the first power identity, whose scalar is 4 m (m + 3) (m - 3) (m + 1).
+
+    The caller checks `ds_table_check` for s and u, and that every scalar is
+    a unit mod p at m0 = a/b.  ints[x] is b t_x(m0), so b r_x is row x of
+    b e_x - ints[x], and phi is taken b^2 times, in Python ints; no D x D
+    theta is built.
     """
-    if t_s[0, 0] != a or t_s[1:, 0].any():
-        return False
-    theta = _square_block(blocks[0], 1) % p
-    np.fill_diagonal(theta, (theta.diagonal() - 2 * a) % p)
-    v = np.zeros(len(theta))
-    v[0] = 1
-    return _norton(theta, v, _norton_pair(blocks, 1, p), p)
-
-
-def _wedge_norton(blocks: np.ndarray, p: int) -> bool:
-    found = _wedge_theta(blocks, p)
-    return found is not None and _norton(*found, _norton_pair(blocks, -1, p), p)
-
-
-def _wedge_theta(blocks: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """theta - lam with a kernel of one line, and the vector v spanning it, or None.
-
-    On Λ^2 the -1 eigenspace of t_s is at least 2-dimensional, so no
-    eigenvalue of one T_s is simple.  Each seeded try takes the palindromic
-    theta = sum_x c_x b T_x + T_a T_b + T_b T_a mod p, built from the class
-    blocks b t_x mod p as three squares, and lam is a root in F_p of the
-    minimal polynomial of a random vector, so an eigenvalue of theta.  The
-    seed fixes the tries, so every call returns the same theta; it affects
-    only whether the test is reached, never its verdict.
-    """
-    rng = Random(_NORTON_SEED)
-    for _ in range(_NORTON_TRIES):
-        a, b = rng.sample(range(len(blocks)), 2)
-        t_a, t_b = (_square_block(blocks[x], -1) % p for x in (a, b))
-        theta = _mulmod(t_a, t_b, p) + _mulmod(t_b, t_a, p)
-        theta = _mod(theta + _square_block(_combination(blocks, rng, p), -1) % p, p)
-        u = np.array([rng.randrange(p) for _ in theta], dtype=np.float64)
-        lam = _a_root(_min_poly(theta, u, p), p, rng)
-        if lam is None:
-            continue
-        np.fill_diagonal(theta, (theta.diagonal() - lam) % p)
-        v = _kernel_line(theta, p)
-        if v is not None:
-            return theta, v
-    return None
+    r_s, r_u = -ints[0][0], -ints[1][1]
+    r_s[0] += b
+    r_u[1] += b
+    i, j = np.triu_indices(len(r_s), 1 if sign < 0 else 0)
+    if sign < 0:
+        phi = r_s[i] * r_u[j] - r_s[j] * r_u[i]
+    else:
+        phi = (2 - (i == j)) * r_s[i] * r_s[j]
+    x = np.zeros(len(phi))
+    x[0] = 1
+    return _norton(x, (phi % p).astype(np.float64), _norton_pair(blocks, sign, p), p)
 
 
 def psu_membership_check(bundle: RepBundle, c: int, s: int, u: int, m0) -> bool:

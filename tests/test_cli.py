@@ -292,10 +292,16 @@ def test_refused_check_is_skipped(capsys, monkeypatch):
 def test_norton_miss_above_the_closure_width_is_skipped(capsys, monkeypatch):
     # S^2 of a class of 27 is 378 wide: its closure would be 378^2 = 142884
     # wide, above the bound for exact mod-p products
-    monkeypatch.setattr(tensor, "_sym_norton", lambda *args: False)
-    searches = []
-    wedge_theta = tensor._wedge_theta
-    monkeypatch.setattr(tensor, "_wedge_theta", lambda *args: searches.append(1) or wedge_theta(*args))
+    runs = []
+    norton = tensor._square_norton
+
+    def sym_misses(ints, blocks, b, sign, p):
+        if sign > 0:
+            return False
+        runs.append(1)
+        return norton(ints, blocks, b, sign, p)
+
+    monkeypatch.setattr(tensor, "_square_norton", sym_misses)
     assert main(["verify", "--group", "G(9,9,3)", "--suite", "tensor"]) == 0
     out = capsys.readouterr().out
     detail = "sym square of a class of 27, whose closure would be 142884 wide, above the limit of 131072"
@@ -303,7 +309,7 @@ def test_norton_miss_above_the_closure_width_is_skipped(capsys, monkeypatch):
         assert re.search(rf"^SKIP {re.escape(name)} \(\d+\.\d{{3}}s\)  .*{detail}$", out, re.M)
     assert "FAIL" not in out
     # the bundle caches the refusal: psu-membership does not rerun the squares
-    assert len(searches) == 1
+    assert len(runs) == 1
 
 
 def test_tables_refuses_a_malformed_fixture(tmp_path, capsys):

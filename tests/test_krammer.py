@@ -105,7 +105,18 @@ def test_rejects_fewer_than_two_strands():
         build_krammer(1)
 
 
-def test_entries_have_the_degrees_the_grid_proof_needs():
+def _balanced_digits(value: int, base: int, count: int) -> list[int]:
+    """The digits of value in base `base`, each in [-base/2, base/2), lowest first."""
+    digits = []
+    for _ in range(count):
+        digit = (value + base // 2) % base - base // 2
+        digits.append(digit)
+        value = (value - digit) // base
+    assert value == 0
+    return digits
+
+
+def test_entries_have_the_degrees_the_one_point_proof_needs():
     # Degree <= n in q: the (n+1)-th forward difference in q vanishes.
     # Degree <= 1 in t: the second forward difference in t vanishes.
     for n in range(2, 7):
@@ -132,6 +143,23 @@ def test_entries_have_the_degrees_the_grid_proof_needs():
                             q0, t0, r, c
                         )
                         assert (dq, dt) == (0, 0), (n, k, q0, t0, r, c)
+            # Each entry at q = X = 2^20, t = X^(n+1) is a base-X number whose
+            # digit i + (n+1) e is the coefficient of q^i t^e.  The decoded
+            # polynomial matches the entry on the grid q = 0..n, t = 0..1, which
+            # fixes a polynomial of these degrees, so the digits are the
+            # coefficients; their 1-norms sum to at most 5 in each column.
+            big = 2**20
+            decoded = model.sigma_at(k, big, big ** (n + 1))
+            for c in range(model.dimension):
+                norm = 0
+                for r in range(model.dimension):
+                    digits = _balanced_digits(decoded.get(c, {}).get(r, 0), big, 2 * n + 2)
+                    for q in range(n + 1):
+                        for t in range(2):
+                            poly = sum(x * q ** (i % (n + 1)) * t ** (i // (n + 1)) for i, x in enumerate(digits))
+                            assert poly == value(q, t, r, c), (n, k, q, t, r, c)
+                    norm += sum(abs(x) for x in digits)
+                assert norm <= 5, (n, k, c)
 
 
 class _Tampered(KrammerModel):

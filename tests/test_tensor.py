@@ -2,8 +2,7 @@ import itertools
 import time
 import tracemalloc
 from fractions import Fraction
-from math import lcm
-from random import Random
+from math import comb, lcm
 
 import numpy as np
 import pytest
@@ -14,7 +13,7 @@ import crg.modp as modp
 import crg.tensor as tensor
 from crg.groups import build_coxeter, build_series
 from crg.matrices import ExactMatrix, rank_and_kernel
-from crg.modp import _MAX_WIDTH, _P, _ModSpan, _SpanGrowth, _grow_mod_span, _mulmod
+from crg.modp import _MAX_WIDTH, _P, _P2, _ModSpan, _SpanGrowth, _grow_mod_span, _mulmod
 from crg.quadratic import discriminant
 from crg.rep import _block, build_rep
 from crg.tensor import (
@@ -382,8 +381,12 @@ def test_membership_at_a_bad_prime_takes_the_exact_route(monkeypatch):
         return _exact_annihilator(gens)
 
     monkeypatch.setattr(tensor, "_exact_annihilator", spy)
-    # at m0 = 1/p every generator b t_x(m0) = p N_x + E_xx is diagonal mod p
+    # at m0 = 1/p every generator b t_x(m0) = p N_x + E_xx is diagonal mod p,
+    # and the second prime certifies the annihilator
     assert psu_membership_check(b, 0, 0, 1, Fraction(1, _P))
+    assert calls == []
+    # at m0 = 1/(p p2) they are diagonal mod both primes
+    assert psu_membership_check(b, 0, 0, 1, Fraction(1, _P * _P2))
     assert calls == [9]
 
 
@@ -679,20 +682,29 @@ def test_norton_never_certifies_a_reducible_square():
         assert report["sym_algebra"] < report["sym_dim"] ** 2
         assert not report["ok"]
     # block upper-triangular class blocks keep U, the span of the first three
-    # coordinates, so their squares keep Λ²U and S²U; e_0 is an eigenvector
-    # of the first block, as on a class block
+    # coordinates, so their squares keep Λ²U and S²U, which hold basis vector 0
     rng = np.random.default_rng(5)
     for n in (5, 8):
         blocks = rng.integers(-3, 4, size=(4, n, n)).astype(object)
+        full = np.array(blocks % _P, dtype=np.float64)
         blocks[:, 3:, :3] = 0
-        blocks[0, 1:, 0] = 0
+        mod_p = np.array(blocks % _P, dtype=np.float64)
         for sign in (-1, 1):
             assert len(_annihilator([_square_block(t, sign) for t in blocks]))
-        mod_p = np.array(blocks % _P, dtype=np.float64)
-        # the search finds a theta, so the spins decide
-        assert tensor._wedge_theta(mod_p, _P) is not None
-        assert not tensor._wedge_norton(mod_p, _P)
-        assert not tensor._sym_norton(mod_p, blocks[0], blocks[0, 0, 0], _P)
+            i, j = np.triu_indices(n, 1 if sign < 0 else 0)
+            inside = (i < 3) & (j < 3)
+            unit = np.zeros(len(i))
+            unit[0] = 1
+            phi = rng.integers(1, _P, len(i)).astype(np.float64)
+            pair = tensor._norton_pair(mod_p, sign, _P)
+            # x in the square of U: its spin falls short, though phi's is full
+            assert modp._spins(pair, phi, _P)
+            assert not modp._norton(unit, phi, pair, _P)
+            # phi vanishing on the square of U: its spin falls short, though x's is full
+            assert modp._spins([g.T for g in pair], phi, _P)
+            assert not modp._norton(phi, np.where(inside, 0, phi), pair, _P)
+            # without the invariant U both spins are full
+            assert modp._norton(unit, phi, tensor._norton_pair(full, sign, _P), _P)
 
 
 def test_norton_builds_no_square_per_generator(monkeypatch):
@@ -726,51 +738,121 @@ def test_forced_norton_failure_takes_the_closure(monkeypatch):
     assert forced == dict(norton, wedge_route="closure", sym_route="closure")
 
 
-def test_wedge_search_is_deterministic():
-    for name, rank in (("A", 3), ("I2", 5)):
-        g = build_coxeter(name, rank)
-        members = g.classes[0]
-        reports, found = [], []
-        for _ in range(2):
-            b = build_rep(g)
-            reports.append(tensor_square_check(b, 0, Fraction(7)))
-            blocks = [t % _P for t in _int_blocks(b, members, Fraction(7))]
-            found.append(tensor._wedge_theta(np.array(blocks, dtype=np.float64), _P))
-        assert reports[0] == reports[1]
-        (theta, v), (theta2, v2) = found
-        assert np.array_equal(theta, theta2) and np.array_equal(v, v2)
-        # theta v = 0 mod p, and v is a nonzero vector
-        assert not _mulmod(theta, v[:, None], _P).any() and v.any()
+def test_tampered_operator_table_sends_both_squares_to_the_closure(monkeypatch):
+    g = build_coxeter("A", 3)
+    s = g.classes[0][0]
+    u = next(u for u in g.classes[0] if g.conj_table[s][u] != u)
+    alpha = [list(row) for row in g.alpha]
+    alpha[s][u] += 1
+    b = build_rep(g, alpha)
+    assert not ds_table_check(b, s, 0)
+    monkeypatch.setattr(tensor, "_norton", lambda *args: pytest.fail("Norton's test reached"))
+    report = _square_report_at(b, 0, 7)
+    assert (report["wedge_route"], report["sym_route"]) == ("closure", "closure")
 
 
-def test_a_root_is_a_root_in_f_p():
-    p = _P
-    rng = Random(0)
-    cubic = np.array([-105, 71, -15, 1]) % p  # (x - 3)(x - 5)(x - 7)
-    assert modp._a_root(cubic, p, rng) in (3, 5, 7)
-    non_residue = next(r for r in range(2, 100) if pow(r, (p - 1) // 2, p) == p - 1)
-    assert modp._a_root(np.array([-non_residue % p, 0, 1]), p, rng) is None
-    # the minimal polynomial of e_0 under a 3-cycle is x^3 - 1
-    cycle = np.roll(np.eye(3), 1, axis=0)
-    assert modp._min_poly(cycle, np.eye(3)[0], p).tolist() == [p - 1, 0, 0, 1]
-    # f(theta) u = 0 for the minimal polynomial f of u, whose degree is the rank
-    # of the Krylov vectors: full for a random theta, half of it on two equal
-    # diagonal blocks, one for the identity
-    gen = np.random.default_rng(3)
-    for n in (1, 4, 9):
-        half = gen.integers(0, p, (n, n))
-        for theta in (gen.integers(0, p, (n, n)), np.kron(np.eye(2, dtype=np.int64), half), np.eye(n)):
-            theta = theta.astype(np.float64)
-            u = gen.integers(1, p, len(theta)).astype(np.float64)
-            f = modp._min_poly(theta, u, p)
-            krylov = [u]
-            for _ in theta:
-                krylov.append(_mulmod(theta, krylov[-1][:, None], p)[:, 0])
-            span = _ModSpan(len(theta), p)
-            span.add_block(np.array(krylov))
-            assert f[-1] == 1 and len(f) - 1 == span.dim
-            value = sum(int(c) * k.astype(np.int64) for c, k in zip(f, krylov))
-            assert not (value % p).any()
+def test_a_scalar_that_vanishes_mod_p_sends_both_squares_to_the_closure():
+    # at m0 = p the scalar a = p of every power identity vanishes mod p
+    b = build_rep(build_coxeter("A", 3))
+    report = tensor_square_check(b, 0, _P)
+    assert (report["wedge_route"], report["sym_route"]) == ("closure", "closure")
+    assert report["ok"]
+
+
+def _exact(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for integer float64 arrays, exact: every partial sum is an integer below 2**53."""
+    assert np.abs(a).max(axis=0) @ np.abs(b).max(axis=1) < 2**53
+    return a @ b
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        build_coxeter("A", 3),
+        build_coxeter("B", 3),
+        build_coxeter("I2", 5),
+        build_series(4, 2, 3),
+        build_series(6, 3, 4),
+    ],
+    ids=lambda g: g.name,
+)
+def test_rank_one_elements_lie_in_the_algebra(g, monkeypatch):
+    """The identities behind `_square_norton`, exact at m0 = a/b = 7 and 22/7,
+    for every member s and every pair s, u (s before u) of every class:
+
+    - b p_x = e_x (x) b r_x: only row x of b p_x = b s_x - b t_x is nonzero.
+    - 8 a (a + b)^2 b^2 Q_s = sum_k c_k (b T_s)^k, the third power identity,
+      on V (x) V and so on S^2.  (b T)^k = sum_j binom(k, j) (b t)^j (x)
+      (b t)^(k-j), and kron(A, B) -> vec(A) vec(B)^T is a bijection, so it
+      reads V C V^T = 8 a (a + b)^2 vec(b p_s) vec(b p_s)^T for the columns V
+      = vec((b t_s)^j).
+    - (b - a) b^2 psu = (b P_s)(b P_u)(b P_s) - alpha(s, u) alpha(u, s) b^2
+      (b P_s) on Λ², where b^2 psu is b p_s (x) b p_u + b p_u (x) b p_s.  Its
+      images are multiples of e_s ^ e_u, and its row there holds the (s, u)
+      coordinate of the images of the basis.  b P_s is zero outside its rows
+      R_s, so the product is E R_s (b P_u)[:, rows] R_s.
+
+    The phi that the code hands to `_norton` is row 0 of b^2 psu and of b^2 Q_s
+    for the first two members, mod p.  Every value is an integer below 2**53,
+    which float64 holds exactly, so every product is exact.
+    """
+    seen = []
+    monkeypatch.setattr(tensor, "_norton", lambda x, phi, pair, p: seen.append((x, phi)) or True)
+    b = build_rep(g)
+    for members in g.classes:
+        d = len(members)
+        if d < 2:
+            continue
+        wi, wj = np.triu_indices(d, 1)
+        si, sj = np.triu_indices(d, 0)
+        for m0 in (Fraction(7), Fraction(22, 7)):
+            a, den = m0.numerator, m0.denominator
+            ints = _int_blocks(b, members, m0)
+            bt = [t.astype(np.float64) for t in ints]
+            perms = [np.array(_block(b.s_cols(x), members, 0), dtype=np.float64) for x in members]
+            bp = [den * s_x - t for s_x, t in zip(perms, bt)]
+            for x, p in enumerate(bp):
+                assert not np.delete(p, x, axis=0).any()
+
+            c = [0, 4 * den**2 * (den**2 - a**2), 8 * a * den**2, a * a - 5 * den**2, -2 * a, 1]
+            coeffs = np.array(
+                [[c[i + j] * comb(i + j, j) if i + j <= 5 else 0 for i in range(6)] for j in range(6)],
+                dtype=np.float64,
+            )
+            for t, p in zip(bt, bp):
+                powers = [np.identity(d)]
+                for _ in range(5):
+                    powers.append(_exact(powers[-1], t))
+                vecs = np.array([x.ravel() for x in powers]).T
+                right = 8 * a * (a + den) ** 2 * np.outer(p.ravel(), p.ravel())
+                assert np.array_equal(_exact(_exact(vecs, coeffs), vecs.T), right), (members, m0)
+
+            wedges = [_square_block(p, -1) for p in bp]
+            for n, (i, j) in enumerate(zip(wi.tolist(), wj.tolist())):
+                s, u = members[i], members[j]
+                # b p_u (x) b p_s has no (s, u) coordinate: b p_u has no row s
+                images = np.outer(bp[i][i], bp[j][j])
+                psu_row = images[wi, wj] - images[wj, wi]
+                rows = np.flatnonzero(wedges[i].any(axis=1))
+                r_s = wedges[i][rows]
+                right = _exact(_exact(r_s, wedges[j][:, rows]), r_s)
+                right -= b.alpha[s][u] * b.alpha[u][s] * den**2 * r_s
+                left = np.zeros_like(right)
+                assert n in rows
+                left[np.searchsorted(rows, n)] = (den - a) * psu_row
+                assert np.array_equal(left, right), (members, m0, s, u)
+                if n == 0:
+                    wedge_phi = psu_row
+
+            images = np.outer(bp[0][0], bp[0][0])
+            sym_phi = images[si, sj] + (si != sj) * images[sj, si]
+            seen.clear()
+            blocks = np.array([t % _P for t in ints], dtype=np.float64)
+            for sign in (-1, 1):
+                assert tensor._square_norton(ints, blocks, den, sign, _P)
+            for (x, phi), row in zip(seen, (wedge_phi, sym_phi)):
+                assert x.tolist() == [1] + [0] * (len(row) - 1)
+                assert np.array_equal(phi, row % _P)
 
 
 def test_square_report_is_a_fresh_copy():
