@@ -6,9 +6,11 @@ Every group is built one way, from its root lines.  An order-2 unitary
 reflection s = I - 2 a a* / (a* a) is fixed by its root line: a scaled so
 that its first nonzero coordinate is 1.  Its coform, the linear form a*, is
 the complex conjugate of the root.  The root of y s y is y a, so a few
-generating reflections act on the lines by matrix-vector products, and every
-other row of the conjugation table follows from
-sigma_{g y g} = sigma_g sigma_y sigma_g, which is integer work."""
+generating reflections act on all the lines at once by batched integer
+products in Z[zeta], each image line proposed by residues mod p and proven
+by one integer identity, and every other row of the conjugation table
+follows from sigma_{g y g} = sigma_g sigma_y sigma_g, which is integer
+work."""
 
 from __future__ import annotations
 
@@ -19,10 +21,16 @@ from math import lcm
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-from .cyclotomic import CycNum, CyclotomicField, cyclotomic_field
+import numpy as np
+
+from .cyclotomic import CycNum, CyclotomicField, cyclotomic_field, cyclotomic_int_coeffs
 from .matrices import ExactMatrix
 
 Vec = tuple[CycNum, ...]
+
+# the integer products of `_assemble` run in int64 only when a bound on
+# every intermediate value, proven in Python ints, stays within this
+_INT64_MAX = 2**63 - 1
 
 
 class Refused(ValueError):
@@ -49,31 +57,67 @@ def _dot(u: Sequence[CycNum], v: Sequence[CycNum]) -> CycNum:
     return acc
 
 
-def _axpy(x: CycNum, a: Vec, b: Vec) -> list[CycNum]:
-    """a - x b."""
-    return [u - x * v if v else u for u, v in zip(a, b)]
-
-
 def _coform(a: Vec) -> Vec:
     """The linear form of I - 2 a a* / (a* a): the complex conjugate of a,
     which keeps each rational coordinate as it is."""
     return tuple(x if x.is_rational() else x.conj() for x in a)
 
 
-def _conjugator(a_g: Vec) -> Callable[[Vec], Vec]:
-    """The map from the root line a of s to the line of g a, the root of g s g,
-    for g = I - 2 a_g a_g* / (a_g* a_g).
+@lru_cache(maxsize=None)
+def _residue_point(n: int) -> tuple[int, int]:
+    """A modulus p < 2^31 and w with Phi_n(w) = 0 mod p, so that zeta_n -> w
+    is a ring map Z[zeta_n] -> Z/p: p is the largest probable prime 1 mod n
+    below 2^31 that has such a w among h^((p - 1)/n), h = 2, 3, ..."""
+    phi = cyclotomic_int_coeffs(n)
+    p = (2**31 - 2) // n * n + 1
+    while True:
+        if pow(2, p - 1, p) == 1:
+            for h in range(2, 64):
+                w = pow(h, (p - 1) // n, p)
+                if sum(c * pow(w, i, p) for i, c in enumerate(phi)) % p == 0:
+                    return p, w
+        p -= n
 
-    g is Hermitian, so the coform of g s g is a* g = (g a)*: the conjugate of
-    the new root.  The root line alone therefore keys every conjugate."""
-    phi_g = _coform(a_g)
-    c = 2 / _dot(phi_g, a_g)
 
-    def act(a: Vec) -> Vec:
-        x = c * _dot(phi_g, a)
-        return _line(_axpy(x, a, a_g)) if x else a
+def _mul(u: np.ndarray, v: np.ndarray, power_rows: np.ndarray) -> np.ndarray:
+    """Products in Z[zeta] of power-basis coefficient arrays (last axis),
+    broadcast over the other axes: shifted multiply-adds, then each power
+    zeta^k, k >= d, folded in by its reduction row."""
+    d = u.shape[-1]
+    shape = np.broadcast_shapes(u.shape[:-1], v.shape[:-1]) + (2 * d - 1,)
+    out = np.zeros(shape, dtype=u.dtype)
+    for i in range(d):
+        out[..., i : i + d] += u[..., i, None] * v
+    for k in range(d, 2 * d - 1):
+        out[..., :d] += out[..., k, None] * power_rows[k]
+    return out[..., :d]
 
-    return act
+
+def _keys(vecs: np.ndarray, lead: np.ndarray, point: tuple[int, int]) -> list[tuple]:
+    """The residues mod p of each vector of vecs (lines, coordinates,
+    coefficients) at zeta = w, scaled so that coordinate lead is 1: equal
+    for two vectors on one line whenever that coordinate is a unit mod p."""
+    p, w = point
+    powers = np.array([pow(w, i, p) for i in range(vecs.shape[-1])], dtype=np.int64)
+    res = ((vecs % p).astype(np.int64) * powers % p).sum(-1) % p
+    heads = res[np.arange(len(vecs)), lead].tolist()
+    inverses = np.array([_inverse(h, p) for h in heads], dtype=np.int64)
+    return [tuple(k) for k in (res * inverses[:, None] % p).tolist()]
+
+
+def _inverse(h: int, p: int) -> int:
+    """h^-1 mod p, or 0 where h is not a unit: that vector gets no true key,
+    and the certificate decides its line."""
+    try:
+        return pow(h, -1, p)
+    except ValueError:
+        return 0
+
+
+def _propose(y: np.ndarray, lead: np.ndarray, index: dict, point: tuple[int, int]) -> list[int]:
+    """For each vector of y, the line whose residue key it shares; line 0
+    where none does.  Only a proposal: `_assemble` proves each one."""
+    return [index.get(key, 0) for key in _keys(y, lead, point)]
 
 
 def _reflection_matrix(a: Vec, phi: Vec) -> ExactMatrix:
@@ -185,28 +229,78 @@ def _assemble(
 
     The reflections are indexed by their sorted packed matrices.  Generators
     are taken greedily in index order: a reflection becomes a generator when
-    the closure so far misses it, and its conjugation row comes from
-    `_conjugator`; every row in the closure of the generators under
-    conjugation by them follows by integer work.  That closure lies in the
-    group the generators make, so once it is all of R they generate W."""
+    the closure so far misses it.  Every row in the closure of the
+    generators under conjugation by them follows by integer work; that
+    closure lies in the group the generators make, so once it is all of R
+    they generate W.
+
+    A generator's own row is the map from each root line a to the line of
+    g a, g = I - 2 a_g phi_g / nu, phi_g = a_g*, nu = phi_g a_g.  It is
+    computed for all n lines at once in integers.  X holds the lines over
+    one common denominator D, and Phi their coforms, as coefficient arrays
+    of shape (n, r, d) in the power basis of Z[zeta]; `_mul` forms their
+    products.  With z_a = Phi_g . X_a = D^2 (phi_g a), and z_g = D^2 nu,
+
+        Y_a = z_g X_a - 2 z_a X_g = D^3 nu (g a),
+
+    a nonzero multiple of g a, since nu != 0 and g is invertible.  Residues
+    mod p propose the image line t of each a (`_propose`); the proposal is
+    proven by the identity
+
+        D Y_a,j = Y_a,k X_t,j   for every coordinate j,
+
+    with k the first nonzero coordinate of Y_a.  It gives
+    Y_a = Y_a,k (X_t / D) = Y_a,k a_t with Y_a,k != 0, so g a lies on the
+    line a_t, and g s_a g = s_t: g is Hermitian, so the coform of g s_a g
+    is a* g = (g a)*, and the root line alone keys it.  A row whose
+    proposal fails is matched against every line by the same identity; a
+    row that matches none raises "not conjugation-closed".
+
+    The products run in int64 only when a bound on every value they reach,
+    computed in Python ints from the largest entries of X and Phi, d, r and
+    the reduction rows, is at most `_INT64_MAX`; otherwise the same code
+    runs on Python ints.  The residues stay below p^2 < 2^62 either way."""
     lines = {_line(a) for a in roots}
     if len(lines) != expected:
         raise ValueError(f"{name}: built {len(lines)} reflections, expected {expected}")
     coforms = {a: _coform(a) for a in lines}
     mats = {a: _reflection_matrix(a, phi) for a, phi in coforms.items()}
     ordered = sorted(lines, key=lambda a: _packed(mats[a]))
-    index = {a: i for i, a in enumerate(ordered)}
-    n = len(ordered)
+    n, r = len(ordered), len(ordered[0])
+    field = ordered[0][0].field
+    d = field.degree
+    vecs = (ordered, [coforms[a] for a in ordered])
+    den = lcm(*(e.den for v in vecs for a in v for e in a))
+    mx, mphi = (max(max(map(abs, e.num)) * den // e.den for a in v for e in a) for v in vecs)
+    # |a product| <= d |u| |v| before the fold, times `fold` after it
+    fold = 1 + (d - 1) * max(max(map(abs, row)) for row in field.power_rows)
+    mz = r * d * mphi * mx * fold
+    my = 3 * d * mz * mx * fold
+    dtype = np.int64 if max(den * my, d * my * mx * fold) <= _INT64_MAX else object
+    x, phi = (
+        np.array([[[c * den // e.den for c in e.num] for e in a] for a in v], dtype=dtype)
+        for v in vecs
+    )
+    power_rows = np.array(field.power_rows, dtype=dtype)
+    point = _residue_point(field.n)
+    lead = (x != 0).any(-1).argmax(-1)
+    index = {key: t for t, key in enumerate(_keys(x, lead, point))}
     rows: dict[int, tuple[int, ...]] = {}
     gens: list[int] = []
     for cand in range(n):
         if cand in rows:
             continue
-        act = _conjugator(ordered[cand])
-        row = tuple(index.get(act(a), -1) for a in ordered)
-        if -1 in row:
-            raise ValueError(f"{name}: reflection set is not conjugation-closed")
-        rows[cand] = row
+        z = _mul(phi[cand], x, power_rows).sum(1)
+        ys = _mul(z[cand], x, power_rows) - 2 * _mul(z[:, None], x[cand], power_rows)
+        k = (ys != 0).any(-1).argmax(-1)
+        image = np.array(_propose(ys, k, index, point))
+        ok = (_mul(ys[np.arange(n), k, None], x[image], power_rows) == den * ys).all((1, 2))
+        for a in np.flatnonzero(~ok):
+            match = (_mul(ys[a, k[a]], x, power_rows) == den * ys[a]).all((1, 2))
+            if not match.any():
+                raise ValueError(f"{name}: reflection set is not conjugation-closed")
+            image[a] = match.argmax()
+        rows[cand] = tuple(image.tolist())
         gens.append(cand)
         frontier = list(rows)
         while frontier:

@@ -2,6 +2,7 @@
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from crg.cyclotomic import cyclotomic_field
@@ -248,14 +249,16 @@ GROUP_SHA256 = {
     "I2(12)": "f3fa093573969cf6349cb25a32634b9fd9126e889d6544cf22ed3c7d5a08038d",
     "I2(13)": "18227d720edb9e0f94e67a6e1017523f90a15a9cca0935ce6e4f18025102086b",
     "I2(14)": "1120e4f25bd3c16a652ccfe12b9167331a3c00695640de29b697e7386b2c2e6d",
+    # CLI-reachable groups with large conductors that no fixture holds; the
+    # reduction rows of Phi_105 reach 2 in absolute value
+    "I2(97)": "3efcff3420df0e48153fba617b600961ffd776516f44da8d0015365f80125bb0",
+    "I2(199)": "e5964877c032bc4f15993224e66cb70e73a69145400dfcc5655195cea876f82f",
+    "G(105,105,2)": "3c548aca37fbb4252b01b1f9c1c9e8b2c5aa76e4f2e159bfe33c0b5c0fc947b3",
+    "G(200,200,2)": "2fdf8d724e5f285d72de8da244f994f56f2f63dbbf20f6fa16fd41bc58c01133",
 }
 
 
-@pytest.mark.parametrize("name", list(GROUP_SHA256))
-def test_group_matches_its_pinned_digest(name):
-    from crg.cli import build_group, parse_group
-
-    g = build_group(parse_group(name))
+def _digest(g):
     blob = repr(
         (
             g.name,
@@ -269,7 +272,14 @@ def test_group_matches_its_pinned_digest(name):
             g.generators,
         )
     )
-    assert hashlib.sha256(blob.encode()).hexdigest() == GROUP_SHA256[name]
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", list(GROUP_SHA256))
+def test_group_matches_its_pinned_digest(name):
+    from crg.cli import build_group, parse_group
+
+    assert _digest(build_group(parse_group(name))) == GROUP_SHA256[name]
 
 
 @pytest.mark.parametrize(
@@ -326,3 +336,69 @@ def test_line_keeps_a_vector_whose_lead_is_already_one():
     structure = [(c.num, c.den) for c in scaled]
     # 2i scales to 1, 2 to -i and i to 1/2
     assert structure == [((0, 0), 1), ((1, 0), 1), ((0, -1), 1), ((1, 0), 2)]
+
+
+# each group built anew, past the builders' caches, so that a patch of
+# `_assemble`'s helpers takes effect
+FRESH = {
+    "G22": lambda: build_exceptional.__wrapped__("G22"),
+    "H4": lambda: build_coxeter.__wrapped__("H4"),
+    "G(14,14,3)": lambda: build_series.__wrapped__(14, 14, 3),
+    "G(4,2,3)": lambda: build_series.__wrapped__(4, 2, 3),
+    "G24": lambda: build_exceptional.__wrapped__("G24"),
+}
+
+
+@pytest.mark.parametrize("name", ["G22", "H4", "G(14,14,3)"])
+def test_rows_on_python_ints_keep_the_digest(name, monkeypatch):
+    from crg import groups
+
+    dtypes = set()
+    mul = groups._mul
+
+    def recording(u, v, power_rows):
+        dtypes.add(u.dtype)
+        return mul(u, v, power_rows)
+
+    monkeypatch.setattr(groups, "_INT64_MAX", 1)
+    monkeypatch.setattr(groups, "_mul", recording)
+    assert _digest(FRESH[name]()) == GROUP_SHA256[name]
+    assert dtypes == {np.dtype(object)}
+
+
+@pytest.mark.parametrize("name", ["G(4,2,3)", "H4", "G24"])
+def test_a_wrong_proposal_is_mended_by_the_exact_retry(name, monkeypatch):
+    from crg import groups
+
+    propose = groups._propose
+
+    def rotated(*args):
+        image = propose(*args)
+        return image[1:] + image[:1]
+
+    monkeypatch.setattr(groups, "_propose", rotated)
+    assert _digest(FRESH[name]()) == GROUP_SHA256[name]
+
+
+def test_assemble_rejects_a_closed_set_minus_one_line_at_conductor_4():
+    from crg.groups import _assemble
+
+    roots = [refl.root for refl in build_series(4, 4, 3).reflections][1:]
+    with pytest.raises(ValueError, match="not conjugation-closed"):
+        _assemble("G(4,4,3) minus one", 3, 4, roots, len(roots))
+
+
+@pytest.mark.parametrize("n", [20, 105])
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_batched_product_matches_cycnum_multiplication(n, dtype):
+    from crg.cyclotomic import CycNum
+    from crg.groups import _mul
+
+    field = cyclotomic_field(n)
+    rng = np.random.default_rng(n)
+    u, v = (rng.integers(-50, 51, size=(6, 3, field.degree)) for _ in range(2))
+    got = _mul(u.astype(dtype), v.astype(dtype), np.array(field.power_rows, dtype=dtype))
+    for i in np.ndindex(u.shape[:-1]):
+        want = CycNum(field, u[i].tolist()) * CycNum(field, v[i].tolist())
+        assert want.den == 1
+        assert tuple(got[i].tolist()) == want.num
