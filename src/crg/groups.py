@@ -15,7 +15,7 @@ work."""
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, permutations
 from math import lcm
 from pathlib import Path
@@ -81,16 +81,26 @@ def _residue_point(n: int) -> tuple[int, int]:
 
 def _mul(u: np.ndarray, v: np.ndarray, power_rows: np.ndarray) -> np.ndarray:
     """Products in Z[zeta] of power-basis coefficient arrays (last axis),
-    broadcast over the other axes: shifted multiply-adds, then each power
-    zeta^k, k >= d, folded in by its reduction row."""
+    broadcast over the other axes: one shifted multiply-add per coefficient
+    that is nonzero somewhere in the smaller operand, then the powers
+    zeta^k, k >= d, that are nonzero somewhere folded in by one product with
+    their reduction rows."""
     d = u.shape[-1]
+    if u.size > v.size:
+        u, v = v, u
     shape = np.broadcast_shapes(u.shape[:-1], v.shape[:-1]) + (2 * d - 1,)
     out = np.zeros(shape, dtype=u.dtype)
-    for i in range(d):
+    for i in _nonzero_columns(u):
         out[..., i : i + d] += u[..., i, None] * v
-    for k in range(d, 2 * d - 1):
-        out[..., :d] += out[..., k, None] * power_rows[k]
+    high = _nonzero_columns(out[..., d:]) + d
+    if len(high):
+        out[..., :d] += out[..., high] @ power_rows[high]
     return out[..., :d]
+
+
+def _nonzero_columns(w: np.ndarray) -> np.ndarray:
+    """The indices along the last axis of w where some entry is nonzero."""
+    return w.any(tuple(range(w.ndim - 1))).nonzero()[0]
 
 
 def _keys(vecs: np.ndarray, lead: np.ndarray, point: tuple[int, int]) -> list[tuple]:
@@ -138,21 +148,45 @@ def _reflection_matrix(a: Vec, phi: Vec) -> ExactMatrix:
     return ExactMatrix(r, r, entries)
 
 
-def _packed(m: ExactMatrix) -> tuple:
-    """Least common denominator and integer coefficients of m; reflections
-    are indexed in the sorted order of these keys."""
-    den = lcm(*(e.den for e in m.entries))
-    return den, tuple(tuple(c * (den // e.den) for c in e.num) for e in m.entries)
+def _packed_keys(
+    x: np.ndarray,
+    phi: np.ndarray,
+    den: int,
+    field: CyclotomicField,
+    power_rows: np.ndarray,
+    bound: int,
+) -> np.ndarray:
+    """Each line's packed reflection matrix (L, K / g) of `_assemble` as one
+    integer row, from the lines x and coforms phi over den.  bound bounds
+    |C X_i Phi_j| / max|C|; the rows are int64 when x is and
+    bound max|C| + max E D^2 is at most `_INT64_MAX`, Python ints otherwise."""
+    n, r, _ = x.shape
+    nus = [tuple(nu) for nu in _mul(phi, x, power_rows).sum(1).tolist()]
+    scale = {nu: -2 * den**2 / CycNum(field, nu) for nu in set(nus)}  # C / E
+    ed2 = [scale[nu].den * den**2 for nu in nus]
+    mk = bound * max(max(map(abs, c.num)) for c in scale.values()) + max(ed2)
+    kt = np.int64 if x.dtype == np.int64 and mk <= _INT64_MAX else object
+    kx, kphi, krows = (w.astype(kt, copy=False) for w in (x, phi, power_rows))
+    c = np.array([scale[nu].num for nu in nus], dtype=kt)
+    k = _mul(_mul(c[:, None], kx, krows)[:, :, None], kphi[:, None], krows)
+    ed2 = np.array(ed2, dtype=kt)[:, None]
+    k[:, range(r), range(r), 0] += ed2
+    packed = np.concatenate([ed2, k.reshape(n, -1)], 1)
+    return packed // np.gcd.reduce(packed, 1)[:, None]
 
 
 class Reflection:
     """One order-2 reflection with its root line and defining linear form."""
 
-    def __init__(self, index: int, matrix: ExactMatrix, root: Vec, coform: Vec) -> None:
+    def __init__(self, index: int, root: Vec, coform: Vec) -> None:
         self.index = index
-        self.matrix = matrix
         self.root = root
         self.coform = coform
+
+    @cached_property
+    def matrix(self) -> ExactMatrix:
+        """I - 2 root (x) coform / (coform . root), built on first use."""
+        return _reflection_matrix(self.root, self.coform)
 
     def __repr__(self) -> str:
         return f"Reflection({self.index})"
@@ -227,19 +261,34 @@ def _assemble(
     """The group generated by the reflections with the given roots, which must
     be all of its reflections.
 
-    The reflections are indexed by their sorted packed matrices.  Generators
-    are taken greedily in index order: a reflection becomes a generator when
-    the closure so far misses it.  Every row in the closure of the
-    generators under conjugation by them follows by integer work; that
-    closure lies in the group the generators make, so once it is all of R
-    they generate W.
+    X holds the root lines over one common denominator D, and Phi their
+    coforms, as coefficient arrays of shape (n, r, d) in the power basis of
+    Z[zeta]; `_mul` forms their products.  The reflections are indexed by
+    their sorted packed matrices: the least common denominator L of the
+    entries of s_a = I - 2 a phi_a / nu_a, nu_a = phi_a a, then the integer
+    coefficients of L s_a, row by row.  The key comes from X and Phi in
+    integers.  With Phi_a . X_a = D^2 nu_a, write -2 D^2 / (D^2 nu_a) = C / E,
+    E a positive integer and C in Z[zeta] (one field inverse where nu_a is
+    irrational), so that
+
+        E D^2 s_a = K = E D^2 I + C X_a (x) Phi_a.
+
+    With g the gcd of E D^2 and every coefficient of K, s_a = (K / g) / L,
+    L = E D^2 / g.  Each entry's reduced denominator is L over the gcd of L
+    and that entry's coefficients in K / g, so their lcm is L over the gcd
+    of L and every coefficient of K / g, which is 1: the packed matrix is
+    (L, K / g), compared as one integer row.
+
+    Generators are taken greedily in index order: a reflection becomes a
+    generator when the closure so far misses it.  Every row in the closure
+    of the generators under conjugation by them follows by integer work;
+    that closure lies in the group the generators make, so once it is all
+    of R they generate W.
 
     A generator's own row is the map from each root line a to the line of
     g a, g = I - 2 a_g phi_g / nu, phi_g = a_g*, nu = phi_g a_g.  It is
-    computed for all n lines at once in integers.  X holds the lines over
-    one common denominator D, and Phi their coforms, as coefficient arrays
-    of shape (n, r, d) in the power basis of Z[zeta]; `_mul` forms their
-    products.  With z_a = Phi_g . X_a = D^2 (phi_g a), and z_g = D^2 nu,
+    computed for all n lines at once.  With z_a = Phi_g . X_a = D^2 (phi_g a),
+    and z_g = D^2 nu,
 
         Y_a = z_g X_a - 2 z_a X_g = D^3 nu (g a),
 
@@ -257,19 +306,18 @@ def _assemble(
     row that matches none raises "not conjugation-closed".
 
     The products run in int64 only when a bound on every value they reach,
-    computed in Python ints from the largest entries of X and Phi, d, r and
-    the reduction rows, is at most `_INT64_MAX`; otherwise the same code
-    runs on Python ints.  The residues stay below p^2 < 2^62 either way."""
-    lines = {_line(a) for a in roots}
+    computed in Python ints from the largest entries of X, Phi and C, the
+    largest E, D, d, r and the reduction rows, is at most `_INT64_MAX`;
+    otherwise the same code runs on Python ints.  The residues stay below
+    p^2 < 2^62 either way."""
+    lines = list({_line(a) for a in roots})
     if len(lines) != expected:
         raise ValueError(f"{name}: built {len(lines)} reflections, expected {expected}")
-    coforms = {a: _coform(a) for a in lines}
-    mats = {a: _reflection_matrix(a, phi) for a, phi in coforms.items()}
-    ordered = sorted(lines, key=lambda a: _packed(mats[a]))
-    n, r = len(ordered), len(ordered[0])
-    field = ordered[0][0].field
+    coforms = [_coform(a) for a in lines]
+    n, r = len(lines), len(lines[0])
+    field = lines[0][0].field
     d = field.degree
-    vecs = (ordered, [coforms[a] for a in ordered])
+    vecs = (lines, coforms)
     den = lcm(*(e.den for v in vecs for a in v for e in a))
     mx, mphi = (max(max(map(abs, e.num)) * den // e.den for a in v for e in a) for v in vecs)
     # |a product| <= d |u| |v| before the fold, times `fold` after it
@@ -282,6 +330,12 @@ def _assemble(
         for v in vecs
     )
     power_rows = np.array(field.power_rows, dtype=dtype)
+    # |C X| <= d max|C| mx fold, and |C X Phi| <= d |C X| mphi fold
+    packed = _packed_keys(x, phi, den, field, power_rows, d * d * mx * mphi * fold**2)
+    order = np.lexsort(packed.T[::-1])
+    ordered = [lines[i] for i in order]
+    coforms = [coforms[i] for i in order]
+    x, phi = x[order], phi[order]
     point = _residue_point(field.n)
     lead = (x != 0).any(-1).argmax(-1)
     index = {key: t for t, key in enumerate(_keys(x, lead, point))}
@@ -314,9 +368,7 @@ def _assemble(
                         rows[t] = tuple(row_g[row_y[row_g[s]]] for s in range(n))
                         fresh.append(t)
             frontier = fresh
-    reflections = tuple(
-        Reflection(i, mats[a], a, coforms[a]) for i, a in enumerate(ordered)
-    )
+    reflections = tuple(Reflection(i, a, coforms[i]) for i, a in enumerate(ordered))
     conj = tuple(rows[y] for y in range(n))
     return ReflectionGroupData(name, rank, conductor, reflections, conj, tuple(gens))
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .arrangement import FlatTable, codim2_flats, parabolic_reflections
-from .cyclotomic import cyclotomic_field
 from .groups import ReflectionGroupData, Refused, build_series, class_stats, k_c
 from .matrices import ExactMatrix
 from .quadratic import kernel_at
@@ -367,15 +366,26 @@ def dihedral_m0_check(e: int) -> bool:
         diff = _sparse_sum((bundle.n_cols[s], minus_s))
         if any(diff.get(u) != diff.get(0) for u in range(1, n)):
             return False
-    # (iii) chi_U(g) = #commuting reflections - 1 equals the character sum
-    field = cyclotomic_field(g.conductor)
-    elements = _closure([g.reflections[s].matrix for s in range(n)], g.rank, field)
-    refl_mats = [g.reflections[s].matrix for s in range(n)]
+    # (iii) chi_U(w) = #commuting reflections - 1 equals the character sum.
+    # The group acts on the e root lines by the conjugation-table rows, and
+    # for odd e faithfully (its centre is trivial), so its 2e elements are
+    # the closure of those permutations, and w commutes with s_u exactly
+    # when w fixes u.  Line u is (1, -zeta^-k(u)); the rotation
+    # diag(zeta^a, zeta^-a) moves every k by 2a, a reflection sends k to
+    # c - k for a constant c.
+    field = g.field
+    k_of = [next(k for k in range(e) if r.root[1] == -field.zeta(-k)) for r in g.reflections]
+    elements = frontier = {tuple(range(n))}
+    while frontier and len(elements) <= 2 * e:
+        frontier = {tuple(w[u] for u in row) for w in frontier for row in g.conj_table} - elements
+        elements = elements | frontier
+    if len(elements) != 2 * e:
+        return False
     for w in elements:
-        chi_u = sum(1 for m_s in refl_mats if w * m_s == m_s * w) - 1
-        if w[1, 0] == 0:
-            # w = diag(zeta^a, zeta^-a); read a off the top-left entry
-            a = next(k for k in range(e) if w[0, 0] == field.zeta(k))
+        chi_u = sum(1 for u in range(n) if w[u] == u) - 1
+        shifts = {(k_of[w[u]] - k_of[u]) % e for u in range(n)}
+        if len(shifts) == 1:
+            a = shifts.pop() * (e + 1) // 2 % e
             total = sum(
                 (
                     field.zeta((k * a) % e) + field.zeta((-k * a) % e)
@@ -383,24 +393,10 @@ def dihedral_m0_check(e: int) -> bool:
                 ),
                 field.zero(),
             )
-        else:
+        elif len({(k_of[w[u]] + k_of[u]) % e for u in range(n)}) == 1:
             total = field.zero()
+        else:
+            return False
         if total != chi_u:
             return False
     return True
-
-
-def _closure(generators, rank, field):
-    eye = ExactMatrix.identity(rank, field.one())
-    seen = {eye}
-    frontier = [eye]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for gen in generators:
-                prod = w * gen
-                if prod not in seen:
-                    seen.add(prod)
-                    nxt.append(prod)
-        frontier = nxt
-    return seen

@@ -1,6 +1,7 @@
 """Reflection group construction, conjugation tables, and class data."""
 
 import hashlib
+from math import lcm
 
 import numpy as np
 import pytest
@@ -173,9 +174,11 @@ def test_exceptional_groups_match_their_generator_matrices(name):
 
 # sha256 of every fixture group with a construction, named as parse_group
 # renders it, so the aliases G23, G28, G30 and G35-G37 give H3, F4, H4 and
-# E6-E8.  The digest covers the reflection matrices in index order, the roots, the coforms, the
-# conjugation table, the classes and the generators, so it pins the
-# reflection order rule (sorted packed matrices) and everything read from it.
+# E6-E8.  The digest covers the reflection matrices in index order, the
+# roots, the coforms, the conjugation table, the classes and the generators,
+# so it pins the reflection order (sorted packed matrices, which `_assemble`
+# reads from integer keys without building a matrix) and everything read
+# from it.
 GROUP_SHA256 = {
     "G(3,3,3)": "a386fd5aa0ae1dfc56f28ecf3aa048616993f81fdc984d2c8a2305c2c14e81f8",
     "G(4,4,3)": "4a2bcaeb69ac50028df76735f646f1ba65bf20ee4fde9b2fcc5101dafd08da95",
@@ -341,12 +344,45 @@ def test_line_keeps_a_vector_whose_lead_is_already_one():
 # each group built anew, past the builders' caches, so that a patch of
 # `_assemble`'s helpers takes effect
 FRESH = {
+    "G12": lambda: build_exceptional.__wrapped__("G12"),
+    "G13": lambda: build_exceptional.__wrapped__("G13"),
     "G22": lambda: build_exceptional.__wrapped__("G22"),
+    "H3": lambda: build_coxeter.__wrapped__("H3"),
     "H4": lambda: build_coxeter.__wrapped__("H4"),
     "G(14,14,3)": lambda: build_series.__wrapped__(14, 14, 3),
     "G(4,2,3)": lambda: build_series.__wrapped__(4, 2, 3),
+    "G(6,3,3)": lambda: build_series.__wrapped__(6, 3, 3),
     "G24": lambda: build_exceptional.__wrapped__("G24"),
 }
+
+
+def _packed(m):
+    """Least common denominator and integer coefficients of m, row by row."""
+    den = lcm(*(e.den for e in m.entries))
+    return den, tuple(tuple(c * (den // e.den) for c in e.num) for e in m.entries)
+
+
+# nu = phi . a is rational for the series groups and irrational for the
+# other six, which take the field-inverse route to their integer keys
+@pytest.mark.parametrize("name", ["H3", "H4", "G12", "G13", "G22", "G24", "G(6,3,3)"])
+def test_reflections_are_indexed_by_their_sorted_packed_matrices(name, monkeypatch):
+    from crg import groups
+
+    built = []
+    packed_keys = groups._packed_keys
+
+    def recording(*args):
+        built.append(packed_keys(*args))
+        return built[-1]
+
+    monkeypatch.setattr(groups, "_packed_keys", recording)
+    g = FRESH[name]()
+    keys = [_packed(r.matrix) for r in g.reflections]
+    assert sorted(range(g.size), key=keys.__getitem__) == list(range(g.size))
+    assert len(set(keys)) == g.size
+    # the integer rows `_assemble` sorts are these keys, flattened
+    flat = [[den] + [c for entry in entries for c in entry] for den, entries in keys]
+    assert sorted(built[0].tolist()) == flat
 
 
 @pytest.mark.parametrize("name", ["G22", "H4", "G(14,14,3)"])
@@ -354,16 +390,21 @@ def test_rows_on_python_ints_keep_the_digest(name, monkeypatch):
     from crg import groups
 
     dtypes = set()
+    ranks = set()
     mul = groups._mul
 
     def recording(u, v, power_rows):
-        dtypes.add(u.dtype)
-        return mul(u, v, power_rows)
+        dtypes.update((u.dtype, v.dtype, power_rows.dtype))
+        out = mul(u, v, power_rows)
+        ranks.add(out.ndim)
+        return out
 
     monkeypatch.setattr(groups, "_INT64_MAX", 1)
     monkeypatch.setattr(groups, "_mul", recording)
     assert _digest(FRESH[name]()) == GROUP_SHA256[name]
     assert dtypes == {np.dtype(object)}
+    # the sort keys' product C X_i (x) Phi_j is the only one of rank 4
+    assert 4 in ranks
 
 
 @pytest.mark.parametrize("name", ["G(4,2,3)", "H4", "G24"])
@@ -388,7 +429,27 @@ def test_assemble_rejects_a_closed_set_minus_one_line_at_conductor_4():
         _assemble("G(4,4,3) minus one", 3, 4, roots, len(roots))
 
 
-@pytest.mark.parametrize("n", [20, 105])
+def _operand_pairs(field, rng):
+    """Operand pairs for `_mul`: dense, one operand nonzero only in its
+    constant coefficient, a constant operand broadcast against the other,
+    and a pair whose products have no power zeta^k with k >= d."""
+    d = field.degree
+    dense = rng.integers(-50, 51, size=(6, 3, d))
+    rational = np.zeros((6, 3, d), dtype=np.int64)
+    rational[..., 0] = rng.integers(-50, 51, size=(6, 3))
+    low = np.zeros((6, 3, d), dtype=np.int64)
+    low[..., : (d + 1) // 2] = rng.integers(-50, 51, size=(6, 3, (d + 1) // 2))
+    return [
+        (dense, rng.integers(-50, 51, size=(6, 3, d))),
+        (rational, dense),
+        (dense, rational),
+        (dense[2, 1], dense),
+        (dense, dense[:, :1]),
+        (low, low[::-1]),
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 20, 105])
 @pytest.mark.parametrize("dtype", [np.int64, object])
 def test_batched_product_matches_cycnum_multiplication(n, dtype):
     from crg.cyclotomic import CycNum
@@ -396,9 +457,12 @@ def test_batched_product_matches_cycnum_multiplication(n, dtype):
 
     field = cyclotomic_field(n)
     rng = np.random.default_rng(n)
-    u, v = (rng.integers(-50, 51, size=(6, 3, field.degree)) for _ in range(2))
-    got = _mul(u.astype(dtype), v.astype(dtype), np.array(field.power_rows, dtype=dtype))
-    for i in np.ndindex(u.shape[:-1]):
-        want = CycNum(field, u[i].tolist()) * CycNum(field, v[i].tolist())
-        assert want.den == 1
-        assert tuple(got[i].tolist()) == want.num
+    rows = np.array(field.power_rows, dtype=dtype)
+    for u, v in _operand_pairs(field, rng):
+        got = _mul(u.astype(dtype), v.astype(dtype), rows)
+        u, v = np.broadcast_arrays(u, v)
+        assert got.shape == u.shape and got.dtype == np.dtype(dtype)
+        for i in np.ndindex(got.shape[:-1]):
+            want = CycNum(field, u[i].tolist()) * CycNum(field, v[i].tolist())
+            assert want.den == 1
+            assert tuple(got[i].tolist()) == want.num

@@ -1,11 +1,12 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from crg.arrangement import codim2_flats
 from crg import rep
 from crg.cli import build_group, parse_group
-from crg.groups import build_coxeter, build_series, k_c
+from crg.groups import ReflectionGroupData, build_coxeter, build_series, k_c
 from crg.matrices import ExactMatrix, rank_and_kernel
 from crg.rep import (
     DIHEDRAL_CHARACTER_NOTE,
@@ -316,13 +317,35 @@ def test_signed_permutation_model():
 
 
 def test_dihedral_zero_point():
-    for e in (3, 5, 7):
+    for e in (3, 5, 7, 9, 11):
         assert dihedral_m0_check(e)
     with pytest.raises(ValueError):
         dihedral_m0_check(4)
     with pytest.raises(ValueError):
         dihedral_m0_check(1)
     assert "rotations" in DIHEDRAL_CHARACTER_NOTE
+
+
+def _with_swapped_entries(g, cells):
+    """g with the conjugation-table entries at two (row, column) cells swapped."""
+    table = [list(row) for row in g.conj_table]
+    (y1, u1), (y2, u2) = cells
+    table[y1][u1], table[y2][u2] = table[y2][u2], table[y1][u1]
+    conj = tuple(map(tuple, table))
+    return ReflectionGroupData(g.name, g.rank, g.conductor, g.reflections, conj, g.generators)
+
+
+@pytest.mark.parametrize("e", [5, 7])
+def test_dihedral_zero_point_reads_the_conjugation_table(e, monkeypatch):
+    g = build_series(e, e, 2)
+    # two entries of one row, and two entries of one column: the column swap
+    # keeps every alpha, so the form kernel and N_s - s agree with the table,
+    # and only the group closed from the rows sees it
+    swaps = [((y, u), (y, v)) for y in range(e) for u, v in combinations(range(e), 2)]
+    swaps += [((y, u), (x, u)) for x, y in combinations(range(e), 2) for u in range(e)]
+    for cells in swaps:
+        monkeypatch.setattr(rep, "build_series", lambda *args: _with_swapped_entries(g, cells))
+        assert dihedral_m0_check(e) is False, cells
 
 
 def test_dihedral_zero_point_reads_the_form_kernel(monkeypatch):
