@@ -267,7 +267,7 @@ def _assemble(
     their sorted packed matrices: the least common denominator L of the
     entries of s_a = I - 2 a phi_a / nu_a, nu_a = phi_a a, then the integer
     coefficients of L s_a, row by row.  The key comes from X and Phi in
-    integers.  With Phi_a . X_a = D^2 nu_a, write -2 D^2 / (D^2 nu_a) = C / E,
+    integers.  Phi_a . X_a = D^2 nu_a; write -2 D^2 / (Phi_a . X_a) = C / E,
     E a positive integer and C in Z[zeta] (one field inverse where nu_a is
     irrational), so that
 

@@ -338,9 +338,9 @@ def _with_swapped_entries(g, cells):
 @pytest.mark.parametrize("e", [5, 7])
 def test_dihedral_zero_point_reads_the_conjugation_table(e, monkeypatch):
     g = build_series(e, e, 2)
-    # two entries of one row, and two entries of one column: the column swap
-    # keeps every alpha, so the form kernel and N_s - s agree with the table,
-    # and only the group closed from the rows sees it
+    # two entries of one row, and two entries of one column: a column swap
+    # keeps every alpha, and on many of them the form kernel and N_s - s
+    # still pass, so only the group closed from the rows sees those
     swaps = [((y, u), (y, v)) for y in range(e) for u, v in combinations(range(e), 2)]
     swaps += [((y, u), (x, u)) for x, y in combinations(range(e), 2) for u in range(e)]
     for cells in swaps:
