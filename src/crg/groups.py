@@ -5,21 +5,25 @@ class statistics.
 Every group is built one way, from its root lines.  An order-2 unitary
 reflection s = I - 2 a a* / (a* a) is fixed by its root line: a scaled so
 that its first nonzero coordinate is 1.  Its coform, the linear form a*, is
-the complex conjugate of the root.  The root of y s y is y a, so a few
-generating reflections act on all the lines at once by batched integer
-products in Z[zeta], each image line proposed by residues mod p and proven
-by one integer identity, and every other row of the conjugation table
-follows from sigma_{g y g} = sigma_g sigma_y sigma_g, which is integer
-work."""
+the complex conjugate of the root.  Each builder writes its roots as one
+integer coefficient array; the lines are scaled on that array, with one
+field inverse per distinct irrational lead, and conjugated in integers.  The
+root of y s y is y a, so a few generating reflections act on all the lines
+at once by batched integer products in Z[zeta], each image line proposed by
+residues mod p and proven by one integer identity, and every other row of
+the conjugation table follows from sigma_{g y g} = sigma_g sigma_y sigma_g,
+which is integer work.  A reflection's root, coform and matrix as field
+elements are built only when read."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from copy import copy
 from functools import cached_property, lru_cache
 from itertools import combinations, permutations
 from math import lcm
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,20 +37,17 @@ Vec = tuple[CycNum, ...]
 _INT64_MAX = 2**63 - 1
 
 
+def _dtype(bound: int) -> type:
+    """int64 when bound, a bound proven in Python ints on every value some
+    integer products reach, is at most `_INT64_MAX`; Python ints otherwise."""
+    return np.int64 if bound <= _INT64_MAX else object
+
+
 class Refused(ValueError):
     """A group, point or size that crg declines to decide: unsupported, outside
     a limit, or excluded.  The CLI reports it as refused input or as a skipped
     check, never as a failed claim; any other exception, such as a plain
     ValueError for a misused argument, is an internal error."""
-
-
-def _line(v: Sequence[CycNum]) -> Vec:
-    """v scaled so that its first nonzero coordinate is 1; v itself if it already is."""
-    lead = next(c for c in v if c)
-    if lead.den == 1 and lead.num[0] == 1 and not any(lead.num[1:]):
-        return tuple(v)
-    inv = 1 / lead
-    return tuple(c * inv for c in v)
 
 
 def _dot(u: Sequence[CycNum], v: Sequence[CycNum]) -> CycNum:
@@ -55,12 +56,6 @@ def _dot(u: Sequence[CycNum], v: Sequence[CycNum]) -> CycNum:
         if x and y:
             acc = acc + x * y
     return acc
-
-
-def _coform(a: Vec) -> Vec:
-    """The linear form of I - 2 a a* / (a* a): the complex conjugate of a,
-    which keeps each rational coordinate as it is."""
-    return tuple(x if x.is_rational() else x.conj() for x in a)
 
 
 @lru_cache(maxsize=None)
@@ -82,9 +77,7 @@ def _residue_point(n: int) -> tuple[int, int]:
 def _mul(u: np.ndarray, v: np.ndarray, power_rows: np.ndarray) -> np.ndarray:
     """Products in Z[zeta] of power-basis coefficient arrays (last axis),
     broadcast over the other axes: one shifted multiply-add per coefficient
-    that is nonzero somewhere in the smaller operand, then the powers
-    zeta^k, k >= d, that are nonzero somewhere folded in by one product with
-    their reduction rows."""
+    that is nonzero somewhere in the smaller operand, then `_fold`."""
     d = u.shape[-1]
     if u.size > v.size:
         u, v = v, u
@@ -92,10 +85,28 @@ def _mul(u: np.ndarray, v: np.ndarray, power_rows: np.ndarray) -> np.ndarray:
     out = np.zeros(shape, dtype=u.dtype)
     for i in _nonzero_columns(u):
         out[..., i : i + d] += u[..., i, None] * v
-    high = _nonzero_columns(out[..., d:]) + d
+    return _fold(out, power_rows)
+
+
+def _conjugate(x: np.ndarray, power_rows: np.ndarray, n: int) -> np.ndarray:
+    """Complex conjugates of power-basis coefficient arrays: x times the
+    d x d matrix whose rows are power_rows[-k % n], applied as the move of
+    each coefficient of zeta^k to zeta^(-k % n), then `_fold`."""
+    d = x.shape[-1]
+    w = np.zeros(x.shape[:-1] + (len(power_rows),), dtype=x.dtype)
+    w[..., -np.arange(d) % n] = x
+    return _fold(w, power_rows)
+
+
+def _fold(w: np.ndarray, power_rows: np.ndarray) -> np.ndarray:
+    """w, coefficients of zeta^0, zeta^1, ... on the last axis, in the power
+    basis: the powers zeta^k, k >= d, that are nonzero somewhere are folded
+    in by one product with their reduction rows.  Overwrites w."""
+    d = power_rows.shape[1]
+    high = _nonzero_columns(w[..., d:]) + d
     if len(high):
-        out[..., :d] += out[..., high] @ power_rows[high]
-    return out[..., :d]
+        w[..., :d] += w[..., high] @ power_rows[high]
+    return w[..., :d]
 
 
 def _nonzero_columns(w: np.ndarray) -> np.ndarray:
@@ -165,7 +176,7 @@ def _packed_keys(
     scale = {nu: -2 * den**2 / CycNum(field, nu) for nu in set(nus)}  # C / E
     ed2 = [scale[nu].den * den**2 for nu in nus]
     mk = bound * max(max(map(abs, c.num)) for c in scale.values()) + max(ed2)
-    kt = np.int64 if x.dtype == np.int64 and mk <= _INT64_MAX else object
+    kt = _dtype(mk) if x.dtype == np.int64 else object
     kx, kphi, krows = (w.astype(kt, copy=False) for w in (x, phi, power_rows))
     c = np.array([scale[nu].num for nu in nus], dtype=kt)
     k = _mul(_mul(c[:, None], kx, krows)[:, :, None], kphi[:, None], krows)
@@ -175,17 +186,41 @@ def _packed_keys(
     return packed // np.gcd.reduce(packed, 1)[:, None]
 
 
-class Reflection:
-    """One order-2 reflection with its root line and defining linear form."""
+class RootLines(NamedTuple):
+    """A group's root lines X and their coforms Phi: integer power-basis
+    coefficient arrays of shape (lines, r, d) over one denominator D."""
 
-    def __init__(self, index: int, root: Vec, coform: Vec) -> None:
+    x: np.ndarray
+    phi: np.ndarray
+    den: int
+    field: CyclotomicField
+
+    def vector(self, w: np.ndarray) -> Vec:
+        """One row of X or Phi as field elements."""
+        return tuple(CycNum(self.field, c, self.den) for c in w.tolist())
+
+
+class Reflection:
+    """One order-2 reflection; its root line, coform and matrix are built on
+    first use from the root arrays it shares with the rest of its group."""
+
+    def __init__(self, index: int, lines: RootLines) -> None:
         self.index = index
-        self.root = root
-        self.coform = coform
+        self.lines = lines
+
+    @cached_property
+    def root(self) -> Vec:
+        """The root line, scaled so that its first nonzero coordinate is 1."""
+        return self.lines.vector(self.lines.x[self.index])
+
+    @cached_property
+    def coform(self) -> Vec:
+        """The linear form of the reflection: the conjugate of the root."""
+        return self.lines.vector(self.lines.phi[self.index])
 
     @cached_property
     def matrix(self) -> ExactMatrix:
-        """I - 2 root (x) coform / (coform . root), built on first use."""
+        """I - 2 root (x) coform / (coform . root)."""
         return _reflection_matrix(self.root, self.coform)
 
     def __repr__(self) -> str:
@@ -248,6 +283,17 @@ class ReflectionGroupData:
     def size(self) -> int:
         return len(self.reflections)
 
+    @property
+    def lines(self) -> RootLines:
+        """The root lines and coforms, as integer arrays, that the reflections read."""
+        return self.reflections[0].lines
+
+    def renamed(self, name: str) -> ReflectionGroupData:
+        """This group under another name, sharing every table already computed."""
+        out = copy(self)
+        out.name = name
+        return out
+
     def commutes(self, s: int, u: int) -> bool:
         return self.conj_table[u][s] == s
 
@@ -255,21 +301,67 @@ class ReflectionGroupData:
         return f"ReflectionGroupData({self.name}: {self.size} reflections)"
 
 
+def _lines(
+    roots: np.ndarray, field: CyclotomicField, power_rows: np.ndarray, fold: int
+) -> tuple[np.ndarray, int]:
+    """The distinct lines of roots, whose rows are integer coefficient arrays
+    (r, d) of nonzero multiples of roots, as X over the least common
+    denominator D of the lines, each scaled so its first nonzero coordinate is 1.
+
+    A row a with lead h, its first nonzero coordinate, has the line a / h;
+    any denominator common to a and h cancels.  A rational h = c gives
+    M = sign(c) over E = |c|.  Otherwise h^-1 = M / E, one field inverse per
+    distinct h, and one batched product forms every M a.  With M a and E
+    divided by their gcd, E is the lcm of the reduced denominators of the
+    line's entries, so D is the lcm of the E.  That reduced form is unique
+    to the line, so rows on one line, such as a and -a, give equal rows."""
+    n, _, d = roots.shape
+    heads = roots[np.arange(n), (roots != 0).any(-1).argmax(-1)]
+    scale = np.zeros(heads.shape, dtype=object)
+    scale[:, 0] = np.sign(heads[:, 0])
+    dens = abs(heads[:, 0]).astype(object)
+    inverses: dict[tuple, CycNum] = {}
+    for i in np.flatnonzero((heads[:, 1:] != 0).any(1)):
+        h = tuple(heads[i].tolist())
+        if h not in inverses:
+            inverses[h] = CycNum(field, h).inverse()
+        scale[i], dens[i] = inverses[h].num, inverses[h].den
+    # |M a| <= d max|M| max|a| fold, as for every product of `_mul`
+    dt = _dtype(max(d * int(abs(scale).max()) * int(abs(roots).max()) * fold, max(dens)))
+    rows = power_rows.astype(dt, copy=False)
+    y = _mul(scale[:, None].astype(dt), roots.astype(dt, copy=False), rows)
+    dens = dens.astype(dt)
+    g = np.gcd.reduce(np.concatenate([dens[:, None], y.reshape(n, -1)], 1), 1)
+    y //= g[:, None, None]
+    dens //= g
+    den = lcm(*dens.tolist())
+    dt = _dtype(int(abs(y).max()) * den)
+    x = y.astype(dt, copy=False) * (den // dens.astype(dt, copy=False))[:, None, None]
+    first: dict[tuple, int] = {}
+    for i, row in enumerate(x.reshape(n, -1).tolist()):
+        first.setdefault(tuple(row), i)
+    return x[list(first.values())], den
+
+
 def _assemble(
-    name: str, rank: int, conductor: int, roots: Iterable[Vec], expected: int
+    name: str, rank: int, conductor: int, roots: np.ndarray, expected: int
 ) -> ReflectionGroupData:
     """The group generated by the reflections with the given roots, which must
-    be all of its reflections.
+    be all of its reflections: an integer coefficient array of shape
+    (roots, r, d) in the power basis of Z[zeta], each row any nonzero
+    multiple of a root, so several rows may lie on one line.
 
-    X holds the root lines over one common denominator D, and Phi their
-    coforms, as coefficient arrays of shape (n, r, d) in the power basis of
-    Z[zeta]; `_mul` forms their products.  The reflections are indexed by
-    their sorted packed matrices: the least common denominator L of the
-    entries of s_a = I - 2 a phi_a / nu_a, nu_a = phi_a a, then the integer
-    coefficients of L s_a, row by row.  The key comes from X and Phi in
-    integers.  Phi_a . X_a = D^2 nu_a; write -2 D^2 / (Phi_a . X_a) = C / E,
-    E a positive integer and C in Z[zeta] (one field inverse where nu_a is
-    irrational), so that
+    `_lines` scales each row to its line on that array: one field inverse
+    per distinct irrational lead, and none for a rational one.  X holds the
+    lines over their least common denominator D, and Phi their coforms, the
+    complex conjugates, X times the d x d matrix whose rows are
+    power_rows[-k % n] (`_conjugate`); `_mul` forms their products.  The
+    reflections are indexed by their sorted packed matrices: the least
+    common denominator L of the entries of s_a = I - 2 a phi_a / nu_a,
+    nu_a = phi_a a, then the integer coefficients of L s_a, row by row.  The
+    key comes from X and Phi in integers.  Phi_a . X_a = D^2 nu_a; write
+    -2 D^2 / (Phi_a . X_a) = C / E, E a positive integer and C in Z[zeta]
+    (one field inverse per distinct irrational nu_a), so that
 
         E D^2 s_a = K = E D^2 I + C X_a (x) Phi_a.
 
@@ -306,35 +398,33 @@ def _assemble(
     row that matches none raises "not conjugation-closed".
 
     The products run in int64 only when a bound on every value they reach,
-    computed in Python ints from the largest entries of X, Phi and C, the
-    largest E, D, d, r and the reduction rows, is at most `_INT64_MAX`;
-    otherwise the same code runs on Python ints.  The residues stay below
-    p^2 < 2^62 either way."""
-    lines = list({_line(a) for a in roots})
-    if len(lines) != expected:
-        raise ValueError(f"{name}: built {len(lines)} reflections, expected {expected}")
-    coforms = [_coform(a) for a in lines]
-    n, r = len(lines), len(lines[0])
-    field = lines[0][0].field
+    computed in Python ints from the largest entries of the roots, X, Phi,
+    M and C, the largest E, D, d, r and the reduction rows, is at most
+    `_INT64_MAX`; otherwise the same code runs on Python ints.  The
+    residues stay below p^2 < 2^62 either way.  The group keeps X, Phi and
+    D; each reflection's root and coform as field elements are built from
+    them when first read."""
+    field = cyclotomic_field(conductor)
     d = field.degree
-    vecs = (lines, coforms)
-    den = lcm(*(e.den for v in vecs for a in v for e in a))
-    mx, mphi = (max(max(map(abs, e.num)) * den // e.den for a in v for e in a) for v in vecs)
-    # |a product| <= d |u| |v| before the fold, times `fold` after it
-    fold = 1 + (d - 1) * max(max(map(abs, row)) for row in field.power_rows)
+    power_rows = np.array(field.power_rows)
+    # |a product| <= d |u| |v| before the fold, times `fold` after it, and
+    # |a conjugate| <= |x| fold
+    fold = 1 + (d - 1) * int(abs(power_rows).max())
+    x, den = _lines(roots, field, power_rows, fold)
+    n, r, _ = x.shape
+    if n != expected:
+        raise ValueError(f"{name}: built {n} reflections, expected {expected}")
+    mx = int(abs(x).max())
+    ct = _dtype(mx * fold)
+    phi = _conjugate(x.astype(ct, copy=False), power_rows.astype(ct, copy=False), field.n)
+    mphi = int(abs(phi).max())
     mz = r * d * mphi * mx * fold
     my = 3 * d * mz * mx * fold
-    dtype = np.int64 if max(den * my, d * my * mx * fold) <= _INT64_MAX else object
-    x, phi = (
-        np.array([[[c * den // e.den for c in e.num] for e in a] for a in v], dtype=dtype)
-        for v in vecs
-    )
-    power_rows = np.array(field.power_rows, dtype=dtype)
+    dtype = _dtype(max(den * my, d * my * mx * fold))
+    x, phi, power_rows = (w.astype(dtype, copy=False) for w in (x, phi, power_rows))
     # |C X| <= d max|C| mx fold, and |C X Phi| <= d |C X| mphi fold
     packed = _packed_keys(x, phi, den, field, power_rows, d * d * mx * mphi * fold**2)
     order = np.lexsort(packed.T[::-1])
-    ordered = [lines[i] for i in order]
-    coforms = [coforms[i] for i in order]
     x, phi = x[order], phi[order]
     point = _residue_point(field.n)
     lead = (x != 0).any(-1).argmax(-1)
@@ -368,17 +458,10 @@ def _assemble(
                         rows[t] = tuple(row_g[row_y[row_g[s]]] for s in range(n))
                         fresh.append(t)
             frontier = fresh
-    reflections = tuple(Reflection(i, a, coforms[i]) for i, a in enumerate(ordered))
+    lines = RootLines(x, phi, den, field)
+    reflections = tuple(Reflection(i, lines) for i in range(n))
     conj = tuple(rows[y] for y in range(n))
     return ReflectionGroupData(name, rank, conductor, reflections, conj, tuple(gens))
-
-
-def _root_of_unity(field: CyclotomicField, m_param: int, k: int) -> CycNum:
-    """zeta_{m_param}^k in field."""
-    if field.n == m_param:
-        return field.zeta(k)
-    # conductor 1 hosts m_param = 2
-    return field.from_rational(-1 if k % 2 else 1)
 
 
 def series_size(m_param: int, p: int, r: int) -> int:
@@ -397,76 +480,75 @@ def build_series(m_param: int, p: int, r: int) -> ReflectionGroupData:
         raise Refused("unsupported pseudo-reflection series")
     conductor = m_param if m_param > 2 else 1
     field = cyclotomic_field(conductor)
-    zero = field.zero()
-    one = field.one()
-
-    def vec(entries: dict[int, CycNum]) -> Vec:
-        return tuple(entries.get(b, zero) for b in range(r))
-
-    roots = [
-        # zeta^k at (i, j) and zeta^-k at (j, i)
-        vec({i: one, j: -_root_of_unity(field, m_param, -k)})
-        for i in range(r)
-        for j in range(i + 1, r)
-        for k in range(m_param)
-    ]
+    d = field.degree
+    # zeta_m^-k; conductor 1 hosts m_param <= 2, where zeta_2 = -1
+    units = [field.power_rows[-k % m_param] if d > 1 else ((-1) ** k,) for k in range(m_param)]
+    # e_i - zeta^-k e_j: zeta^k at (i, j) and zeta^-k at (j, i), over D = 1
+    i, j = np.triu_indices(r, 1)
+    roots = np.zeros((len(i), m_param, r, d), dtype=np.int64)
+    roots[np.arange(len(i)), :, i, 0] = 1
+    roots[np.arange(len(i)), :, j] = np.negative(units)
+    roots = roots.reshape(-1, r, d)
     if m_param // p == 2:
-        roots += [vec({i: one}) for i in range(r)]
+        roots = np.concatenate([roots, _coordinate_roots(r, 1, d)])
     return _assemble(f"G({m_param},{p},{r})", r, conductor, roots, series_size(m_param, p, r))
 
 
-def _signs(base: Sequence[CycNum]) -> list[Vec]:
-    """base under every choice of sign of its nonzero coordinates."""
-    out: list[Vec] = [()]
-    for x in base:
-        out = [v + (y,) for v in out for y in ((x, -x) if x else (x,))]
+def _signs(base: np.ndarray) -> np.ndarray:
+    """base, a (coordinates, coefficients) array, under every choice of sign
+    of its nonzero coordinates."""
+    out = base[None]
+    for i in np.flatnonzero(base.any(1)):
+        flipped = out.copy()
+        flipped[:, i] *= -1
+        out = np.concatenate([out, flipped])
     return out
 
 
-def _coordinate_roots(field: CyclotomicField, n: int, support: int) -> list[Vec]:
-    """+-e_i (support 1) or +-e_i +- e_j (support 2) in field^n."""
-    one, zero = field.one(), field.zero()
-    return [
-        v
-        for idx in combinations(range(n), support)
-        for v in _signs(tuple(one if k in idx else zero for k in range(n)))
-    ]
+def _coordinate_roots(n: int, support: int, d: int = 1) -> np.ndarray:
+    """+-e_i (support 1) or +-e_i +- e_j (support 2) in Q(zeta)^n, as
+    coefficient arrays of degree d over D = 2."""
+    out = []
+    for idx in combinations(range(n), support):
+        base = np.zeros((n, d), dtype=np.int64)
+        base[list(idx), 0] = 2
+        out.append(_signs(base))
+    return np.concatenate(out)
 
 
-def _h_series_roots(rank: int) -> list[Vec]:
-    """Icosahedral root systems over Q(zeta_5)."""
-    f = cyclotomic_field(5)
-    tau = -f.zeta(2) - f.zeta(3)
-    half = f.from_rational(Fraction(1, 2))
-    golden = (tau * half, half, (tau - 1) * half)  # tau - 1 = 1/tau
-    roots = _coordinate_roots(f, rank, 1)
+def _h_series_roots(rank: int) -> np.ndarray:
+    """Icosahedral root systems over Q(zeta_5), over D = 2."""
+    # 2 (tau / 2, 1 / 2, (tau - 1) / 2) for tau = -zeta^2 - zeta^3, the golden ratio
+    golden = np.array([[0, 0, -1, -1], [1, 0, 0, 0], [-1, 0, -1, -1]])
+    roots = _coordinate_roots(rank, 1, 4)
     if rank == 3:
         # cyclic permutations only
-        return roots + [v[-k:] + v[:-k] for v in _signs(golden) for k in range(3)]
+        return np.concatenate([roots] + [np.roll(_signs(golden), k, 1) for k in range(3)])
     # the even permutations: an even number of inversions
     evens = [
         p for p in permutations(range(4)) if sum(a > b for a, b in combinations(p, 2)) % 2 == 0
     ]
-    golden4 = [tuple(v[i] for i in p) for v in _signs(golden + (f.zero(),)) for p in evens]
-    return roots + _signs((half,) * 4) + golden4
+    golden4 = _signs(np.concatenate([golden, np.zeros((1, 4), dtype=np.int64)]))[:, evens]
+    halves = _signs(np.eye(1, 4, dtype=np.int64).repeat(4, 0))
+    return np.concatenate([roots, halves, golden4.reshape(-1, 4, 4)])
 
 
-def _e_series_roots(kind: str) -> list[Vec]:
-    """E8 roots over Q; E7 is cut out by orthogonality to e_6 + e_7, and E6
-    by orthogonality to e_5 + e_6 too (coordinates counted from 0)."""
-    f = cyclotomic_field(1)
-    half = f.from_rational(Fraction(1, 2))
+def _e_series_roots(kind: str) -> np.ndarray:
+    """E8 roots over Q, over D = 2; E7 is cut out by orthogonality to
+    e_6 + e_7, and E6 by orthogonality to e_5 + e_6 too (coordinates counted
+    from 0)."""
+    halves = _signs(np.ones((8, 1), dtype=np.int64))
     # (+-1/2, ..., +-1/2) with an even number of minus signs
-    evens = [v for v in _signs((half,) * 8) if sum(1 for x in v if x != half) % 2 == 0]
-    cut = {"E8": (), "E7": ((6, 7),), "E6": ((6, 7), (5, 6))}[kind]
-    roots = _coordinate_roots(f, 8, 2) + evens
-    return [r for r in roots if all(not r[i] + r[j] for i, j in cut)]
+    roots = np.concatenate([_coordinate_roots(8, 2), halves[(halves < 0).sum((1, 2)) % 2 == 0]])
+    for i, j in {"E8": (), "E7": ((6, 7),), "E6": ((6, 7), (5, 6))}[kind]:
+        roots = roots[roots[:, i, 0] == -roots[:, j, 0]]
+    return roots
 
 
-def _f4_roots() -> list[Vec]:
-    f = cyclotomic_field(1)
-    halves = _signs((f.from_rational(Fraction(1, 2)),) * 4)
-    return _coordinate_roots(f, 4, 1) + _coordinate_roots(f, 4, 2) + halves
+def _f4_roots() -> np.ndarray:
+    """F4 roots over Q, over D = 2."""
+    halves = _signs(np.ones((4, 1), dtype=np.int64))
+    return np.concatenate([_coordinate_roots(4, 1), _coordinate_roots(4, 2), halves])
 
 
 _ROOT_SYSTEM_SIZES = {"H3": 15, "H4": 60, "F4": 24, "E6": 36, "E7": 63, "E8": 120}
@@ -505,18 +587,7 @@ def build_coxeter(kind: str, rank: int | None = None) -> ReflectionGroupData:
         return _assemble(kind, n, 1, roots, _ROOT_SYSTEM_SIZES[kind])
     else:
         raise Refused(f"unsupported type {kind!r}")
-    label = f"{kind}{rank}" if kind != "I2" else f"I2({rank})"
-    return ReflectionGroupData(
-        label, g.rank, g.conductor, g.reflections, g.conj_table, g.generators
-    )
-
-
-def _lift(x: CycNum, field: CyclotomicField) -> CycNum:
-    """x in Q(zeta_k) as an element of Q(zeta_n), k | n, zeta_k = zeta_n^(n/k)."""
-    step = field.n // x.field.n
-    coeffs = [0] * ((x.field.degree - 1) * step + 1)
-    coeffs[::step] = x.coeffs
-    return field.from_fractions(coeffs)
+    return g.renamed(f"{kind}{rank}" if kind != "I2" else f"I2({rank})")
 
 
 def _quaternion_roots(field: CyclotomicField, pure: Iterable[Vec]) -> list[Vec]:
@@ -532,10 +603,10 @@ def _pure_octahedral(field: CyclotomicField, with_2t: bool) -> list[Vec]:
     the short roots, 2T, those of 2O."""
     inv_sqrt2 = 1 / (field.zeta(1) - field.zeta(3))
     out = []
-    for a, *q in _f4_roots():
+    for a, *q in _f4_roots()[..., 0].tolist():
         if a:
             continue
-        q = [_lift(x, field) for x in q]
+        q = [field.from_rational(Fraction(x, 2)) for x in q]
         if sum(1 for x in q if x) == 2:
             out.append(tuple(inv_sqrt2 * x for x in q))
         elif with_2t:
@@ -547,11 +618,13 @@ def _pure_icosians(field: CyclotomicField) -> list[Vec]:
     """The pure elements of 2I: the H4 roots with second coordinate 0, in
     Q(zeta_20).  Reading that coordinate as the real part swaps two
     coordinates, which undoes the mirror image `_h_series_roots` builds."""
-    return [
-        tuple(_lift(x, field) for x in (a, c, d))
-        for a, b, c, d in _h_series_roots(4)
-        if not b
-    ]
+    pad = (0,) * (field.n // 5 - 1)
+
+    def lift(x: list[int]) -> CycNum:
+        # zeta_5 = zeta_n^(n/5), and the H4 roots are over D = 2
+        return CycNum(field, field.reduce([c for k in x for c in (k, *pad)]), 2)
+
+    return [tuple(map(lift, (a, c, d))) for a, b, c, d in _h_series_roots(4).tolist() if not any(b)]
 
 
 def _klein_roots(field: CyclotomicField) -> list[Vec]:
@@ -579,13 +652,21 @@ EXCEPTIONAL: dict[str, tuple[int, int, int, Callable[[CyclotomicField], list[Vec
 }
 
 
+def _root_array(roots: Sequence[Vec]) -> np.ndarray:
+    """Roots given as field elements, as the integer coefficient array that
+    `_assemble` takes: each root over the common denominator of all."""
+    den = lcm(*(e.den for a in roots for e in a))
+    return np.array([[[c * (den // e.den) for c in e.num] for e in a] for a in roots])
+
+
 @lru_cache(maxsize=None)
 def build_exceptional(name: str) -> ReflectionGroupData:
     """An exceptional unitary group of EXCEPTIONAL from its root lines."""
     if name not in EXCEPTIONAL:
         raise Refused(f"no construction for {name}")
     rank, conductor, count, roots = EXCEPTIONAL[name]
-    return _assemble(name, rank, conductor, roots(cyclotomic_field(conductor)), count)
+    field = cyclotomic_field(conductor)
+    return _assemble(name, rank, conductor, _root_array(roots(field)), count)
 
 
 def data_dir() -> Path:

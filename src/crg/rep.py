@@ -370,11 +370,12 @@ def dihedral_m0_check(e: int) -> bool:
     # The group acts on the e root lines by the conjugation-table rows, and
     # for odd e faithfully (its centre is trivial), so its 2e elements are
     # the closure of those permutations, and w commutes with s_u exactly
-    # when w fixes u.  Line u is (1, -zeta^-k(u)); the rotation
-    # diag(zeta^a, zeta^-a) moves every k by 2a, a reflection sends k to
-    # c - k for a constant c.
-    field = g.field
-    k_of = [next(k for k in range(e) if r.root[1] == -field.zeta(-k)) for r in g.reflections]
+    # when w fixes u.  Line u is (1, -zeta^-k(u)), read off coordinate 1 of
+    # the root array; the rotation diag(zeta^a, zeta^-a) moves every k by 2a,
+    # a reflection sends k to c - k for a constant c.
+    field, lines = g.field, g.lines
+    label = {tuple(-lines.den * c for c in field.power_rows[-k % e]): k for k in range(e)}
+    k_of = [label[tuple(c)] for c in lines.x[:, 1].tolist()]
     elements = frontier = {tuple(range(n))}
     while frontier and len(elements) <= 2 * e:
         frontier = {tuple(w[u] for u in row) for w in frontier for row in g.conj_table} - elements

@@ -6,7 +6,7 @@ from math import lcm
 import numpy as np
 import pytest
 
-from crg.cyclotomic import cyclotomic_field
+from crg.cyclotomic import CycNum, cyclotomic_field
 from crg.groups import (
     alpha,
     build_coxeter,
@@ -308,36 +308,44 @@ def test_conj_table_matches_matrix_conjugation(name):
 
 
 def test_assemble_rejects_a_set_not_closed_under_conjugation():
-    from crg.groups import _assemble
+    from crg.groups import _assemble, _root_array
 
     q = cyclotomic_field(1)
     roots = [tuple(q.from_rational(x) for x in r) for r in ((1, -1, 0), (0, 1, -1))]
     with pytest.raises(ValueError, match="not conjugation-closed"):
-        _assemble("A2 minus one", 3, 1, roots, 2)
+        _assemble("A2 minus one", 3, 1, _root_array(roots), 2)
 
 
 def test_assemble_refuses_a_wrong_reflection_count():
-    from crg.groups import _assemble
+    from crg.groups import _assemble, _root_array
 
     q = cyclotomic_field(1)
     roots = [
         tuple(q.from_rational(x) for x in r) for r in ((1, -1, 0), (0, 1, -1), (1, 0, -1))
     ]
     with pytest.raises(ValueError, match="A2: built 3 reflections, expected 4"):
-        _assemble("A2", 3, 1, roots, 4)
+        _assemble("A2", 3, 1, _root_array(roots), 4)
 
 
 def test_line_keeps_a_vector_whose_lead_is_already_one():
-    from crg.groups import _line
+    from crg.groups import _lines, _root_array
 
     q = cyclotomic_field(4)
     i, zero, two = q.zeta(1), q.zero(), q.from_rational(2)
+    rows = np.array(q.power_rows)
+
+    def line(v):
+        x, den = _lines(_root_array([v]), q, rows, 2)
+        return den, [CycNum(q, c, den) for c in x[0].tolist()]
+
     v = [zero, q.one(), i, -two]
-    # the same coordinate objects come back, so nothing was rescaled
-    assert all(a is b for a, b in zip(_line(v), v))
-    scaled = _line([zero, two * i, two, i])
+    # the same coefficients come back over D = 1, so nothing was rescaled,
+    # and twice v reduces to the same line over the same least D
+    assert line(v) == line([2 * c for c in v]) == (1, v)
+    den, scaled = line([zero, two * i, two, i])
     structure = [(c.num, c.den) for c in scaled]
     # 2i scales to 1, 2 to -i and i to 1/2
+    assert den == 2
     assert structure == [((0, 0), 1), ((1, 0), 1), ((0, -1), 1), ((1, 0), 2)]
 
 
@@ -422,11 +430,48 @@ def test_a_wrong_proposal_is_mended_by_the_exact_retry(name, monkeypatch):
 
 
 def test_assemble_rejects_a_closed_set_minus_one_line_at_conductor_4():
-    from crg.groups import _assemble
+    from crg.groups import _assemble, _root_array
 
     roots = [refl.root for refl in build_series(4, 4, 3).reflections][1:]
     with pytest.raises(ValueError, match="not conjugation-closed"):
-        _assemble("G(4,4,3) minus one", 3, 4, roots, len(roots))
+        _assemble("G(4,4,3) minus one", 3, 4, _root_array(roots), len(roots))
+
+
+@pytest.mark.parametrize("name", ["G(6,3,3)", "H4", "G22"])
+def test_a_fresh_build_reads_no_root_as_field_elements(name):
+    g = FRESH[name]()
+    assert not any({"root", "coform"} & vars(r).keys() for r in g.reflections)
+    # built on first read, from the group's arrays
+    assert g.reflections[0].root[0] == 1
+    assert "root" in vars(g.reflections[0])
+
+
+@pytest.mark.parametrize("name", ["H4", "G22"])
+def test_a_build_inverts_each_distinct_lead_once(name, monkeypatch):
+    from crg import groups
+    from crg.groups import EXCEPTIONAL, _dot, _h_series_roots, _root_array
+
+    inverted = []
+    inverse = CycNum.inverse
+
+    def recording(x):
+        inverted.append(x)
+        return inverse(x)
+
+    if name == "H4":
+        roots = _h_series_roots(4)
+    else:
+        rank, conductor, count, make = EXCEPTIONAL[name]
+        roots = _root_array(make(cyclotomic_field(conductor)))
+    monkeypatch.setattr(groups.CycNum, "inverse", recording)
+    g = FRESH[name]()
+    monkeypatch.undo()
+    heads = roots[np.arange(len(roots)), (roots != 0).any(-1).argmax(-1)]
+    leads = {tuple(h) for h in heads.tolist() if any(h[1:])}
+    nus = {_dot(r.coform, r.root) for r in g.reflections}
+    # one inverse per distinct irrational lead, and one per distinct nu
+    assert len(set(inverted)) == len(inverted) <= len(leads) + len(nus)
+    assert len(leads) > 1
 
 
 def _operand_pairs(field, rng):

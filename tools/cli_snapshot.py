@@ -32,6 +32,8 @@ def commands() -> list[list[str]]:
         *(["discriminants", "--group", group, "--format", "json"] for group in groups),
         *(["verify", "--group", group, "--suite", "all"] for group in ("A3", "B3", "I2(5)", "G(3,3,4)", "G24")),
         *(["verify", "--group", group, "--suite", "tensor"] for group in ("G(9,9,3)", "E6", "G(13,13,3)")),
+        # codim2_flats and parabolic_reflections on the two largest root systems
+        *(["verify", "--group", group, "--suite", "parabolic"] for group in ("E7", "H4")),
         ["verify", "--group", "I2(9)", "--suite", "dihedral"],
         ["discriminants", "--group", "I2(199)", "--format", "json"],
         ["conjecture"],
