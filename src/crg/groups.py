@@ -91,9 +91,9 @@ def _mul(u: np.ndarray, v: np.ndarray, power_rows: np.ndarray) -> np.ndarray:
 def _conjugate(x: np.ndarray, power_rows: np.ndarray, n: int) -> np.ndarray:
     """Complex conjugates of power-basis coefficient arrays: x times the
     d x d matrix whose rows are power_rows[-k % n], applied as the move of
-    each coefficient of zeta^k to zeta^(-k % n), then `_fold`."""
+    each coefficient of zeta^k to zeta^(-k % n) < n, then `_fold`."""
     d = x.shape[-1]
-    w = np.zeros(x.shape[:-1] + (len(power_rows),), dtype=x.dtype)
+    w = np.zeros(x.shape[:-1] + (n,), dtype=x.dtype)
     w[..., -np.arange(d) % n] = x
     return _fold(w, power_rows)
 
@@ -114,14 +114,20 @@ def _nonzero_columns(w: np.ndarray) -> np.ndarray:
     return w.any(tuple(range(w.ndim - 1))).nonzero()[0]
 
 
-def _keys(vecs: np.ndarray, lead: np.ndarray, point: tuple[int, int]) -> list[tuple]:
-    """The residues mod p of each vector of vecs (lines, coordinates,
-    coefficients) at zeta = w, scaled so that coordinate lead is 1: equal
-    for two vectors on one line whenever that coordinate is a unit mod p."""
+def _residues(vecs: np.ndarray, point: tuple[int, int]) -> np.ndarray:
+    """The images mod p of power-basis coefficient arrays (last axis) under
+    the ring map zeta -> w of `_residue_point`, as int64 below p: every
+    product stays below p^2 < 2^62."""
     p, w = point
     powers = np.array([pow(w, i, p) for i in range(vecs.shape[-1])], dtype=np.int64)
-    res = ((vecs % p).astype(np.int64) * powers % p).sum(-1) % p
-    heads = res[np.arange(len(vecs)), lead].tolist()
+    return ((vecs % p).astype(np.int64) * powers % p).sum(-1) % p
+
+
+def _keys(res: np.ndarray, lead: np.ndarray, p: int) -> list[tuple]:
+    """Each row of res, residues mod p of the vectors (`_residues`), scaled
+    so that coordinate lead is 1: equal for two vectors on one line whenever
+    that coordinate is a unit mod p."""
+    heads = res[np.arange(len(res)), lead].tolist()
     inverses = np.array([_inverse(h, p) for h in heads], dtype=np.int64)
     return [tuple(k) for k in (res * inverses[:, None] % p).tolist()]
 
@@ -138,7 +144,7 @@ def _inverse(h: int, p: int) -> int:
 def _propose(y: np.ndarray, lead: np.ndarray, index: dict, point: tuple[int, int]) -> list[int]:
     """For each vector of y, the line whose residue key it shares; line 0
     where none does.  Only a proposal: `_assemble` proves each one."""
-    return [index.get(key, 0) for key in _keys(y, lead, point)]
+    return [index.get(key, 0) for key in _keys(_residues(y, point), lead, point[0])]
 
 
 def _reflection_matrix(a: Vec, phi: Vec) -> ExactMatrix:
@@ -428,7 +434,7 @@ def _assemble(
     x, phi = x[order], phi[order]
     point = _residue_point(field.n)
     lead = (x != 0).any(-1).argmax(-1)
-    index = {key: t for t, key in enumerate(_keys(x, lead, point))}
+    index = {key: t for t, key in enumerate(_keys(_residues(x, point), lead, point[0]))}
     rows: dict[int, tuple[int, ...]] = {}
     gens: list[int] = []
     for cand in range(n):
@@ -478,6 +484,8 @@ def build_series(m_param: int, p: int, r: int) -> ReflectionGroupData:
         raise Refused(f"G({m_param},{p},{r}): p must divide m")
     if m_param // p not in (1, 2):
         raise Refused("unsupported pseudo-reflection series")
+    if not series_size(m_param, p, r):
+        raise Refused(f"G({m_param},{p},{r}) has no reflections")
     conductor = m_param if m_param > 2 else 1
     field = cyclotomic_field(conductor)
     d = field.degree

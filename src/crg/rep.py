@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
+
 from .arrangement import FlatTable, codim2_flats, parabolic_reflections
 from .groups import ReflectionGroupData, Refused, build_series, class_stats, k_c
 from .matrices import ExactMatrix
@@ -213,14 +215,6 @@ def _orbit(g: ReflectionGroupData, table: FlatTable, idx: int, x: int) -> set[tu
     return orbit
 
 
-def _moves_to(bundle: RepBundle, w: int, s: int) -> bool:
-    """The permutation action of w carries N_s to N_{wsw}."""
-    conj = bundle.group.conj_table[w]
-    cols = bundle.n_cols[s].items()
-    moved = {conj[u]: {conj[row]: val for row, val in col.items()} for u, col in cols}
-    return moved == bundle.n_cols[conj[s]]
-
-
 def check_equivariance(bundle: RepBundle) -> CheckResult:
     """Conjugating t_s by the permutation action of w gives t_{wsw}, for all w.
 
@@ -234,11 +228,35 @@ def check_equivariance(bundle: RepBundle) -> CheckResult:
 
 
 def _equivariance(bundle: RepBundle) -> CheckResult:
+    """The check on integer arrays: C, the conjugation table (C[s, u] = sus),
+    and alpha, with pi = C[w].
+
+    Column u != s of N_s holds 1 at row C[s, u] and -alpha(s, u) at row s,
+    and these rows differ because C[s] is a permutation that fixes s; column
+    s is zero. The permutation action of w sends entry (i, u) to (pi(i),
+    pi(u)), so it carries N_s to N_{pi(s)} exactly when, for every u != s,
+
+        pi(C[s, u]) = C[pi(s), pi(u)]   and   alpha(s, u) = alpha(pi(s), pi(u)),
+
+    that is pi o C = C[pi, pi] and alpha = alpha[pi, pi] off the diagonal,
+    compared row s by row s.
+    """
     n = bundle.size
-    if all(_moves_to(bundle, w, s) for w in bundle.group.generators for s in range(n)):
+    conj = np.array(bundle.group.conj_table)
+    alpha = np.array(bundle.alpha)
+    alpha[range(n), range(n)] = 0  # pi maps the diagonal onto itself
+
+    def failing(w: int) -> np.ndarray:
+        pi = conj[w]
+        moved = (pi[conj] != conj[pi][:, pi]) | (alpha != alpha[pi][:, pi])
+        return moved.any(1)
+
+    if not any(failing(w).any() for w in bundle.group.generators):
         return CheckResult(True)
-    failures = ((w, s) for w in range(n) for s in range(n) if not _moves_to(bundle, w, s))
-    return CheckResult(False, next(failures))
+    for w in range(n):  # reached only on a failure, which a generator shows
+        failed = failing(w)
+        if failed.any():
+            return CheckResult(False, (w, int(failed.argmax())))
 
 
 def check_T_scalar(bundle: RepBundle, c: int) -> bool:

@@ -1,13 +1,16 @@
 """Codimension-2 flats, containment queries, and parabolic closures."""
 
 import copy
+import time
 from math import comb
 
 import pytest
 
-from crg.arrangement import codim2_flats, parabolic_reflections
+from crg import arrangement
+from crg.arrangement import _in_rowspan, codim2_flats, parabolic_reflections
 from crg.cli import build_group, parse_group
 from crg.groups import build_coxeter, build_series
+from crg.matrices import _rref
 
 
 def is_diagonal(g, s):
@@ -120,14 +123,73 @@ def test_third_reflection_in_every_nonsplit_pair():
 
 def test_flats_match_the_parabolic_closure_of_every_pair():
     # Independent exact route: the hyperplanes containing H_s and H_u, one
-    # row reduction of coforms per pair, against the orbit-closed roots.
+    # row reduction of coforms per pair and no residues, against the
+    # orbit-closed roots and against parabolic_reflections.
     for name in ("A3", "B3", "G(4,2,3)", "G(3,3,4)", "G24"):
         g = build_group(parse_group(name))
         table = codim2_flats(g)
+        coforms = [list(refl.coform) for refl in g.reflections]
         for s in range(g.size):
             for u in range(s + 1, g.size):
+                span = _rref([coforms[s], coforms[u]])
+                reference = tuple(x for x in range(g.size) if _in_rowspan(coforms[x], span))
                 members = table.flat_of_pair(s, u).members
-                assert members == parabolic_reflections(g, [s, u]), (name, s, u)
+                assert members == reference == parabolic_reflections(g, [s, u]), (name, s, u)
+
+
+def test_a_shared_residue_key_falls_back_to_row_reduction(monkeypatch):
+    # Two planes through s0 forced onto one key mod p: the Cramer identity
+    # refuses the merge, and exact row reduction finds the same flats.
+    g = build_coxeter("A", 3)
+    clean = codim2_flats(g)
+    assert clean.fallbacks == 0
+    s0 = g.classes[0][0]
+    u = next(u for u in range(g.size) if u != s0)
+    x = next(x for x in range(g.size) if x not in clean.flat_of_pair(s0, u).members)
+    residues = arrangement._residues
+
+    def collided(vecs, point):
+        res = residues(vecs, point)
+        res[x] = res[u]
+        return res
+
+    monkeypatch.setattr(arrangement, "_residues", collided)
+    bad = copy.copy(g)
+    bad.__dict__.pop("_flat_table", None)
+    table = codim2_flats(bad)
+    assert table.fallbacks == len(g.classes) == 1
+    assert [f.members for f in table.flats] == [f.members for f in clean.flats]
+
+
+def test_parabolic_closure_tests_every_form_when_the_rank_drops_mod_p(monkeypatch):
+    g = build_coxeter("B", 3)
+    expected = parabolic_reflections(g, [0, 1])
+    residues, in_rowspan = arrangement._residues, arrangement._in_rowspan
+    tested = []
+
+    def collided(vecs, point):
+        res = residues(vecs, point)
+        res[1] = res[0]
+        return res
+
+    def counted(vec, rows):
+        tested.append(vec)
+        return in_rowspan(vec, rows)
+
+    monkeypatch.setattr(arrangement, "_residues", collided)
+    monkeypatch.setattr(arrangement, "_in_rowspan", counted)
+    assert parabolic_reflections(g, [0, 1]) == expected
+    assert len(tested) == g.size
+
+
+@pytest.mark.parametrize("name", ["I2(199)", "G(200,200,2)"])
+def test_large_rank_two_groups_have_one_flat(name):
+    g = build_group(parse_group(name))
+    start = time.perf_counter()
+    table = codim2_flats(g)
+    assert time.perf_counter() - start < 30
+    assert [f.members for f in table.flats] == [tuple(range(g.size))]
+    assert table.fallbacks == 0
 
 
 @pytest.mark.parametrize(

@@ -236,6 +236,12 @@ def test_usage_errors_exit_2(capsys):
     assert "unsupported" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["G(1,1,1)", "G(2,2,1)", "G(3,3,1)"])
+def test_series_without_reflections_are_refused(capsys, name):
+    assert main(["discriminants", "--group", name]) == 2
+    assert capsys.readouterr().err == f"error: {name} has no reflections\n"
+
+
 @pytest.mark.parametrize(
     "name", ["I2(100000)", "G(100000,100000,2)", "G(200000,100000,1)", "G(100,100,3)"]
 )

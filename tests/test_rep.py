@@ -159,19 +159,20 @@ def test_equivariance_fails_on_a_later_generator():
 def test_equivariance_is_proven_once_per_bundle(monkeypatch):
     calls = []
 
-    def counted(bundle, w, s):
-        calls.append((w, s))
-        return moves_to(bundle, w, s)
+    def counted(bundle):
+        calls.append(bundle)
+        return equivariance(bundle)
 
-    moves_to = rep._moves_to
-    monkeypatch.setattr(rep, "_moves_to", counted)
+    equivariance = rep._equivariance
+    monkeypatch.setattr(rep, "_equivariance", counted)
     g = build_coxeter("B", 3)
     b = build_rep(g)
     assert check_integrability(b).route == "orbits"
     assert check_equivariance(b)
-    assert len(calls) == len(g.generators) * g.size
-    assert check_equivariance(build_rep(g))
-    assert len(calls) == 2 * len(g.generators) * g.size
+    assert calls == [b]
+    other = build_rep(g)
+    assert check_equivariance(other)
+    assert calls == [b, other]
 
 
 def test_clean_tables_take_the_orbit_route():

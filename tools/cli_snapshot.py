@@ -34,6 +34,9 @@ def commands() -> list[list[str]]:
         *(["verify", "--group", group, "--suite", "tensor"] for group in ("G(9,9,3)", "E6", "G(13,13,3)")),
         # codim2_flats and parabolic_reflections on the two largest root systems
         *(["verify", "--group", group, "--suite", "parabolic"] for group in ("E7", "H4")),
+        # and on a rank-2 group of a large conductor and a series group of rank 3
+        ["verify", "--group", "I2(31)", "--suite", "core"],
+        ["verify", "--group", "G(13,13,3)", "--suite", "parabolic"],
         ["verify", "--group", "I2(9)", "--suite", "dihedral"],
         ["discriminants", "--group", "I2(199)", "--format", "json"],
         ["conjecture"],
