@@ -109,15 +109,6 @@ class CyclotomicField:
         num = (q.numerator,) + (0,) * (self.degree - 1)
         return CycNum(self, num, q.denominator)
 
-    def from_fractions(self, coeffs: Sequence[Fraction | int]) -> CycNum:
-        """Build an element from per-power rational coefficients (any length)."""
-        fracs = [Fraction(c) for c in coeffs]
-        den = 1
-        for f in fracs:
-            den = den * f.denominator // gcd(den, f.denominator)
-        vec = self.reduce([f.numerator * (den // f.denominator) for f in fracs])
-        return CycNum(self, vec, den)
-
     def __repr__(self) -> str:
         return f"CyclotomicField({self.n})"
 
@@ -148,11 +139,6 @@ class CycNum:
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("CycNum is immutable")
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        """Rational coefficients over the power basis."""
-        return tuple(Fraction(c, self.den) for c in self.num)
 
     def is_zero(self) -> bool:
         return not any(self.num)
@@ -263,10 +249,6 @@ class CycNum:
                 for j in range(f.degree):
                     out[j] += c * row[j]
         return CycNum(f, out, self.den)
-
-    def conj(self) -> CycNum:
-        """Complex conjugation, zeta^i to zeta^(n-i)."""
-        return self.galois(-1)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, CycNum):

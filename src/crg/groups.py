@@ -43,6 +43,14 @@ def _dtype(bound: int) -> type:
     return np.int64 if bound <= _INT64_MAX else object
 
 
+def _blas_dtype(bound: int) -> type:
+    """float64 when bound, a bound proven in Python ints on every entry and
+    partial sum of some integer matrix products, is below 2^53: float64
+    holds every integer there, so BLAS computes them exactly.  Python ints
+    otherwise."""
+    return np.float64 if bound < 2**53 else object
+
+
 class Refused(ValueError):
     """A group, point or size that crg declines to decide: unsupported, outside
     a limit, or excluded.  The CLI reports it as refused input or as a skipped

@@ -22,7 +22,26 @@ from __future__ import annotations
 
 from .cyclotomic import cyclotomic_field
 from .groups import Refused
-from .rep import Sparse, _sparse_mul
+
+# {column: {row: value}} with zeros dropped: the entries are Python ints of
+# hundreds of bits or elements of Q(zeta_3), at most a few in a column
+Sparse = dict[int, dict]
+
+
+def _sparse_mul(a: Sparse, b: Sparse) -> Sparse:
+    out: Sparse = {}
+    for u, bcol in b.items():
+        acc = {}
+        for k, bval in bcol.items():
+            for row, aval in a.get(k, {}).items():
+                cur = acc.get(row, 0) + aval * bval
+                if cur:
+                    acc[row] = cur
+                else:
+                    acc.pop(row, None)
+        if acc:
+            out[u] = acc
+    return out
 
 
 class KrammerModel:

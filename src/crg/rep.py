@@ -2,11 +2,22 @@
 
 Matrices act on basis vectors v_u indexed by reflections:
 t_s.v_u = v_{sus} - alpha(s,u) v_s for u != s, and t_s.v_s = m v_s.
-So t_s = N_s + m E_ss with N_s an integer matrix and E_ss a matrix unit:
-every entry has degree at most 1 in m. A product of k such matrices has
-degree at most k, and a nonzero polynomial of degree d has at most d
+So t_s(m) = P_s - e_s rho_s(m)^T, where P_s is the permutation matrix of
+u -> sus, row s of the conjugation table C, which fixes s, and rho_s(m) is
+row s of alpha with 1 - m at s. The representation is stored as the two
+integer arrays C and rho = alpha with 1 on the diagonal, and each t_s is
+read from them as a dense array when a check needs it.
+
+Every entry of t_s has degree at most 1 in m. A product of k such matrices
+has degree at most k, and a nonzero polynomial of degree d has at most d
 roots, so an identity of degree at most d in m holds for all m once it
-holds exactly at the d + 1 integer points m = 0..d.
+holds exactly at the d + 1 integer points m = 0..d. At a rational point
+m = a/b the integer matrix b t_s(a/b) = b P_s - e_s (b rho_s - a e_s)^T
+stands in for t_s.
+
+Each check bounds, in Python ints, every entry and partial sum of its
+matrix products. Below 2^53 the products run in float64, which BLAS sums
+exactly (`groups._blas_dtype`), and on Python ints otherwise.
 """
 
 from __future__ import annotations
@@ -16,12 +27,9 @@ from fractions import Fraction
 import numpy as np
 
 from .arrangement import FlatTable, codim2_flats, parabolic_reflections
-from .groups import ReflectionGroupData, Refused, build_series, class_stats, k_c
+from .groups import ReflectionGroupData, Refused, _blas_dtype, build_series, class_stats, k_c
 from .matrices import ExactMatrix
 from .quadratic import kernel_at
-
-Column = dict[int, int]
-Sparse = dict[int, Column]
 
 
 class CheckResult:
@@ -41,27 +49,20 @@ class CheckResult:
 
 
 class RepBundle:
-    """Sparse integer columns of N_s = t_s at m = 0, one dict per reflection."""
+    """The conjugation table C and rho = alpha with 1 on the diagonal, as
+    integer arrays; P_s and b t_s(a/b) are read from them on demand."""
 
     def __init__(self, group: ReflectionGroupData, alpha=None) -> None:
         self.group = group
         self.alpha = group.alpha if alpha is None else alpha
-        n = group.size
-        conj = group.conj_table
-        n_cols: list[Sparse] = []
-        for s in range(n):
-            cols: Sparse = {}
-            for u in range(n):
-                if u == s:
-                    continue
-                # sus != s for u != s, so the two entries never share a row
-                col: Column = {conj[s][u]: 1}
-                a = self.alpha[s][u]
-                if a:
-                    col[s] = -a
-                cols[u] = col
-            n_cols.append(cols)
-        self.n_cols = tuple(n_cols)
+        self.conj = np.array(group.conj_table)
+        try:
+            rho = np.array(self.alpha, dtype=np.int64)
+        except OverflowError:  # an alpha beyond int64 stays in Python ints
+            rho = np.array(self.alpha, dtype=object)
+        rho[np.diag_indices(len(rho))] = 1
+        self.rho = rho
+        self.top = max(int(rho.max()), -int(rho.min()))
         self._memo: dict = {}
 
     def memo(self, key: tuple, compute):
@@ -80,17 +81,28 @@ class RepBundle:
     def size(self) -> int:
         return self.group.size
 
-    def s_cols(self, s: int) -> Sparse:
-        conj = self.group.conj_table[s]
-        return {u: {conj[u]: 1} for u in range(self.size)}
+    def bound(self, a: int, b: int) -> int:
+        """A bound on every |entry| of every b t_s(a/b): they are b, b alpha(s, u) and a."""
+        return max(abs(a), abs(b) * self.top)
 
-    def t_at(self, s: int, m0) -> Sparse:
-        """Sparse columns of t_s(m0) = N_s + m0 E_ss."""
-        if not m0:
-            return self.n_cols[s]
-        cols = dict(self.n_cols[s])
-        cols[s] = {s: m0}
-        return cols
+    def perm(self, s: int, dtype) -> np.ndarray:
+        """P_s, with 1 at (C[s, u], u) for every u."""
+        n = self.size
+        out = np.zeros((n, n), dtype)
+        out[self.conj[s], np.arange(n)] = 1
+        return out
+
+    def scaled_sum(self, ys, a, b: int, dtype) -> np.ndarray:
+        """sum_{y in ys} b t_y(a/b) = sum_y (b P_y - e_y (b rho_y - a e_y)^T)."""
+        n = self.size
+        ys = list(ys)
+        out = np.zeros((n, n), dtype)
+        cols = np.arange(n)
+        for y in ys:
+            out[self.conj[y], cols] += b
+        out[ys] -= self.rho[ys].astype(dtype) * b
+        out[ys, ys] += a
+        return out
 
     def t_block(self, s: int, members, m0) -> ExactMatrix:
         """Restriction of t_s(m0) to the span of v_u, u in members.
@@ -98,64 +110,16 @@ class RepBundle:
         Entries lie in the ring of m0: all Fractions for a Fraction m0, all
         ints for an int m0, so later products never mix the two types.
         """
-        return ExactMatrix.from_rows(_block(self.t_at(s, m0), members, m0 * 0))
-
-
-def _block(cols: Sparse, members, zero) -> list[list]:
-    pos = {u: i for i, u in enumerate(members)}
-    rows = [[zero] * len(pos) for _ in pos]
-    for u, col in cols.items():
-        if u not in pos:
-            continue
-        for row, val in col.items():
-            if row in pos:
-                rows[pos[row]][pos[u]] = zero + val
-    return rows
+        idx = np.asarray(members)
+        block = self.scaled_sum((s,), m0, 1, object)[idx[:, None], idx]
+        zero = m0 * 0
+        ring = type(zero)
+        return ExactMatrix(len(block), len(block), [ring(x) if x else zero for x in block.flat])
 
 
 def build_rep(g: ReflectionGroupData, alpha=None) -> RepBundle:
     """Assemble the representation; alpha may be overridden for mutation tests."""
     return RepBundle(g, alpha)
-
-
-def _sparse_mul(a: Sparse, b: Sparse) -> Sparse:
-    out: Sparse = {}
-    for u, bcol in b.items():
-        acc: Column = {}
-        for k, bval in bcol.items():
-            for row, aval in a.get(k, {}).items():
-                cur = acc.get(row, 0) + aval * bval
-                if cur:
-                    acc[row] = cur
-                else:
-                    acc.pop(row, None)
-        if acc:
-            out[u] = acc
-    return out
-
-
-def _sparse_sum(parts) -> Sparse:
-    out: Sparse = {}
-    for cols in parts:
-        for u, col in cols.items():
-            acc = out.setdefault(u, {})
-            for row, val in col.items():
-                cur = acc.get(row, 0) + val
-                if cur:
-                    acc[row] = cur
-                else:
-                    acc.pop(row, None)
-    return {u: col for u, col in out.items() if col}
-
-
-def _scaled_t(bundle: RepBundle, s: int, a: int, b: int) -> Sparse:
-    """Sparse integer columns of b t_s(a/b) = b N_s + a E_ss."""
-    if b == 1:
-        return bundle.t_at(s, a)
-    cols = {u: {row: b * val for row, val in col.items()} for u, col in bundle.n_cols[s].items()}
-    if a:
-        cols[s] = {s: a}
-    return cols
 
 
 def check_integrability(bundle: RepBundle, m0: Fraction | None = None) -> CheckResult:
@@ -165,71 +129,97 @@ def check_integrability(bundle: RepBundle, m0: Fraction | None = None) -> CheckR
     Once equivariance holds, conjugating by w sends the commutator of (Z, x)
     to that of (wZ, wxw), so one (flat, x) pair per W-orbit is checked (route
     "orbits"); otherwise every pair is (route "all flats"). Each orbit is
-    checked at its first pair in scan order, and the orbits are met in scan
-    order, so both routes return the same first failing (flat_index, x).
+    checked at its first pair in scan order (`_representative_pairs`), and
+    the orbits are met in scan order, so both routes return the same first
+    failing (flat_index, x).
+
+    Every entry of b t_y(a/b) is at most E = `bundle.bound(a, b)`, and of
+    the sum over Z at most |Z| E, so every entry and partial sum of the two
+    products is at most n |Z| E^2.
     """
     # [sum_{y in Z} t_y, t_x] has degree <= 2 in m: m = 0, 1, 2 prove it.
-    # At m0 = a/b the integer matrices b t_y = b N_y + a E_yy scale the
-    # commutator by b^2 != 0, so they give the same verdict and witness.
+    # At m0 = a/b the integer matrices b t_y(a/b) scale the commutator by
+    # b^2 != 0, so they give the same verdict and witness.
     if m0 is None:
         points = ((0, 1), (1, 1), (2, 1))
     else:
         m0 = Fraction(m0)
         points = ((m0.numerator, m0.denominator),)
-    scaled = [[_scaled_t(bundle, y, a, b) for y in range(bundle.size)] for a, b in points]
-    g = bundle.group
-    table = codim2_flats(g)
-    route = "orbits" if check_equivariance(bundle) else "all flats"
-    done: set[tuple[int, int]] = set()
-    for idx, flat in enumerate(table.flats):
-        if all((idx, x) in done for x in flat.members):
-            continue
-        totals = [_sparse_sum(at_m[y] for y in flat.members) for at_m in scaled]
-        for x in flat.members:
-            if (idx, x) in done:
-                continue
-            for total, at_m in zip(totals, scaled):
-                t_x = at_m[x]
-                if _sparse_mul(total, t_x) != _sparse_mul(t_x, total):
+    n = bundle.size
+    table = codim2_flats(bundle.group)
+    if check_equivariance(bundle):
+        route = "orbits"
+        pairs = bundle.memo(("representatives",), lambda: _representative_pairs(bundle, table))
+    else:
+        route, pairs = "all flats", {idx: flat.members for idx, flat in enumerate(table.flats)}
+    for idx, xs in pairs.items():
+        members = table.flats[idx].members
+        sums = []
+        for a, b in points:
+            dtype = _blas_dtype(n * len(members) * bundle.bound(a, b) ** 2)
+            sums.append((a, b, dtype, bundle.scaled_sum(members, a, b, dtype)))
+        for x in xs:
+            for a, b, dtype, total in sums:
+                t_x = bundle.scaled_sum((x,), a, b, dtype)
+                if not np.array_equal(total @ t_x, t_x @ total):
                     return CheckResult(False, (idx, x), route)
-            if route == "orbits":
-                done |= _orbit(g, table, idx, x)
     return CheckResult(True, route=route)
 
 
-def _orbit(g: ReflectionGroupData, table: FlatTable, idx: int, x: int) -> set[tuple[int, int]]:
-    """The W-orbit of (flat index, x) under the generators' conjugation rows."""
-    orbit = {(idx, x)}
-    frontier = [(idx, x)]
-    while frontier:
-        fresh = []
-        for f, y in frontier:
-            a, b = table.flats[f].members[:2]
-            for w in g.generators:
-                row = g.conj_table[w]
-                image = (table.index_of_pair(row[a], row[b]), row[y])
-                if image not in orbit:
-                    orbit.add(image)
-                    fresh.append(image)
-        frontier = fresh
-    return orbit
+def _representative_pairs(bundle: RepBundle, table: FlatTable) -> dict[int, list[int]]:
+    """The first (flat index, x) pair of each W-orbit, in scan order, as
+    {flat index: [x, ...]}.
+
+    The pairs k = (Z, x) are numbered in scan order, and pair_id[x, y]
+    numbers the pair of x and the flat through x and y, so a generator w
+    sends k to pair_id[C[w, x], C[w, y]] for any other member y of Z. Each
+    pair is labelled by the least number in its W-orbit: each round passes
+    the lesser label along every generator edge, both ways, then gives every
+    label its own label's label, which lies in the same orbit and is no
+    greater. A round that changes nothing leaves both ends of every edge,
+    so the whole orbit, with one label, and the orbit's least number never
+    changes its own.
+    """
+    flats = table.flats
+    sizes = np.array([len(flat.members) for flat in flats])
+    x = np.array([u for flat in flats for u in flat.members])
+    f = np.repeat(np.arange(len(flats)), sizes)
+    start = (np.cumsum(sizes) - sizes)[f]
+    y = np.where(x == x[start], x[start + 1], x[start])
+    pair_id = np.zeros((bundle.size, bundle.size), np.intp)
+    for j in range(sizes.max()):
+        k = np.flatnonzero(sizes[f] > j)
+        pair_id[x[k], x[start[k] + j]] = k
+    images = [pair_id[row[x], row[y]] for row in bundle.conj[list(bundle.group.generators)]]
+    labels = np.arange(len(x))
+    while True:
+        old = labels
+        for img in images:
+            labels = np.minimum(labels, labels[img])
+            labels[img] = np.minimum(labels[img], labels)
+        labels = labels[labels]
+        if np.array_equal(labels, old):
+            break
+    heads: dict[int, list[int]] = {}
+    for k in np.flatnonzero(labels == np.arange(len(x))).tolist():
+        heads.setdefault(int(f[k]), []).append(int(x[k]))
+    return heads
 
 
 def check_equivariance(bundle: RepBundle) -> CheckResult:
     """Conjugating t_s by the permutation action of w gives t_{wsw}, for all w.
 
     The m E_ss term moves to m E_{wsw,wsw} by construction, so comparing the
-    N_s alone proves it for all m. Both sides respect products of w, so the
-    generators of W prove it; on a failure the scan of all pairs, which
-    contains a failing generator, returns the first witness (w, s). The
-    result is kept on the bundle, which integrability consults too.
+    N_s = t_s(0) alone proves it for all m. Both sides respect products of
+    w, so the generators of W prove it; on a failure the scan of all pairs,
+    which contains a failing generator, returns the first witness (w, s).
+    The result is kept on the bundle, which integrability consults too.
     """
     return bundle.memo(("equivariance",), lambda: _equivariance(bundle))
 
 
 def _equivariance(bundle: RepBundle) -> CheckResult:
-    """The check on integer arrays: C, the conjugation table (C[s, u] = sus),
-    and alpha, with pi = C[w].
+    """The check on the integer arrays C (C[s, u] = sus) and rho, with pi = C[w].
 
     Column u != s of N_s holds 1 at row C[s, u] and -alpha(s, u) at row s,
     and these rows differ because C[s] is a permutation that fixes s; column
@@ -238,49 +228,40 @@ def _equivariance(bundle: RepBundle) -> CheckResult:
 
         pi(C[s, u]) = C[pi(s), pi(u)]   and   alpha(s, u) = alpha(pi(s), pi(u)),
 
-    that is pi o C = C[pi, pi] and alpha = alpha[pi, pi] off the diagonal,
-    compared row s by row s.
+    that is pi o C = C[pi, pi] and rho = rho[pi, pi], whose diagonal of ones
+    pi maps onto itself, compared row s by row s.
     """
-    n = bundle.size
-    conj = np.array(bundle.group.conj_table)
-    alpha = np.array(bundle.alpha)
-    alpha[range(n), range(n)] = 0  # pi maps the diagonal onto itself
+    conj, rho = bundle.conj, bundle.rho
 
     def failing(w: int) -> np.ndarray:
         pi = conj[w]
-        moved = (pi[conj] != conj[pi][:, pi]) | (alpha != alpha[pi][:, pi])
+        moved = (pi[conj] != conj[pi][:, pi]) | (rho != rho[pi][:, pi])
         return moved.any(1)
 
     if not any(failing(w).any() for w in bundle.group.generators):
         return CheckResult(True)
-    for w in range(n):  # reached only on a failure, which a generator shows
+    for w in range(bundle.size):  # reached only on a failure, which a generator shows
         failed = failing(w)
         if failed.any():
             return CheckResult(False, (w, int(failed.argmax())))
 
 
 def check_T_scalar(bundle: RepBundle, c: int) -> bool:
-    """sum_s t_s acts on the class block as the scalar m - 1 + C(c)."""
+    """sum_s t_s acts on the class block as the scalar m - 1 + C(c).
+
+    Summed over s, the rows e_s rho_s(m)^T make rho - m I, so sum_s t_s(m)
+    = sum_s P_s - rho + m I. Its m I matches the m of the scalar, so m = 0
+    proves the identity for all m, and that sum is taken once per bundle.
+    Its entries are at most n + max |rho|, and it takes no product.
+    """
     g = bundle.group
     members = g.classes[c]
     _, c_val = class_stats(g, c)
-    # both sides have degree <= 1 in m: m = 0, 1 prove it.
-    for m0 in (0, 1):
-        total = _sparse_sum(bundle.t_at(s, m0) for s in range(g.size))
-        value = m0 + c_val - 1
-        for u in members:
-            if total.get(u, {}) != ({u: value} if value else {}):
-                return False
-    return True
-
-
-def _shift(cols: Sparse, c: int, n: int) -> Sparse:
-    """Sparse columns of cols + c I on n basis vectors."""
-    return _sparse_sum((cols, {u: {u: c} for u in range(n)}))
-
-
-def _trace(cols: Sparse, members) -> int:
-    return sum(cols.get(u, {}).get(u, 0) for u in members)
+    dtype = _blas_dtype(g.size + bundle.top)
+    total = bundle.memo(("T sum",), lambda: bundle.scaled_sum(range(g.size), 0, 1, dtype))
+    cols = total[:, members]
+    cols[members, np.arange(len(members))] -= c_val - 1
+    return not cols.any()
 
 
 def spectrum_check(bundle: RepBundle, s: int, m0=None) -> bool:
@@ -290,6 +271,11 @@ def spectrum_check(bundle: RepBundle, s: int, m0=None) -> bool:
     Proven for all m != +-1 unless m0 = -1, where m and -1 collide: there the
     multiplicities k + 1 and n - 1 - k of -1 and 1 are checked at that point.
     m0 = 1, where t_s is not semisimple, is refused.
+
+    Every entry of t_s - m, t_s - 1 and t_s + 1 is at most E + 1, with E =
+    `bundle.bound(3, 1)`, so every entry and partial sum of a product of
+    three of them is at most n^2 (E + 1)^3, and P_s +- 1 and the traces
+    stay below that too.
     """
     m0 = None if m0 is None else Fraction(m0)
     if m0 == 1:
@@ -298,10 +284,12 @@ def spectrum_check(bundle: RepBundle, s: int, m0=None) -> bool:
     n = g.size
     c = g.class_of[s]
     k = sum(k_c(g, d, s) for d in range(len(g.classes)))
+    dtype = _blas_dtype(n * n * (bundle.bound(3, 1) + 1) ** 3)
+    eye = np.identity(n, dtype)
     # s permutes the basis by u -> sus. Its 2-cycles are the non-commuting
     # pairs that k_c counts, so dim Ker(s + 1) = k and dim Ker(s - 1) = n - k.
-    s_plus = _shift(bundle.s_cols(s), 1, n)
-    s_minus = _shift(bundle.s_cols(s), -1, n)
+    # C[s] is an involution, so P_s X = X[C[s]].
+    perm = bundle.conj[s]
     # Each identity has degree <= 3 in m, so m = 0..3 prove it. For m != +-1
     # the cubic (t - m)(t - 1)(t + 1) = 0 makes t diagonalizable with
     # eigenvalues in {m, 1, -1}, on V and on the t-invariant class block (sus
@@ -310,20 +298,17 @@ def spectrum_check(bundle: RepBundle, s: int, m0=None) -> bool:
     # containments equalities by dimension. At m = -1, (t + 1)(t - 1) = 0 and
     # tr t fix the spectrum.
     for m in (-1,) if m0 == -1 else range(4):
-        t = bundle.t_at(s, m)
-        t_plus = _shift(t, 1, n)
-        q = _sparse_mul(_shift(t, -m, n), _shift(t, -1, n))
-        if m0 == -1:
-            zeros = (q,)
-        else:
-            zeros = (_sparse_mul(q, t_plus), _sparse_mul(s_plus, q), _sparse_mul(s_minus, t_plus))
-        if any(zeros):
+        t = bundle.scaled_sum((s,), m, 1, dtype)
+        t_plus = t + eye
+        q = (t - m * eye) @ (t - eye)
+        zeros = (q,) if m0 == -1 else (q @ t_plus, q[perm] + q, t_plus[perm] - t_plus)
+        if any(z.any() for z in zeros):
             return False
-        t_sq = _sparse_mul(t, t)
         for block, kb in ((range(n), k), (g.classes[c], k_c(g, c, s))):
-            if _trace(t, block) != m + len(block) - 1 - 2 * kb:
+            diag = list(block)
+            if t[diag, diag].sum() != m + len(diag) - 1 - 2 * kb:
                 return False
-            if _trace(t_sq, block) != m * m + len(block) - 1:
+            if (t[diag] * t[:, diag].T).sum() != m * m + len(diag) - 1:  # tr t^2
                 return False
     return True
 
@@ -332,31 +317,27 @@ def parabolic_restriction_check(bundle: RepBundle, seed) -> bool:
     """Restriction to a parabolic matches its own rebuilt action; the
     quotient is the bare conjugation permutation.
 
-    The m E_ss term, s inside, restricts to itself, so the N_s alone prove
-    it for all m.
+    The m E_ss term, s inside, restricts to itself, so the N_s = t_s(0)
+    alone prove it for all m. For s inside and u != s, column u of N_s is
+    e_{C[s, u]} - alpha(s, u) e_s. So the restriction is closed, and the
+    quotient is the permutation, exactly when C[s, u] is inside just when u
+    is; it is the parabolic's own action when alpha(s, u) equals the
+    parabolic's alpha, sum_{y inside} P_y[s, u], for u inside. Then the sum
+    over y inside of N_y = P_y - e_y rho_y^T is zero off the diagonal of the
+    inside block. Its entries are at most k + max |rho| for k inside.
     """
     g = bundle.group
-    inside = set(parabolic_reflections(g, seed))
+    inside = list(parabolic_reflections(g, seed))
     if not inside or len(inside) == g.size:
         raise Refused("improper seed")
-    conj = g.conj_table
-    for s in inside:
-        for u in range(g.size):
-            col = bundle.n_cols[s].get(u, {})
-            if u in inside:
-                if any(row not in inside for row in col):
-                    return False
-                sub_alpha = sum(1 for y in inside if conj[y][s] == u)
-                expected: Column = {} if u == s else {conj[s][u]: 1}
-                if u != s and sub_alpha:
-                    expected[s] = -sub_alpha
-                if col != expected:
-                    return False
-            else:
-                residual = {row: val for row, val in col.items() if row not in inside}
-                if residual != {conj[s][u]: 1}:
-                    return False
-    return True
+    mask = np.zeros(g.size, bool)
+    mask[inside] = True
+    if (mask[bundle.conj[inside]] != mask).any():
+        return False
+    total = bundle.scaled_sum(inside, 0, 1, _blas_dtype(len(inside) + bundle.top))
+    block = total[np.ix_(inside, inside)]
+    block[np.diag_indices(len(inside))] = 0
+    return not block.any()
 
 
 DIHEDRAL_CHARACTER_NOTE = (
@@ -378,12 +359,10 @@ def dihedral_m0_check(e: int) -> bool:
     if len(kernel) != n - 1 or any(sum(v) != 0 for v in kernel):
         return False
     # (ii) t_s at m = 0 agrees with the permutation action on that hyperplane,
-    # which the e_u - e_0 span: columns u and 0 of N_s - s are equal
-    for s in range(n):
-        minus_s = {u: {v: -1} for u, v in enumerate(g.conj_table[s])}
-        diff = _sparse_sum((bundle.n_cols[s], minus_s))
-        if any(diff.get(u) != diff.get(0) for u in range(1, n)):
-            return False
+    # which the e_u - e_0 span: the columns of N_s - P_s = -e_s rho_s(0)^T are
+    # equal, so every row of rho is constant, and its diagonal is 1
+    if (bundle.rho != 1).any():
+        return False
     # (iii) chi_U(w) = #commuting reflections - 1 equals the character sum.
     # The group acts on the e root lines by the conjugation-table rows, and
     # for odd e faithfully (its centre is trivial), so its 2e elements are

@@ -10,7 +10,7 @@ from random import Random
 
 import numpy as np
 
-from .groups import Refused
+from .groups import Refused, _blas_dtype
 from .matrices import ExactMatrix
 from .modp import (
     _BLOCK,
@@ -24,7 +24,7 @@ from .modp import (
     _norton,
 )
 from .quadratic import discriminant
-from .rep import RepBundle, Sparse, _block, _scaled_t, _sparse_mul, _sparse_sum
+from .rep import RepBundle
 
 # Norton's test decides the squares of every fixture class of up to 36
 # reflections, E6's in about 1.4 s, and holds only a few D x D matrices.  With
@@ -237,7 +237,7 @@ def _annihilates_algebra(gens: list[np.ndarray], y: np.ndarray, pivots) -> bool:
     common = lcm(*dens)
     most = max(int(abs(g).max()) for g in gens)
     top = max(y.max(initial=0), -y.min(initial=0))
-    dtype = np.float64 if len(free) * n * top**2 * most * common < 2**53 else object
+    dtype = _blas_dtype(len(free) * n * top**2 * most * common)
     gens = [g.astype(dtype) for g in gens]
     z = (y[:, pivots] * (common // dens)[:, None]).astype(dtype)
     for start in range(0, len(y), _BLOCK):
@@ -264,7 +264,7 @@ def ds_table_check(bundle: RepBundle, s: int, c: int) -> bool:
 
     - s^2 = 1, s p = p s = p and p^2 = (1 - m) p on the class block make
       1 -> I, s -> s_b, p -> p_b a homomorphism A -> End(V_c). Each relation
-      has degree <= 2 in m, so m = 0, 1, 2 prove it, in sparse integers.
+      has degree <= 2 in m, so m = 0, 1, 2 prove it, on integer arrays.
     - A is spanned by 1, s and p, and I, L_s and L_p are independent, so the
       regular representation L of A on that basis is faithful, and so is
       L (x) L on A (x) A.
@@ -280,22 +280,27 @@ def ds_table_check(bundle: RepBundle, s: int, c: int) -> bool:
     )
 
 
-def _block_relations(bundle: RepBundle, s: int, members, m: int) -> bool:
-    """s^2 = 1, s p = p s = p and p^2 = (1 - m) p on the class block at m."""
+def _block_relations(bundle: RepBundle, s: int, members, m) -> bool:
+    """s^2 = 1, s p = p s = p and p^2 = (1 - m) p on the class block at m.
+
+    At m = a/b they are taken on b p = b P_s - b t_s(a/b) = e_s (b rho_s -
+    a e_s)^T, where p^2 = (1 - m) p reads (b p)^2 = (b - a) b p.  Every
+    entry of b p is at most E + b, with E = `bundle.bound(a, b)`, so every
+    entry and partial sum of each product is at most d (E + b)^2.
+    """
+    m = Fraction(m)
+    a, b = m.numerator, m.denominator
+    dtype = _blas_dtype(len(members) * (bundle.bound(a, b) + b) ** 2)
     # column u of s or t_s has its rows among sus and s, both in the class
-    s_b = {u: col for u, col in bundle.s_cols(s).items() if u in members}
-    t_b = {u: col for u, col in bundle.t_at(s, m).items() if u in members}
-    p_b = _sparse_sum((s_b, _times(t_b, -1)))
+    block = np.ix_(members, members)
+    s_b = bundle.perm(s, dtype)[block]
+    p_b = b * s_b - bundle.scaled_sum((s,), a, b, dtype)[block]
     return (
-        _sparse_mul(s_b, s_b) == {u: {u: 1} for u in members}
-        and _sparse_mul(s_b, p_b) == p_b
-        and _sparse_mul(p_b, s_b) == p_b
-        and _sparse_mul(p_b, p_b) == _times(p_b, 1 - m)
+        np.array_equal(s_b @ s_b, np.identity(len(members)))
+        and np.array_equal(s_b @ p_b, p_b)
+        and np.array_equal(p_b @ s_b, p_b)
+        and np.array_equal(p_b @ p_b, (b - a) * p_b)
     )
-
-
-def _times(cols: Sparse, c: int) -> Sparse:
-    return {u: {row: c * val for row, val in col.items()} for u, col in cols.items()} if c else {}
 
 
 def _regular_rep(m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -380,9 +385,10 @@ def _excluded(bundle: RepBundle, c: int, m0: Fraction) -> bool:
 
 
 def _int_blocks(bundle: RepBundle, members, m0: Fraction) -> list[np.ndarray]:
-    """Python ints b t_x(m0) = b N_x + a E_xx on the class block, m0 = a/b."""
+    """Python ints b t_x(m0) = b P_x - e_x (b rho_x - a e_x)^T on the class block, m0 = a/b."""
     a, b = m0.numerator, m0.denominator
-    return [np.array(_block(_scaled_t(bundle, x, a, b), members, 0), dtype=object) for x in members]
+    block = np.ix_(members, members)
+    return [bundle.scaled_sum((x,), a, b, object)[block] for x in members]
 
 
 def _square_block(t: np.ndarray, sign: int) -> np.ndarray:
@@ -535,9 +541,9 @@ def psu_membership_check(bundle: RepBundle, c: int, s: int, u: int, m0) -> bool:
     # for m0 = a/b, A is generated by b T_x and the target is scaled by b^2
     blocks = _int_blocks(bundle, members, m0)
 
-    def scaled_p(x: int) -> np.ndarray:  # b p_x = b s_x - b t_x(m0)
-        s_x = np.array(_block(bundle.s_cols(x), members, 0), dtype=object)
-        return m0.denominator * s_x - blocks[members.index(x)]
+    def scaled_p(x: int) -> np.ndarray:  # b p_x = b P_x - b t_x(m0)
+        p_x = bundle.perm(x, object)[np.ix_(members, members)]
+        return m0.denominator * p_x - blocks[members.index(x)]
 
     ps, pu = scaled_p(s), scaled_p(u)
     target = np.kron(ps, pu) + np.kron(pu, ps)

@@ -11,7 +11,7 @@ CONDUCTORS = [3, 4, 5, 8, 12, 24]
 
 def element(n: int, ints: list[int], den: int = 1) -> CycNum:
     f = cyclotomic_field(n)
-    return f.from_fractions([Fraction(c, den) for c in ints])
+    return CycNum(f, f.reduce(ints), den)
 
 
 def test_totient_small_values():
@@ -22,7 +22,7 @@ def test_basis_length_matches_totient():
     for n in CONDUCTORS:
         f = cyclotomic_field(n)
         assert f.degree == totient(n)
-        assert len(f.one().coeffs) == f.degree
+        assert len(f.one().num) == f.degree
 
 
 def test_zeta_power_n_is_one():
@@ -43,7 +43,7 @@ def test_prime_conductor_powers_sum_to_zero():
 def test_reduction_is_idempotent():
     f = cyclotomic_field(12)
     x = element(12, [3, -2, 0, 7], 5)
-    again = f.from_fractions(x.coeffs)
+    again = CycNum(f, f.reduce(x.num), x.den)
     assert again == x and again.num == x.num and again.den == x.den
 
 
@@ -56,10 +56,10 @@ def test_golden_ratio_in_conductor_five():
 
 def test_conjugation_fixes_rationals_and_inverts_zeta():
     f = cyclotomic_field(8)
-    assert f.from_rational(Fraction(3, 7)).conj() == Fraction(3, 7)
+    assert f.from_rational(Fraction(3, 7)).galois(-1) == Fraction(3, 7)
     z = f.zeta()
-    assert z.conj() == f.zeta(7)
-    assert (z * z.conj()) == 1
+    assert z.galois(-1) == f.zeta(7)
+    assert (z * z.galois(-1)) == 1
 
 
 def test_inverse_of_unit():
@@ -128,5 +128,5 @@ def test_ring_axioms_on_random_triples(data, n):
 def test_conjugation_is_multiplicative(data, n):
     a = data.draw(cyc_elements(n))
     b = data.draw(cyc_elements(n))
-    assert (a * b).conj() == a.conj() * b.conj()
-    assert a.conj().conj() == a
+    assert (a * b).galois(-1) == a.galois(-1) * b.galois(-1)
+    assert a.galois(-1).galois(-1) == a

@@ -5,13 +5,24 @@ import pytest
 from crg.cyclotomic import cyclotomic_field
 from crg.krammer import (
     KrammerModel,
+    _sparse_mul,
     build_krammer,
     check_braid_relations,
     cubic_specialization_check,
 )
-from crg.rep import _shift, _sparse_mul
 
 POINTS = ((2, 3), (5, 7))
+
+
+def _shift(cols, c, n):
+    """Sparse columns of cols + c I on n basis vectors, zeros dropped."""
+    out = {u: dict(col) for u, col in cols.items()}
+    for u in range(n):
+        col = out.setdefault(u, {})
+        col[u] = col.get(u, 0) + c
+        if not col[u]:
+            del col[u]
+    return {u: col for u, col in out.items() if col}
 
 
 def entry(model, k, q, t, row, col):

@@ -1,16 +1,16 @@
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from crg.arrangement import codim2_flats
-from crg import rep
+from crg import rep, tensor
 from crg.cli import build_group, parse_group
 from crg.groups import ReflectionGroupData, build_coxeter, build_series, k_c
 from crg.matrices import ExactMatrix, rank_and_kernel
 from crg.rep import (
     DIHEDRAL_CHARACTER_NOTE,
-    _block,
     build_rep,
     check_T_scalar,
     check_equivariance,
@@ -19,6 +19,7 @@ from crg.rep import (
     parabolic_restriction_check,
     spectrum_check,
 )
+from crg.tensor import ds_table_check, psu_membership_check
 
 POINTS = (Fraction(0), Fraction(1), Fraction(-3), Fraction(22, 7))
 
@@ -35,6 +36,11 @@ def a2_projection(m0):
     return ExactMatrix.from_rows([[Fraction(x) for x in row] for row in rows])
 
 
+def perm_block(bundle, s, members):
+    """P_s, the permutation u -> sus, on the span of v_u, u in members."""
+    return ExactMatrix.from_rows(bundle.perm(s, object)[np.ix_(members, members)].tolist())
+
+
 def test_triangle_generator_matrix():
     g = build_coxeter("A", 2)
     b = build_rep(g)
@@ -42,7 +48,7 @@ def test_triangle_generator_matrix():
     for m0 in POINTS:
         t = b.t_block(0, range(3), m0)
         assert t == a2_generator(m0)
-        assert t == ExactMatrix.from_rows(_block(b.s_cols(0), range(3), 0)) - a2_projection(m0)
+        assert t == perm_block(b, 0, range(3)) - a2_projection(m0)
 
 
 def test_not_diagonalizable_at_one():
@@ -80,10 +86,10 @@ def _transpose_is_dual(bundle) -> bool:
         row_s = {u: -bundle.alpha[s][u] for u in range(g.size) if u != s and bundle.alpha[s][u]}
         if row_s:
             expected[s] = row_s
+        n_s = bundle.scaled_sum((s,), 0, 1, object)
         transposed = {}
-        for u, col in bundle.n_cols[s].items():
-            for row, val in col.items():
-                transposed.setdefault(row, {})[u] = val
+        for row, u in zip(*np.nonzero(n_s)):
+            transposed.setdefault(int(row), {})[int(u)] = n_s[row, u]
         if transposed != expected:
             return False
     return True
@@ -180,6 +186,111 @@ def test_clean_tables_take_the_orbit_route():
         assert check_integrability(build_rep(g)).route == "orbits"
 
 
+def _orbit(g, table, idx, x):
+    """Reference: the W-orbit of (flat index, x), walked as a set under the
+    generators' conjugation rows."""
+    orbit = {(idx, x)}
+    frontier = [(idx, x)]
+    while frontier:
+        fresh = []
+        for f, y in frontier:
+            a, b = table.flats[f].members[:2]
+            for w in g.generators:
+                row = g.conj_table[w]
+                image = (table.index_of_pair(row[a], row[b]), row[y])
+                if image not in orbit:
+                    orbit.add(image)
+                    fresh.append(image)
+        frontier = fresh
+    return orbit
+
+
+@pytest.mark.parametrize(
+    "name, pairs, heads", [("F4", 312, 6), ("E7", 2898, 2), ("H4", 1860, 3), ("E8", 10920, 2)]
+)
+def test_representative_pairs_are_the_first_of_each_orbit(name, pairs, heads):
+    g = build_group(parse_group(name))
+    table = codim2_flats(g)
+    done, first = set(), []
+    for idx, flat in enumerate(table.flats):
+        for x in flat.members:
+            if (idx, x) not in done:
+                first.append((idx, x))
+                done |= _orbit(g, table, idx, x)
+    assert (len(done), len(first)) == (pairs, heads)
+    found = rep._representative_pairs(build_rep(g), table)
+    assert [(idx, x) for idx, xs in found.items() for x in xs] == first
+
+
+def _product_verdicts(g, alpha):
+    """Verdict, witness and route of every check that takes matrix products."""
+    b = build_rep(g, alpha)
+    out = []
+    for m0 in (None, Fraction(22, 7)):
+        result = check_integrability(b, m0)
+        out.append((result.ok, result.detail, result.route))
+    for c, members in enumerate(g.classes):
+        out.append(check_T_scalar(b, c))
+        out += [spectrum_check(b, members[0], m0) for m0 in (None, -1)]
+        out.append(ds_table_check(b, members[0], c))
+    out.append(parabolic_restriction_check(b, [0]))
+    members = min((members for members in g.classes if len(members) > 1), key=len)
+    c = g.class_of[members[0]]
+    # at a root of a class of 3, psu takes the annihilator's exact checks
+    roots = [m for m in (5, 9) if len(members) == 3 and tensor._excluded(b, c, Fraction(m))]
+    m0 = roots[0] if roots else 7
+    out.append(psu_membership_check(b, c, members[0], members[1], m0))
+    return out
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "G(4,2,3)", "F4", "A2 tampered"])
+def test_python_int_products_give_the_same_verdicts(name, monkeypatch):
+    g = build_group(parse_group(name.split()[0]))
+    alpha = None
+    if name.endswith("tampered"):
+        alpha = [list(row) for row in g.alpha]
+        alpha[0][1] += 1
+    expected = _product_verdicts(g, alpha)
+    assert expected[0][0] is (alpha is None)
+    bounds = []
+
+    def python_ints(bound):
+        bounds.append(bound)
+        return object
+
+    monkeypatch.setattr(rep, "_blas_dtype", python_ints)
+    monkeypatch.setattr(tensor, "_blas_dtype", python_ints)
+    assert _product_verdicts(g, alpha) == expected
+    assert bounds
+
+
+def test_large_entries_take_python_ints(monkeypatch):
+    chosen = []
+
+    def spy(bound):
+        chosen.append(blas_dtype(bound))
+        return chosen[-1]
+
+    blas_dtype = rep._blas_dtype
+    monkeypatch.setattr(rep, "_blas_dtype", spy)
+    a3 = build_rep(build_coxeter("A", 3))
+    assert check_integrability(a3, Fraction(22, 7))
+    assert set(chosen) == {np.float64}
+    chosen.clear()
+    assert check_integrability(a3, Fraction(2**60 + 1, 7))
+    assert set(chosen) == {object}
+    # an alpha beyond int64 is kept in Python ints, and fails where a small tampering does
+    g = build_coxeter("A", 2)
+    alpha = [list(row) for row in g.alpha]
+    alpha[0][1] = 2**70
+    b = build_rep(g, alpha)
+    assert b.rho.dtype == object
+    chosen.clear()
+    result = check_integrability(b)
+    assert (result.ok, result.detail, result.route) == (False, (0, 0), "all flats")
+    assert set(chosen) == {object}
+
+
 def test_spectrum_at_generic_integer():
     a2 = build_rep(build_coxeter("A", 2))
     assert spectrum_check(a2, 0, Fraction(5))
@@ -228,7 +339,7 @@ def _dense_spectrum(bundle, s, m0) -> bool:
     if any(nullity(t - eye(n, value)) != mult for value, mult in multiplicities(k, n)):
         return False
     if m0 != -1:
-        s_dense = ExactMatrix.from_rows(_block(bundle.s_cols(s), range(n), 0))
+        s_dense = perm_block(bundle, s, range(n))
         if nullity(s_dense - eye(n)) != n - k or nullity(s_dense + eye(n)) != k:
             return False
         for value, sign in ((m0, -1), (1, -1), (-1, 1)):
@@ -306,10 +417,11 @@ def test_signed_permutation_model():
         assert len(g.classes[g.class_of[next(iter(axis))]]) == n
         at_axis = {i: u for u, i in axis.items()}
         for s, mat in enumerate(mats):
+            n_s = bundle.scaled_sum((s,), 0, 1, object)
             for u, i in axis.items():
-                col = bundle.n_cols[s].get(u)
+                col = {int(row): n_s[row, u] for row in np.flatnonzero(n_s[:, u])}
                 if u == s:
-                    assert col is None
+                    assert col == {}
                 elif s in axis:
                     assert col == {u: 1, s: -2}
                 else:
