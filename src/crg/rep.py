@@ -85,13 +85,6 @@ class RepBundle:
         """A bound on every |entry| of every b t_s(a/b): they are b, b alpha(s, u) and a."""
         return max(abs(a), abs(b) * self.top)
 
-    def perm(self, s: int, dtype) -> np.ndarray:
-        """P_s, with 1 at (C[s, u], u) for every u."""
-        n = self.size
-        out = np.zeros((n, n), dtype)
-        out[self.conj[s], np.arange(n)] = 1
-        return out
-
     def scaled_sum(self, ys, a, b: int, dtype) -> np.ndarray:
         """sum_{y in ys} b t_y(a/b) = sum_y (b P_y - e_y (b rho_y - a e_y)^T)."""
         n = self.size
@@ -104,14 +97,26 @@ class RepBundle:
         out[ys, ys] += a
         return out
 
+    def blocks(self, s: int, members, a, b: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+        """P_s and b p_s(a/b) = e_s (b rho_s - a e_s)^T on the span of v_u, u
+        in members, so that b t_s(a/b) = b P_s - b p_s there."""
+        idx = np.asarray(members)
+        perm = np.zeros((len(idx), len(idx)), dtype)
+        perm[idx[:, None] == self.conj[s, idx]] = 1
+        p = np.zeros_like(perm)
+        at_s = idx == s
+        p[at_s] = self.rho[s, idx].astype(dtype) * b
+        p[at_s, at_s] -= a
+        return perm, p
+
     def t_block(self, s: int, members, m0) -> ExactMatrix:
         """Restriction of t_s(m0) to the span of v_u, u in members.
 
         Entries lie in the ring of m0: all Fractions for a Fraction m0, all
         ints for an int m0, so later products never mix the two types.
         """
-        idx = np.asarray(members)
-        block = self.scaled_sum((s,), m0, 1, object)[idx[:, None], idx]
+        perm, p = self.blocks(s, members, m0, 1, object)
+        block = perm - p
         zero = m0 * 0
         ring = type(zero)
         return ExactMatrix(len(block), len(block), [ring(x) if x else zero for x in block.flat])
@@ -172,15 +177,13 @@ def _representative_pairs(bundle: RepBundle, table: FlatTable) -> dict[int, list
 
     The pairs k = (Z, x) are numbered in scan order, and pair_id[x, y]
     numbers the pair of x and the flat through x and y, so a generator w
-    sends k to pair_id[C[w, x], C[w, y]] for any other member y of Z. Each
-    pair is labelled by the least number in its W-orbit: each round passes
-    the lesser label along every generator edge, both ways, then gives every
-    label its own label's label, which lies in the same orbit and is no
-    greater. A round that changes nothing leaves both ends of every edge,
-    so the whole orbit, with one label, and the orbit's least number never
-    changes its own.
+    sends k to pair_id[C[w, x], C[w, y]] for any other member y of Z. The
+    least pair not yet seen is the first of a new orbit, which a walk along
+    the generators' images then marks seen.
     """
     flats = table.flats
+    if not flats:
+        return {}
     sizes = np.array([len(flat.members) for flat in flats])
     x = np.array([u for flat in flats for u in flat.members])
     f = np.repeat(np.arange(len(flats)), sizes)
@@ -191,18 +194,17 @@ def _representative_pairs(bundle: RepBundle, table: FlatTable) -> dict[int, list
         k = np.flatnonzero(sizes[f] > j)
         pair_id[x[k], x[start[k] + j]] = k
     images = [pair_id[row[x], row[y]] for row in bundle.conj[list(bundle.group.generators)]]
-    labels = np.arange(len(x))
-    while True:
-        old = labels
-        for img in images:
-            labels = np.minimum(labels, labels[img])
-            labels[img] = np.minimum(labels[img], labels)
-        labels = labels[labels]
-        if np.array_equal(labels, old):
-            break
+    seen = np.zeros(len(x), bool)
     heads: dict[int, list[int]] = {}
-    for k in np.flatnonzero(labels == np.arange(len(x))).tolist():
+    while not seen.all():
+        k = int(seen.argmin())
         heads.setdefault(int(f[k]), []).append(int(x[k]))
+        seen[k] = True
+        frontier = np.array([k])
+        while frontier.size:
+            frontier = np.concatenate([img[frontier] for img in images])
+            frontier = frontier[~seen[frontier]]
+            seen[frontier] = True
     return heads
 
 

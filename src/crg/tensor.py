@@ -292,9 +292,7 @@ def _block_relations(bundle: RepBundle, s: int, members, m) -> bool:
     a, b = m.numerator, m.denominator
     dtype = _blas_dtype(len(members) * (bundle.bound(a, b) + b) ** 2)
     # column u of s or t_s has its rows among sus and s, both in the class
-    block = np.ix_(members, members)
-    s_b = bundle.perm(s, dtype)[block]
-    p_b = b * s_b - bundle.scaled_sum((s,), a, b, dtype)[block]
+    s_b, p_b = bundle.blocks(s, members, a, b, dtype)
     return (
         np.array_equal(s_b @ s_b, np.identity(len(members)))
         and np.array_equal(s_b @ p_b, p_b)
@@ -387,8 +385,7 @@ def _excluded(bundle: RepBundle, c: int, m0: Fraction) -> bool:
 def _int_blocks(bundle: RepBundle, members, m0: Fraction) -> list[np.ndarray]:
     """Python ints b t_x(m0) = b P_x - e_x (b rho_x - a e_x)^T on the class block, m0 = a/b."""
     a, b = m0.numerator, m0.denominator
-    block = np.ix_(members, members)
-    return [bundle.scaled_sum((x,), a, b, object)[block] for x in members]
+    return [b * perm - p for perm, p in (bundle.blocks(x, members, a, b, object) for x in members)]
 
 
 def _square_block(t: np.ndarray, sign: int) -> np.ndarray:
@@ -541,11 +538,7 @@ def psu_membership_check(bundle: RepBundle, c: int, s: int, u: int, m0) -> bool:
     # for m0 = a/b, A is generated by b T_x and the target is scaled by b^2
     blocks = _int_blocks(bundle, members, m0)
 
-    def scaled_p(x: int) -> np.ndarray:  # b p_x = b P_x - b t_x(m0)
-        p_x = bundle.perm(x, object)[np.ix_(members, members)]
-        return m0.denominator * p_x - blocks[members.index(x)]
-
-    ps, pu = scaled_p(s), scaled_p(u)
+    ps, pu = (bundle.blocks(x, members, m0.numerator, m0.denominator, object)[1] for x in (s, u))
     target = np.kron(ps, pu) + np.kron(pu, ps)
     eye = np.identity(len(members), dtype=object)
     y = bundle.memo(

@@ -131,6 +131,12 @@ def test_verify_all_suites_on_a2(capsys):
     assert "krammer-braid" in out
 
 
+@pytest.mark.parametrize("group", ["A1", "G(4,2,1)"])
+def test_verify_passes_on_a_single_reflection(capsys, group):
+    assert main(["verify", "--group", group, "--suite", "all"]) == 0
+    assert "PASS integrability" in capsys.readouterr().out
+
+
 def _check_lines(capsys, group, suite):
     """The check lines of one suite, without elapsed times or the summary,
     which names the spelling."""

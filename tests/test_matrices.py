@@ -133,7 +133,7 @@ def test_evaluate():
     for m0 in (F(0), F(1), F(-3), F(22, 7)):
         t_at, p_at = (ExactMatrix(3, 3, [e(m0) for e in x.entries]) for x in (t_poly, p_poly))
         assert t_at == b.t_block(0, range(3), m0)
-        assert t_at == ExactMatrix.from_rows(b.perm(0, object).tolist()) - p_at
+        assert t_at == ExactMatrix.from_rows(b.blocks(0, range(3), 0, 1, object)[0].tolist()) - p_at
 
 
 def test_rank_and_kernel_of_int_matrix_stays_exact():

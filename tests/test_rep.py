@@ -38,7 +38,7 @@ def a2_projection(m0):
 
 def perm_block(bundle, s, members):
     """P_s, the permutation u -> sus, on the span of v_u, u in members."""
-    return ExactMatrix.from_rows(bundle.perm(s, object)[np.ix_(members, members)].tolist())
+    return ExactMatrix.from_rows(bundle.blocks(s, members, 0, 1, object)[0].tolist())
 
 
 def test_triangle_generator_matrix():
@@ -184,6 +184,15 @@ def test_equivariance_is_proven_once_per_bundle(monkeypatch):
 def test_clean_tables_take_the_orbit_route():
     for g in (build_coxeter("A", 3), build_series(4, 2, 3), build_coxeter("H3")):
         assert check_integrability(build_rep(g)).route == "orbits"
+
+
+@pytest.mark.parametrize("g", [build_coxeter("A", 1), build_series(2, 1, 1), build_series(4, 2, 1)])
+def test_groups_without_flats_are_integrable(g):
+    assert len(codim2_flats(g)) == 0
+    b = build_rep(g)
+    for m0 in (None, Fraction(22, 7)):
+        result = check_integrability(b, m0)
+        assert (result.ok, result.route) == (True, "orbits")
 
 
 def _orbit(g, table, idx, x):

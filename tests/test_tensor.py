@@ -226,7 +226,7 @@ def test_tensor_ops_shapes():
         t = [[m0, -1, -1], [0, 0, 1], [0, 1, 0]]
         p = [[1 - m0, 1, 1], [0, 0, 0], [0, 0, 0]]
         t, p = (ExactMatrix.from_rows([[Fraction(x) for x in r] for r in m]) for m in (t, p))
-        s = ExactMatrix.from_rows(b.perm(0, object)[np.ix_(members, members)].tolist())
+        s = ExactMatrix.from_rows(b.blocks(0, members, 0, 1, object)[0].tolist())
         assert b.t_block(0, members, m0) == t
         assert s - t == p
         assert s * s == eye
@@ -419,7 +419,7 @@ def test_annihilator_refutes_targets_outside_a_degenerate_algebra():
     assert d**4 - len(y) == 231
     assert not (y @ np.identity(d * d, dtype=object).ravel()).any()
     # p_s (x) p_u - p_u (x) p_s anticommutes with the swap, which commutes with A
-    s_u = [b.perm(x, object)[np.ix_(members, members)] for x in members[:2]]
+    s_u = [b.blocks(x, members, 0, 1, object)[0] for x in members[:2]]
     ps, pu = (s - t for s, t in zip(s_u, _int_blocks(b, members, m0)))
     assert (y @ (np.kron(ps, pu) - np.kron(pu, ps)).ravel()).any()
     unit = np.zeros(d**4, dtype=object)
@@ -462,10 +462,17 @@ def test_membership_refutes_a_target_outside_the_algebra(monkeypatch):
     assert tensor._excluded(b, 0, Fraction(5))
     assert psu_membership_check(b, 0, s, u, Fraction(5))
     # t_s(5) + E_ss in place of P_s makes p_s the matrix unit E_ss; t_s is untouched
-    tampered = b.scaled_sum((s,), 5, 1, object)
-    tampered[s, s] += 1
-    perm = b.perm
-    monkeypatch.setattr(b, "perm", lambda x, dtype: tampered if x == s else perm(x, dtype))
+    blocks = b.blocks
+
+    def tampered(x, members, a, den, dtype):
+        perm, p = blocks(x, members, a, den, dtype)
+        if x != s:
+            return perm, p
+        unit = np.zeros_like(p)
+        unit[members.index(s), members.index(s)] = 1
+        return perm - p + unit, unit
+
+    monkeypatch.setattr(b, "blocks", tampered)
     assert not psu_membership_check(b, 0, s, u, Fraction(5))
 
 
@@ -810,7 +817,7 @@ def test_rank_one_elements_lie_in_the_algebra(g, monkeypatch):
             a, den = m0.numerator, m0.denominator
             ints = _int_blocks(b, members, m0)
             bt = [t.astype(np.float64) for t in ints]
-            perms = [b.perm(x, np.float64)[np.ix_(members, members)] for x in members]
+            perms = [b.blocks(x, members, 0, 1, np.float64)[0] for x in members]
             bp = [den * s_x - t for s_x, t in zip(perms, bt)]
             for x, p in enumerate(bp):
                 assert not np.delete(p, x, axis=0).any()

@@ -42,6 +42,8 @@ def commands() -> list[list[str]]:
         # dense products on I2(199)'s 199 reflections
         ["verify", "--group", "E8", "--suite", "core"],
         ["verify", "--group", "I2(199)", "--suite", "spectral"],
+        # a group with one reflection and no codimension-2 flats
+        ["verify", "--group", "A1", "--suite", "all"],
         ["discriminants", "--group", "I2(199)", "--format", "json"],
         ["conjecture"],
         ["list-groups"],
