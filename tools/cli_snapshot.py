@@ -38,7 +38,7 @@ def commands() -> list[list[str]]:
         ["verify", "--group", "I2(31)", "--suite", "core"],
         ["verify", "--group", "G(13,13,3)", "--suite", "parabolic"],
         ["verify", "--group", "I2(9)", "--suite", "dihedral"],
-        # integrability's orbit labels over E8's 10,920 (flat, x) pairs, and
+        # integrability's orbit walk over E8's 10,920 (flat, x) pairs, and
         # dense products on I2(199)'s 199 reflections
         ["verify", "--group", "E8", "--suite", "core"],
         ["verify", "--group", "I2(199)", "--suite", "spectral"],
