@@ -18,15 +18,13 @@ from .groups import (
     k_c,
 )
 from .krammer import build_krammer, check_braid_relations, cubic_specialization_check
-from .matrices import ExactMatrix, char_poly, rank_and_kernel
+from .matrices import ExactMatrix, char_poly
 from .polynomials import M, ParamPoly, integer_roots
 from .quadratic import (
     Discriminant,
     check_n_c,
     conjecture_scan,
     discriminant,
-    gram_matrix,
-    kernel_at,
 )
 from .rep import (
     RepBundle,
@@ -53,7 +51,6 @@ __all__ = [
     "totient",
     "ExactMatrix",
     "char_poly",
-    "rank_and_kernel",
     "M",
     "ParamPoly",
     "integer_roots",
@@ -71,8 +68,6 @@ __all__ = [
     "check_n_c",
     "conjecture_scan",
     "discriminant",
-    "gram_matrix",
-    "kernel_at",
     "RepBundle",
     "build_rep",
     "check_T_scalar",

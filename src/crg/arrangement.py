@@ -12,12 +12,35 @@ from typing import Sequence
 from .cyclotomic import CycNum
 from .groups import ReflectionGroupData, Refused, _dtype, _inverse, _keys, _mul
 from .groups import _residue_point, _residues
-from .matrices import _rref
 
 # numpy after the package modules: `crg` imports this module first, and when
 # its modules compile from source, loading numpy before `groups` compiles
 # raises the peak RSS of a `crg` process by about 0.1 MB
 import numpy as np
+
+
+def _rref(rows: list[list]) -> tuple[tuple, ...]:
+    """Gauss-Jordan reduced row echelon form over a field; zero rows dropped."""
+    work = [list(r) for r in rows]
+    ncols = len(work[0])
+    r = 0
+    for c in range(ncols):
+        pivot = None
+        for i in range(r, len(work)):
+            if work[i][c]:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        inv = 1 / work[r][c]
+        work[r] = [inv * x for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c]:
+                f = work[i][c]
+                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        r += 1
+    return tuple(tuple(row) for row in work[:r])
 
 
 def _in_rowspan(vec: Sequence[CycNum], rref_rows: Sequence[Sequence[CycNum]]) -> bool:

@@ -12,8 +12,8 @@ root of y s y is y a, so a few generating reflections act on all the lines
 at once by batched integer products in Z[zeta], each image line proposed by
 residues mod p and proven by one integer identity, and every other row of
 the conjugation table follows from sigma_{g y g} = sigma_g sigma_y sigma_g,
-which is integer work.  A reflection's root, coform and matrix as field
-elements are built only when read."""
+which is integer work.  A reflection's root and coform as field elements
+are built only when read."""
 
 from __future__ import annotations
 
@@ -28,7 +28,6 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .cyclotomic import CycNum, CyclotomicField, cyclotomic_field, cyclotomic_int_coeffs
-from .matrices import ExactMatrix
 
 Vec = tuple[CycNum, ...]
 
@@ -56,14 +55,6 @@ class Refused(ValueError):
     a limit, or excluded.  The CLI reports it as refused input or as a skipped
     check, never as a failed claim; any other exception, such as a plain
     ValueError for a misused argument, is an internal error."""
-
-
-def _dot(u: Sequence[CycNum], v: Sequence[CycNum]) -> CycNum:
-    acc = u[0].field.zero()
-    for x, y in zip(u, v):
-        if x and y:
-            acc = acc + x * y
-    return acc
 
 
 @lru_cache(maxsize=None)
@@ -155,24 +146,6 @@ def _propose(y: np.ndarray, lead: np.ndarray, index: dict, point: tuple[int, int
     return [index.get(key, 0) for key in _keys(_residues(y, point), lead, point[0])]
 
 
-def _reflection_matrix(a: Vec, phi: Vec) -> ExactMatrix:
-    """I - 2 a (x) phi / (phi . a)."""
-    r = len(a)
-    c = -2 / _dot(phi, a)
-    cphi = [c * x for x in phi]
-    one, zero = a[0].field.one(), a[0].field.zero()
-    entries = []
-    for i, ai in enumerate(a):
-        if ai:
-            row = [ai * x for x in cphi]
-            row[i] = row[i] + 1
-        else:
-            row = [zero] * r
-            row[i] = one
-        entries.extend(row)
-    return ExactMatrix(r, r, entries)
-
-
 def _packed_keys(
     x: np.ndarray,
     phi: np.ndarray,
@@ -215,8 +188,8 @@ class RootLines(NamedTuple):
 
 
 class Reflection:
-    """One order-2 reflection; its root line, coform and matrix are built on
-    first use from the root arrays it shares with the rest of its group."""
+    """One order-2 reflection; its root line and coform are built on first
+    use from the root arrays it shares with the rest of its group."""
 
     def __init__(self, index: int, lines: RootLines) -> None:
         self.index = index
@@ -231,11 +204,6 @@ class Reflection:
     def coform(self) -> Vec:
         """The linear form of the reflection: the conjugate of the root."""
         return self.lines.vector(self.lines.phi[self.index])
-
-    @cached_property
-    def matrix(self) -> ExactMatrix:
-        """I - 2 root (x) coform / (coform . root)."""
-        return _reflection_matrix(self.root, self.coform)
 
     def __repr__(self) -> str:
         return f"Reflection({self.index})"

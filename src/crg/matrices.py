@@ -1,4 +1,6 @@
-"""Dense exact matrices over Fraction, CycNum or polynomial scalars."""
+"""The characteristic polynomial and the certified integer spectrum of
+integer matrices, and `ExactMatrix`, the immutable carrier of
+`rep.RepBundle.t_block`'s entries."""
 
 from __future__ import annotations
 
@@ -7,22 +9,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .cyclotomic import CycNum
 from .polynomials import ParamPoly
 
 
-def _zero_like(x):
-    return x - x
-
-
-def _one_like(x):
-    if isinstance(x, CycNum):
-        return x.field.one()
-    return Fraction(1)
-
-
 class ExactMatrix:
-    """Immutable row-major matrix; scalars must share one ring."""
+    """Immutable row-major matrix, scalars in one ring: what
+    `RepBundle.t_block` returns for `tensor.algebra_dimension` and the
+    benchmark to read. It has no arithmetic."""
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -39,72 +32,6 @@ class ExactMatrix:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("ExactMatrix is immutable")
 
-    @classmethod
-    def from_rows(cls, rowdata: Sequence[Sequence]) -> ExactMatrix:
-        rows = len(rowdata)
-        cols = len(rowdata[0])
-        flat = []
-        for row in rowdata:
-            if len(row) != cols:
-                raise ValueError("ragged rows")
-            flat.extend(row)
-        return cls(rows, cols, flat)
-
-    @classmethod
-    def identity(cls, n: int, one=Fraction(1)) -> ExactMatrix:
-        zero = _zero_like(one)
-        return cls(n, n, [one if i == j else zero for i in range(n) for j in range(n)])
-
-    def __getitem__(self, ij: tuple[int, int]):
-        i, j = ij
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> tuple:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def __add__(self, other: ExactMatrix) -> ExactMatrix:
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in addition")
-        return ExactMatrix(
-            self.rows, self.cols, [a + b for a, b in zip(self.entries, other.entries)]
-        )
-
-    def __sub__(self, other: ExactMatrix) -> ExactMatrix:
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in subtraction")
-        return ExactMatrix(
-            self.rows, self.cols, [a - b for a, b in zip(self.entries, other.entries)]
-        )
-
-    def __neg__(self) -> ExactMatrix:
-        return ExactMatrix(self.rows, self.cols, [-e for e in self.entries])
-
-    def __mul__(self, other):
-        if isinstance(other, ExactMatrix):
-            if self.cols != other.rows:
-                raise ValueError("shape mismatch in multiplication")
-            n, k, m = self.rows, self.cols, other.cols
-            a, b = self.entries, other.entries
-            out = []
-            for i in range(n):
-                arow = a[i * k : (i + 1) * k]
-                for j in range(m):
-                    acc = arow[0] * b[j]
-                    for t in range(1, k):
-                        av = arow[t]
-                        if av:
-                            acc = acc + av * b[t * m + j]
-                    out.append(acc)
-            return ExactMatrix(n, m, out)
-        return ExactMatrix(self.rows, self.cols, [e * other for e in self.entries])
-
-    def __rmul__(self, other):
-        return ExactMatrix(self.rows, self.cols, [other * e for e in self.entries])
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
@@ -118,64 +45,13 @@ class ExactMatrix:
         return hash((self.rows, self.cols, self.entries))
 
     def __repr__(self) -> str:
+        k = self.cols
         body = "; ".join(
-            " ".join(str(e) for e in self.row(i)) for i in range(min(self.rows, 6))
+            " ".join(str(e) for e in self.entries[i * k : (i + 1) * k])
+            for i in range(min(self.rows, 6))
         )
         tail = " ..." if self.rows > 6 else ""
         return f"ExactMatrix({self.rows}x{self.cols}: {body}{tail})"
-
-
-def _rref(rows: list[list]) -> tuple[tuple, ...]:
-    """Gauss-Jordan reduced row echelon form over a field; zero rows dropped."""
-    work = [list(r) for r in rows]
-    ncols = len(work[0])
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(work)):
-            if work[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        inv = 1 / work[r][c]
-        work[r] = [inv * x for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        r += 1
-    return tuple(tuple(row) for row in work[:r])
-
-
-def rank_and_kernel(M: ExactMatrix) -> tuple[int, list[list]]:
-    """Rank and a kernel basis by exact Gauss-Jordan elimination.
-
-    Scalars must form a field (Fraction or CycNum); int entries are taken
-    as Fractions. ParamPoly entries are rejected: substitute a number for m
-    first.
-    """
-    for e in M.entries:
-        if isinstance(e, ParamPoly):
-            raise TypeError("rank over polynomials is undefined; substitute a number for m first")
-    rows = [
-        [Fraction(x) if isinstance(x, int) else x for x in M.row(i)] for i in range(M.rows)
-    ]
-    reduced = _rref(rows)
-    pivots = [next(c for c, x in enumerate(row) if x) for row in reduced]
-    one = _one_like(rows[0][0])
-    zero = _zero_like(rows[0][0])
-    kernel = []
-    for free in range(M.cols):
-        if free in pivots:
-            continue
-        v = [zero] * M.cols
-        v[free] = one
-        for row, p in zip(reduced, pivots):
-            v[p] = -row[free]
-        kernel.append(v)
-    return len(reduced), kernel
 
 
 def _berkowitz(rows: list[list]) -> list:
@@ -280,18 +156,14 @@ def integer_spectrum(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, int], ..
     return tuple((r, k) for r, k in zip(roots, mults) if k)
 
 
-def char_poly(M: ExactMatrix) -> ParamPoly:
-    """det(M - m*I) as a polynomial in m, leading coefficient (-1)^dim."""
-    if M.rows != M.cols:
-        raise ValueError("characteristic polynomial needs a square matrix")
-    for e in M.entries:
-        if not isinstance(e, (int, Fraction)):
-            raise TypeError("char_poly expects rational entries")
-    n = M.rows
-    if all(isinstance(e, int) or e.denominator == 1 for e in M.entries):
-        rows = [[int(e) for e in M.row(i)] for i in range(n)]
-    else:
-        rows = [[Fraction(e) for e in M.row(i)] for i in range(n)]
+def char_poly(rows: Sequence[Sequence[int]]) -> ParamPoly:
+    """det(A - m*I) of a square integer matrix A, given by its rows, as a
+    polynomial in m with leading coefficient (-1)^dim."""
+    n = len(rows)
+    if not n or any(len(row) != n for row in rows):
+        raise ValueError("characteristic polynomial needs a nonempty square matrix")
+    if not all(isinstance(x, int) for row in rows for x in row):
+        raise TypeError("char_poly expects integer entries")
     asc = list(reversed(_berkowitz(rows)))
     if n % 2:
         asc = [-c for c in asc]

@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .groups import ReflectionGroupData, build_series, class_stats
-from .matrices import ExactMatrix, char_poly, integer_spectrum, rank_and_kernel
+from .matrices import char_poly, integer_spectrum
 from .polynomials import M, ParamPoly, integer_roots
 
 
@@ -40,13 +38,9 @@ class Discriminant:
 
 
 def _gram_rows(g: ReflectionGroupData, c: int) -> list[list[int]]:
+    """A_c: diagonal 1, off-diagonal alpha(s, u), rows and columns in class order."""
     members = g.classes[c]
     return [[1 if s == u else g.alpha[s][u] for u in members] for s in members]
-
-
-def gram_matrix(g: ReflectionGroupData, c: int) -> ExactMatrix:
-    """A_c: diagonal 1, off-diagonal alpha(s, u), rows and columns in class order."""
-    return ExactMatrix.from_rows([[Fraction(x) for x in row] for row in _gram_rows(g, c)])
 
 
 def discriminant(g: ReflectionGroupData, c: int) -> Discriminant:
@@ -59,7 +53,7 @@ def discriminant_of(rows: list[list[int]]) -> Discriminant:
     factors = integer_spectrum(rows)
     if factors is not None:
         return Discriminant((-1) ** len(rows), factors, ParamPoly((1,)))
-    return factor_discriminant(char_poly(ExactMatrix.from_rows(rows)), len(rows))
+    return factor_discriminant(char_poly(rows), len(rows))
 
 
 def factor_discriminant(poly: ParamPoly, size: int) -> Discriminant:
@@ -90,14 +84,6 @@ def check_n_c(g: ReflectionGroupData, c: int, disc: Discriminant | None = None) 
         if cauchy >= n_c:
             return False
     return True
-
-
-def kernel_at(g: ReflectionGroupData, c: int, m0) -> list[list[Fraction]]:
-    """Kernel basis of A_c - m0*I as exact rational vectors."""
-    a_c = gram_matrix(g, c)
-    shifted = a_c - ExactMatrix.identity(a_c.rows, Fraction(m0))
-    _, kernel = rank_and_kernel(shifted)
-    return kernel
 
 
 _A_FORMULA = "a"

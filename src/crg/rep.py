@@ -29,7 +29,6 @@ import numpy as np
 from .arrangement import FlatTable, codim2_flats, parabolic_reflections
 from .groups import ReflectionGroupData, Refused, _blas_dtype, build_series, class_stats, k_c
 from .matrices import ExactMatrix
-from .quadratic import kernel_at
 
 
 class CheckResult:
@@ -110,16 +109,25 @@ class RepBundle:
         return perm, p
 
     def t_block(self, s: int, members, m0) -> ExactMatrix:
-        """Restriction of t_s(m0) to the span of v_u, u in members.
+        """Restriction of t_s(m0) = P_s - e_s rho_s^T + m0 E_ss to the span
+        of v_u, u in members.
 
-        Entries lie in the ring of m0: all Fractions for a Fraction m0, all
-        ints for an int m0, so later products never mix the two types.
+        The integer part is built in rho's dtype; its (s, s) entry is 1 - 1
+        = 0, where m0 alone is added. Entries lie in the ring of m0: all
+        Fractions for a Fraction m0, all ints for an int m0, so later
+        products never mix the two types.
         """
-        perm, p = self.blocks(s, members, m0, 1, object)
-        block = perm - p
+        idx = np.asarray(members)
+        block = (idx[:, None] == self.conj[s, idx]).astype(self.rho.dtype)
+        at_s = idx == s
+        block[at_s] -= self.rho[s, idx]
+        entries = block.ravel().tolist()
+        n = len(idx)
+        for k in np.flatnonzero(at_s).tolist():
+            entries[k * (n + 1)] += m0
         zero = m0 * 0
         ring = type(zero)
-        return ExactMatrix(len(block), len(block), [ring(x) if x else zero for x in block.flat])
+        return ExactMatrix(n, n, [ring(x) if x else zero for x in entries])
 
 
 def build_rep(g: ReflectionGroupData, alpha=None) -> RepBundle:
@@ -350,22 +358,24 @@ DIHEDRAL_CHARACTER_NOTE = (
 
 def dihedral_m0_check(e: int) -> bool:
     """At m = 0 the odd dihedral representation restricted to the zero-sum
-    hyperplane is the permutation action, with character sum chi_U = sum chi_k."""
+    hyperplane is the permutation action, with character sum chi_U = sum chi_k.
+
+    The kernel of the class form at m = 0 is then the zero-sum hyperplane
+    without a check of its own: step (i) finds one class and rho = 1, so the
+    form is A_0 = J, whose kernel is exactly the vectors of zero sum, of
+    dimension n - 1.
+    """
     if e % 2 == 0 or e < 3:
         raise Refused("e must be odd and at least 3")
     g = build_series(e, e, 2)
     bundle = build_rep(g)
     n = g.size
-    # (i) the kernel of the class form at m = 0 is the zero-sum hyperplane
-    kernel = kernel_at(g, 0, 0)
-    if len(kernel) != n - 1 or any(sum(v) != 0 for v in kernel):
+    # (i) t_s at m = 0 agrees with the permutation action on the zero-sum
+    # hyperplane, which the e_u - e_0 span: the columns of N_s - P_s = -e_s
+    # rho_s(0)^T are equal, so every row of rho is constant, and its diagonal is 1
+    if len(g.classes) != 1 or (bundle.rho != 1).any():
         return False
-    # (ii) t_s at m = 0 agrees with the permutation action on that hyperplane,
-    # which the e_u - e_0 span: the columns of N_s - P_s = -e_s rho_s(0)^T are
-    # equal, so every row of rho is constant, and its diagonal is 1
-    if (bundle.rho != 1).any():
-        return False
-    # (iii) chi_U(w) = #commuting reflections - 1 equals the character sum.
+    # (ii) chi_U(w) = #commuting reflections - 1 equals the character sum.
     # The group acts on the e root lines by the conjugation-table rows, and
     # for odd e faithfully (its centre is trivial), so its 2e elements are
     # the closure of those permutations, and w commutes with s_u exactly

@@ -7,14 +7,14 @@ from math import comb
 import pytest
 
 from crg import arrangement
-from crg.arrangement import _in_rowspan, codim2_flats, parabolic_reflections
+from crg.arrangement import _in_rowspan, _rref, codim2_flats, parabolic_reflections
 from crg.cli import build_group, parse_group
 from crg.groups import build_coxeter, build_series
-from crg.matrices import _rref
+from references import reflection_matrix
 
 
 def is_diagonal(g, s):
-    m = g.reflections[s].matrix
+    m = reflection_matrix(g.reflections[s])
     return all(m[i, j] == 0 for i in range(g.rank) for j in range(g.rank) if i != j)
 
 

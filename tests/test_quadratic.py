@@ -1,12 +1,11 @@
 """Class Gram matrices, determinant factorizations, closed forms."""
 
 import json
-from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from crg.groups import build_coxeter, build_series, class_stats
-from crg.matrices import ExactMatrix
 from crg.polynomials import ParamPoly
 from crg.quadratic import (
     _A_FORMULA,
@@ -17,28 +16,24 @@ from crg.quadratic import (
     _I_ODD,
     Discriminant,
     _closed_form,
+    _gram_rows,
     check_n_c,
     conjecture_scan,
     discriminant,
-    gram_matrix,
-    kernel_at,
 )
+from references import rank, reflection_matrix
 
 
 def test_gram_matrix_small_cases():
-    a2 = gram_matrix(build_coxeter("A", 2), 0)
-    assert a2 == ExactMatrix.from_rows([[1, 1, 1], [1, 1, 1], [1, 1, 1]])
-    i5 = gram_matrix(build_coxeter("I2", 5), 0)
-    assert i5 == ExactMatrix.from_rows([[1] * 5 for _ in range(5)])
+    assert _gram_rows(build_coxeter("A", 2), 0) == [[1, 1, 1], [1, 1, 1], [1, 1, 1]]
+    assert _gram_rows(build_coxeter("I2", 5), 0) == [[1] * 5 for _ in range(5)]
     b2 = build_coxeter("B", 2)
     diag_class = next(
         c
         for c, members in enumerate(b2.classes)
-        if all(
-            b2.reflections[s].matrix[0, 1] == 0 for s in members
-        )
+        if all(reflection_matrix(b2.reflections[s])[0, 1] == 0 for s in members)
     )
-    assert gram_matrix(b2, diag_class) == ExactMatrix.from_rows([[1, 2], [2, 1]])
+    assert _gram_rows(b2, diag_class) == [[1, 2], [2, 1]]
 
 
 def test_discriminant_examples():
@@ -77,24 +72,33 @@ def test_n_c_dominates():
             assert check_n_c(g, c)
 
 
+def _shifted_form(g, c, m0):
+    """A_c - m0 I as an object array."""
+    rows = _gram_rows(g, c)
+    return np.array(rows, dtype=object) - m0 * np.identity(len(rows), dtype=object)
+
+
 def test_kernel_at_examples():
-    i5 = build_coxeter("I2", 5)
-    kernel = kernel_at(i5, 0, 0)
-    assert len(kernel) == 4
-    assert all(sum(v) == 0 for v in kernel)
-    a2 = build_coxeter("A", 2)
-    kernel = kernel_at(a2, 0, 3)
-    assert kernel == [[Fraction(1), Fraction(1), Fraction(1)]]
+    # at m = 0 the form of I2(5) is J: rank 1, with the e_u - e_0 in its kernel,
+    # which is therefore the zero-sum hyperplane
+    i5 = _shifted_form(build_coxeter("I2", 5), 0, 0)
+    assert rank(i5) == 1
+    eye = np.identity(5, dtype=object)
+    assert not (i5 @ (eye[1:] - eye[0]).T).any()
+    # at m = 3 the kernel of A2's form is spanned by (1, 1, 1)
+    a2 = _shifted_form(build_coxeter("A", 2), 0, 3)
+    assert rank(a2) == 2
+    assert not (a2 @ np.ones(3, dtype=object)).any()
 
 
 def test_kernel_vectors_satisfy_eigen_equation():
+    # N(c) is a simple eigenvalue of A_c, with the all-ones eigenvector
     g = build_coxeter("B", 3)
-    for c in range(len(g.classes)):
+    for c, members in enumerate(g.classes):
         n_c, _ = class_stats(g, c)
-        a_c = gram_matrix(g, c)
-        for v in kernel_at(g, c, n_c):
-            image = a_c * ExactMatrix(len(v), 1, v)
-            assert image == ExactMatrix(len(v), 1, [n_c * x for x in v])
+        shifted = _shifted_form(g, c, n_c)
+        assert rank(shifted) == len(members) - 1
+        assert not (shifted @ np.ones(len(members), dtype=object)).any()
 
 
 def test_form_is_negative_definite_past_the_top_root():

@@ -8,7 +8,6 @@ from crg.arrangement import codim2_flats
 from crg import rep, tensor
 from crg.cli import build_group, parse_group
 from crg.groups import ReflectionGroupData, build_coxeter, build_series, k_c
-from crg.matrices import ExactMatrix, rank_and_kernel
 from crg.rep import (
     DIHEDRAL_CHARACTER_NOTE,
     build_rep,
@@ -20,6 +19,7 @@ from crg.rep import (
     spectrum_check,
 )
 from crg.tensor import ds_table_check, psu_membership_check
+from references import rank, reflection_matrix
 
 POINTS = (Fraction(0), Fraction(1), Fraction(-3), Fraction(22, 7))
 
@@ -27,18 +27,24 @@ POINTS = (Fraction(0), Fraction(1), Fraction(-3), Fraction(22, 7))
 def a2_generator(m0):
     """t_0 of A2 at m0: t_0.v_0 = m0 v_0, t_0.v_u = v_{0u0} - v_0 otherwise."""
     rows = [[m0, -1, -1], [0, 0, 1], [0, 1, 0]]
-    return ExactMatrix.from_rows([[Fraction(x) for x in row] for row in rows])
+    return np.array([[Fraction(x) for x in row] for row in rows], dtype=object)
 
 
 def a2_projection(m0):
     """p_0 of A2 at m0: p_0.v_u = alpha(0,u) v_0 for u != 0, p_0.v_0 = (1 - m0) v_0."""
     rows = [[1 - m0, 1, 1], [0, 0, 0], [0, 0, 0]]
-    return ExactMatrix.from_rows([[Fraction(x) for x in row] for row in rows])
+    return np.array([[Fraction(x) for x in row] for row in rows], dtype=object)
 
 
 def perm_block(bundle, s, members):
     """P_s, the permutation u -> sus, on the span of v_u, u in members."""
-    return ExactMatrix.from_rows(bundle.blocks(s, members, 0, 1, object)[0].tolist())
+    return bundle.blocks(s, members, 0, 1, object)[0]
+
+
+def dense_block(bundle, s, members, m0):
+    """`bundle.t_block` as an object array."""
+    t = bundle.t_block(s, members, m0)
+    return np.array(t.entries, dtype=object).reshape(t.rows, t.cols)
 
 
 def test_triangle_generator_matrix():
@@ -46,19 +52,48 @@ def test_triangle_generator_matrix():
     b = build_rep(g)
     assert [b.alpha[0][u] for u in (1, 2)] == [1, 1]
     for m0 in POINTS:
-        t = b.t_block(0, range(3), m0)
-        assert t == a2_generator(m0)
-        assert t == perm_block(b, 0, range(3)) - a2_projection(m0)
+        t = dense_block(b, 0, range(3), m0)
+        assert np.array_equal(t, a2_generator(m0))
+        assert np.array_equal(t, perm_block(b, 0, range(3)) - a2_projection(m0))
+
+
+def test_t_block_entries_lie_in_the_ring_of_m0():
+    g = build_coxeter("B", 3)
+    b = build_rep(g)
+    members = g.classes[0]
+    outside = next(s for s in range(g.size) if s not in members)
+    for s in (members[0], outside):
+        ints = b.t_block(s, members, 3).entries
+        fractions = b.t_block(s, members, Fraction(3)).entries
+        assert {type(x) for x in ints} == {int}
+        assert {type(x) for x in fractions} == {Fraction}
+        assert ints == fractions
+    # m0 enters at (s, s) only, and not at all when s lies outside the block
+    diff = dense_block(b, members[0], members, 5) - dense_block(b, members[0], members, 0)
+    assert diff[0, 0] == 5 and np.count_nonzero(diff) == 1
+    assert b.t_block(outside, members, 5) == b.t_block(outside, members, 0)
+
+
+def test_t_block_keeps_an_alpha_beyond_int64():
+    g = build_coxeter("A", 2)
+    alpha = [list(row) for row in g.alpha]
+    alpha[0][1] = alpha[1][0] = 2**70
+    b = build_rep(g, alpha)
+    assert b.rho.dtype == object
+    for m0 in (2, Fraction(22, 7)):
+        expected = perm_block(b, 0, range(3)) - a2_projection(m0)
+        expected[0, 1] = -(2**70)
+        assert np.array_equal(dense_block(b, 0, range(3), m0), expected)
 
 
 def test_not_diagonalizable_at_one():
     g = build_coxeter("A", 2)
     b = build_rep(g)
-    t0 = b.t_block(0, range(3), Fraction(1))
-    eye = ExactMatrix.identity(3, Fraction(1))
-    split = (t0 - eye) * (t0 + eye)
-    assert any(split.entries)
-    assert not any(((t0 - eye) * split).entries)
+    t0 = dense_block(b, 0, range(3), Fraction(1))
+    eye = np.identity(3, dtype=object)
+    split = (t0 - eye) @ (t0 + eye)
+    assert split.any()
+    assert not ((t0 - eye) @ split).any()
 
 
 def test_integrability_and_equivariance():
@@ -325,17 +360,17 @@ def test_spectrum_rejects_one():
 
 def _dense_spectrum(bundle, s, m0) -> bool:
     """Reference for spectrum_check at one point m0 != 1: kernel dimensions of
-    t_s - value and of s -+ 1, and eigenvector containments, by dense
-    Gauss-Jordan elimination over the rationals."""
+    t_s - value and of s -+ 1 by exact rank over the rationals, and the
+    eigenvector containments Ker(A) <= Ker(B) as rank [A; B] = rank A."""
     m0 = Fraction(m0)
     g = bundle.group
     n = g.size
 
     def eye(size, value=1):
-        return ExactMatrix.identity(size, Fraction(value))
+        return value * np.identity(size, dtype=object)
 
     def nullity(mat):
-        return mat.rows - rank_and_kernel(mat)[0]
+        return len(mat) - rank(mat)
 
     def multiplicities(k, total):
         merged = {}
@@ -344,7 +379,7 @@ def _dense_spectrum(bundle, s, m0) -> bool:
         return merged.items()
 
     k = sum(k_c(g, c, s) for c in range(len(g.classes)))
-    t = bundle.t_block(s, range(n), m0)
+    t = dense_block(bundle, s, range(n), m0)
     if any(nullity(t - eye(n, value)) != mult for value, mult in multiplicities(k, n)):
         return False
     if m0 != -1:
@@ -352,13 +387,12 @@ def _dense_spectrum(bundle, s, m0) -> bool:
         if nullity(s_dense - eye(n)) != n - k or nullity(s_dense + eye(n)) != k:
             return False
         for value, sign in ((m0, -1), (1, -1), (-1, 1)):
-            _, kernel = rank_and_kernel(t - eye(n, value))
-            against = s_dense + eye(n, sign)
-            if any(any((against * ExactMatrix(n, 1, vec)).entries) for vec in kernel):
+            shifted = t - eye(n, value)
+            if rank(np.vstack([shifted, s_dense + eye(n, sign)])) != rank(shifted):
                 return False
     c = g.class_of[s]
     size = len(g.classes[c])
-    block = bundle.t_block(s, g.classes[c], m0)
+    block = dense_block(bundle, s, g.classes[c], m0)
     return all(
         nullity(block - eye(size, value)) == mult
         for value, mult in multiplicities(k_c(g, c, s), size)
@@ -415,7 +449,7 @@ def test_signed_permutation_model():
     for n in (2, 3, 4):
         g = build_series(2, 1, n)
         bundle = build_rep(g)
-        mats = [g.reflections[s].matrix for s in range(g.size)]
+        mats = [reflection_matrix(refl) for refl in g.reflections]
         axis = {
             s: next(i for i in range(n) if mat[i, i] == -1)
             for s, mat in enumerate(mats)
@@ -461,8 +495,8 @@ def _with_swapped_entries(g, cells):
 def test_dihedral_zero_point_reads_the_conjugation_table(e, monkeypatch):
     g = build_series(e, e, 2)
     # two entries of one row, and two entries of one column: a column swap
-    # keeps every alpha, and on many of them the form kernel and N_s - s
-    # still pass, so only the group closed from the rows sees those
+    # keeps every alpha, and on many of them the one class and rho = 1 of
+    # step (i) still pass, so only the group closed from the rows sees those
     swaps = [((y, u), (y, v)) for y in range(e) for u, v in combinations(range(e), 2)]
     swaps += [((y, u), (x, u)) for x, y in combinations(range(e), 2) for u in range(e)]
     for cells in swaps:
@@ -470,12 +504,26 @@ def test_dihedral_zero_point_reads_the_conjugation_table(e, monkeypatch):
         assert dihedral_m0_check(e) is False, cells
 
 
-def test_dihedral_zero_point_reads_the_form_kernel(monkeypatch):
-    def off_hyperplane(g, c, m0):
-        kernel = kernel_at(g, c, m0)
-        kernel[0] = [Fraction(1)] + [Fraction(0)] * (g.size - 1)
-        return kernel
+@pytest.mark.parametrize("e", [5, 7])
+def test_dihedral_zero_point_reads_rho(e, monkeypatch):
+    # one off-diagonal alpha changed: rho is no longer 1, and with it the
+    # class form at m = 0 is no longer J
+    g = build_series(e, e, 2)
+    alpha = [list(row) for row in g.alpha]
+    alpha[0][1] += 1
+    monkeypatch.setattr(rep, "build_rep", lambda group: build_rep(group, alpha))
+    assert dihedral_m0_check(e) is False
 
-    kernel_at = rep.kernel_at
-    monkeypatch.setattr(rep, "kernel_at", off_hyperplane)
-    assert dihedral_m0_check(5) is False
+
+@pytest.mark.parametrize("e", [5, 7])
+def test_dihedral_zero_point_needs_one_class(e, monkeypatch):
+    # one generator splits the reflections into several classes, with alpha,
+    # read from every row of the table, still all ones: the class form is
+    # then no longer J on all of them
+    g = build_series(e, e, 2)
+    split = ReflectionGroupData(
+        g.name, g.rank, g.conductor, g.reflections, g.conj_table, g.generators[:1]
+    )
+    assert len(split.classes) > 1 and split.alpha == g.alpha
+    monkeypatch.setattr(rep, "build_series", lambda *args: split)
+    assert dihedral_m0_check(e) is False
